@@ -1,9 +1,8 @@
 """Bounded example stores: reservoir replay buffer and validation buffer."""
 
-import base64
-import json
-
 import numpy as np
+
+from .model import layer_accuracies
 
 
 class ReplayBuffer:
@@ -23,16 +22,6 @@ class ReplayBuffer:
 
     def __len__(self):
         return len(self.items)
-
-    def insert(self, item):
-        if self.seen_count < self.capacity:
-            self.items.append(item)
-        else:
-            # j uniform over {0, ..., seen_count}; keep iff it lands in the buffer
-            j = int(self.rng.integers(0, self.seen_count + 1))
-            if j < self.capacity:
-                self.items[j] = item
-        self.seen_count += 1
 
     def extend(self, items):
         """Bulk insert; draws all replacement slots in one vectorized call."""
@@ -59,29 +48,6 @@ class ReplayBuffer:
         take = min(int(size), n)
         idx = rng.choice(n, size=take, replace=False)
         return [self.items[i] for i in idx]
-
-    def snapshot(self, fh):
-        """Dump resident items as JSON lines (task, label, base64 input)."""
-        for x, y, task in self.items:
-            row = {
-                "task": int(task),
-                "label": int(y),
-                "x": base64.b64encode(
-                    np.ascontiguousarray(x, dtype="<f8").tobytes()
-                ).decode("ascii"),
-            }
-            fh.write(json.dumps(row) + "\n")
-
-
-def load_snapshot(fh):
-    items = []
-    for line in fh:
-        if not line.strip():
-            continue
-        row = json.loads(line)
-        x = np.frombuffer(base64.b64decode(row["x"]), dtype="<f8").astype(np.float64)
-        items.append((x, int(row["label"]), int(row["task"])))
-    return items
 
 
 class ValidationBuffer:
@@ -145,9 +111,4 @@ def evaluate_layer_accuracies(net, vbuf):
     """Fraction of stored validation examples each head classifies correctly,
     pooled across tasks."""
     inputs, labels = vbuf.pooled()
-    record = net.forward(inputs)
-    accuracies = []
-    for layer in range(net.num_layers):
-        preds = record.probs[layer].value.argmax(axis=1)
-        accuracies.append(float((preds == labels).mean()))
-    return accuracies
+    return layer_accuracies(net, inputs, labels)

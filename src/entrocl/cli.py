@@ -159,12 +159,10 @@ def parse_args(argv):
             dest = key.replace("-", "_")
             if dest not in known:
                 raise ConfigError(f"{probe.config}: unknown config key {key!r}")
-            defaults[dest] = value
+            # the string the flag would carry, so file and flag share one parse path
+            defaults[dest] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         parser.set_defaults(**defaults)
     args = parser.parse_args(argv)
-
-    if args.beta <= 0:
-        raise ConfigError(f"beta must be positive, got {args.beta}")
 
     if args.stream != "idx" and (args.idx_images or args.idx_labels):
         raise ConfigError("IDX paths given but --stream is not 'idx'")
@@ -180,7 +178,7 @@ def parse_args(argv):
         buffer_capacity=int(args.buffer_capacity),
         val_quota=int(args.val_quota),
         entropy_sign=args.entropy_sign,
-        widths=parse_widths(args.widths) if isinstance(args.widths, str) else tuple(args.widths),
+        widths=parse_widths(args.widths),
         optimizer=args.optimizer,
     )
     run_config.validate()
@@ -200,8 +198,8 @@ def parse_args(argv):
     )
     stream_config.validate()
 
-    seeds = parse_seeds(args.seeds) if isinstance(args.seeds, str) else tuple(args.seeds)
-    arms = parse_arms(args.arms) if isinstance(args.arms, str) else tuple(args.arms)
+    seeds = parse_seeds(args.seeds)
+    arms = parse_arms(args.arms)
     if args.jobs < 1:
         raise ConfigError(f"jobs must be positive, got {args.jobs}")
 

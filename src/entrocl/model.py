@@ -4,9 +4,13 @@ Every block feeds the next one; every block also feeds a dedicated
 classification head over the full global label space, so one forward pass
 yields per-layer logits and probabilities. Head losses are not detached:
 gradients from head L flow into blocks 1..L of the shared backbone.
+
+All parameters live in one contiguous float64 vector, ``LayeredNet.flat``;
+the per-layer arrays are views into it, laid out by ``parameter_layout``.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +19,22 @@ from . import tensor as T
 from .errors import DimensionError, FormatError
 
 CHECKPOINT_DTYPE = "<f8"
+
+
+def parameter_layout(input_dim, widths, num_classes):
+    """Canonical (name, shape) pairs: blocks then heads, weight then bias.
+
+    This is the one place that knows the parameters' names, shapes and
+    order; the flat vector, its views, init and checkpoints all follow it.
+    """
+    fan_in = input_dim
+    for i, width in enumerate(widths):
+        yield f"block{i}.w", (fan_in, width)
+        yield f"block{i}.b", (width,)
+        fan_in = width
+    for i, width in enumerate(widths):
+        yield f"head{i}.w", (width, num_classes)
+        yield f"head{i}.b", (num_classes,)
 
 
 @dataclass
@@ -34,24 +54,45 @@ class ForwardRecord:
 
 class LayeredNet:
     def __init__(self, input_dim, widths, num_classes, blocks, heads):
+        """Copy the given (weight, bias) pairs into a fresh flat vector."""
+        self._allocate(input_dim, widths, num_classes)
+        if len(blocks) != self.num_layers or len(heads) != self.num_layers:
+            raise ValueError("blocks, heads and widths must have equal length")
+        arrays = [arr for pair in (*blocks, *heads) for arr in pair]
+        for (name, view), arr in zip(self._params, arrays, strict=True):
+            if np.shape(arr) != view.shape:
+                raise DimensionError(
+                    f"{name} has shape {np.shape(arr)}, the layout needs {view.shape}"
+                )
+            view[...] = arr
+
+    def _allocate(self, input_dim, widths, num_classes):
+        """Zero the flat vector and bind the per-layer views into it."""
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2:
             raise ValueError("a layered net needs at least 2 blocks")
         if num_classes < 2:
             raise ValueError("num_classes must be at least 2")
-        if len(blocks) != len(widths) or len(heads) != len(widths):
-            raise ValueError("blocks, heads and widths must have equal length")
-        for layer, ((wb, _), (wh, _)) in enumerate(zip(blocks, heads)):
-            if wb.shape[1] != widths[layer] or wh.shape[0] != widths[layer]:
-                raise DimensionError(
-                    f"layer {layer}: head input width {wh.shape[0]} does not match "
-                    f"block output width {wb.shape[1]}"
-                )
         self.input_dim = int(input_dim)
         self.widths = widths
         self.num_classes = int(num_classes)
-        self.blocks = blocks
-        self.heads = heads
+        layout = list(parameter_layout(self.input_dim, widths, self.num_classes))
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self._params, offset = [], 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            self._params.append((name, self.flat[offset : offset + size].reshape(shape)))
+            offset += size
+        views = [view for _, view in self._params]
+        pairs = list(zip(views[0::2], views[1::2]))
+        self.blocks, self.heads = pairs[: len(widths)], pairs[len(widths) :]
+
+    @classmethod
+    def zeros(cls, input_dim, widths, num_classes):
+        """A net whose every parameter is zero."""
+        net = cls.__new__(cls)
+        net._allocate(input_dim, widths, num_classes)
+        return net
 
     @property
     def num_layers(self):
@@ -61,36 +102,20 @@ class LayeredNet:
     def init(cls, input_dim, widths, num_classes, seed):
         """Deterministic fan-scaled uniform init; biases start at zero."""
         rng = np.random.default_rng(seed)
-        widths = tuple(int(w) for w in widths)
-
-        def affine(fan_in, fan_out):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-            return w, np.zeros(fan_out)
-
-        blocks = []
-        fan_in = int(input_dim)
-        for width in widths:
-            blocks.append(affine(fan_in, width))
-            fan_in = width
-        heads = [affine(width, int(num_classes)) for width in widths]
-        return cls(input_dim, widths, num_classes, blocks, heads)
+        net = cls.zeros(input_dim, widths, num_classes)
+        for _, arr in net.parameters():
+            if arr.ndim == 2:
+                fan_in, fan_out = arr.shape
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                arr[...] = rng.uniform(-limit, limit, size=arr.shape)
+        return net
 
     def parameters(self):
-        """Canonical (name, array) list: blocks then heads, weight then bias."""
-        out = []
-        for i, (w, b) in enumerate(self.blocks):
-            out.append((f"block{i}.w", w))
-            out.append((f"block{i}.b", b))
-        for i, (w, b) in enumerate(self.heads):
-            out.append((f"head{i}.w", w))
-            out.append((f"head{i}.b", b))
-        return out
+        """Canonical (name, view) list over ``flat``, in layout order."""
+        return list(self._params)
 
     def clone(self):
-        blocks = [(w.copy(), b.copy()) for w, b in self.blocks]
-        heads = [(w.copy(), b.copy()) for w, b in self.heads]
-        return LayeredNet(self.input_dim, self.widths, self.num_classes, blocks, heads)
+        return LayeredNet(self.input_dim, self.widths, self.num_classes, self.blocks, self.heads)
 
     def forward(self, x, tape=None):
         x = np.asarray(x, dtype=np.float64)
@@ -100,7 +125,7 @@ class LayeredNet:
             )
         if tape is None:
             tape = T.Tape()
-        params = {name: tape.leaf(arr) for name, arr in self.parameters()}
+        params = {name: tape.leaf(arr) for name, arr in self._params}
         h = tape.leaf(x)
         activations, logits, probs = [], [], []
         for layer in range(self.num_layers):
@@ -127,68 +152,83 @@ class LayeredNet:
         return record.probs[layer].value.argmax(axis=1)
 
 
-def save_checkpoint(net, path):
-    """One JSON header line, then the parameters as little-endian float64."""
-    header = {
-        "input_dim": net.input_dim,
-        "widths": list(net.widths),
-        "num_classes": net.num_classes,
-        "num_layers": net.num_layers,
-        "order": [name for name, _ in net.parameters()],
+def layer_accuracies(net, x, y):
+    """Fraction of rows each head classifies correctly, one entry per layer."""
+    record = net.forward(x)
+    return [float((p.value.argmax(axis=1) == y).mean()) for p in record.probs]
+
+
+def _checkpoint_header(input_dim, widths, num_classes):
+    """The JSON header a checkpoint of this shape carries."""
+    return {
+        "input_dim": input_dim,
+        "widths": list(widths),
+        "num_classes": num_classes,
+        "num_layers": len(widths),
+        "order": [name for name, _ in parameter_layout(input_dim, widths, num_classes)],
         "dtype": CHECKPOINT_DTYPE,
     }
+
+
+def save_checkpoint(net, path):
+    """One JSON header line, then ``flat`` as little-endian float64."""
+    header = _checkpoint_header(net.input_dim, net.widths, net.num_classes)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode("utf-8"))
         fh.write(b"\n")
-        for _, arr in net.parameters():
-            fh.write(np.ascontiguousarray(arr, dtype=CHECKPOINT_DTYPE).tobytes())
+        fh.write(net.flat.astype(CHECKPOINT_DTYPE).tobytes())
+
+
+def _is_count(value, least):
+    return type(value) is int and value >= least
 
 
 def load_checkpoint(path):
+    """Read a checkpoint whose header matches the layout of its dimensions.
+
+    Every malformed file raises FormatError with the byte offset of the fault;
+    header faults report offset 0.
+    """
     with open(path, "rb") as fh:
         header_line = fh.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FormatError(f"unreadable checkpoint header: {exc}", offset=0)
         payload = fh.read()
-
-    input_dim = header["input_dim"]
-    widths = header["widths"]
-    num_classes = header["num_classes"]
-    shapes = {}
-    fan_in = input_dim
-    for i, width in enumerate(widths):
-        shapes[f"block{i}.w"] = (fan_in, width)
-        shapes[f"block{i}.b"] = (width,)
-        fan_in = width
-    for i, width in enumerate(widths):
-        shapes[f"head{i}.w"] = (width, num_classes)
-        shapes[f"head{i}.b"] = (num_classes,)
-
-    arrays = {}
-    offset = 0
-    itemsize = np.dtype(CHECKPOINT_DTYPE).itemsize
-    for name in header["order"]:
-        shape = shapes[name]
-        count = int(np.prod(shape))
-        nbytes = count * itemsize
-        if offset + nbytes > len(payload):
-            raise FormatError(
-                f"checkpoint truncated while reading {name}",
-                offset=len(header_line) + offset,
-            )
-        arrays[name] = (
-            np.frombuffer(payload, dtype=CHECKPOINT_DTYPE, count=count, offset=offset)
-            .astype(np.float64)
-            .reshape(shape)
-        )
-        offset += nbytes
-    if offset != len(payload):
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"unreadable checkpoint header: {exc}", offset=0)
+    if not isinstance(header, dict):
+        raise FormatError("checkpoint header is not a JSON object", offset=0)
+    input_dim, widths, num_classes = (
+        header.get(key) for key in ("input_dim", "widths", "num_classes")
+    )
+    if not (
+        _is_count(input_dim, 1)
+        and isinstance(widths, list)
+        and len(widths) >= 2
+        and all(_is_count(w, 1) for w in widths)
+        and _is_count(num_classes, 2)
+    ):
         raise FormatError(
-            "checkpoint has trailing bytes", offset=len(header_line) + offset
+            f"checkpoint header has no valid dimensions: input_dim={input_dim!r}, "
+            f"widths={widths!r}, num_classes={num_classes!r}",
+            offset=0,
+        )
+    expected = _checkpoint_header(input_dim, widths, num_classes)
+    wrong = [key for key in expected.keys() | header.keys() if header.get(key) != expected.get(key)]
+    if wrong:
+        raise FormatError(
+            f"checkpoint header disagrees with its layout on {sorted(wrong)}", offset=0
         )
 
-    blocks = [(arrays[f"block{i}.w"], arrays[f"block{i}.b"]) for i in range(len(widths))]
-    heads = [(arrays[f"head{i}.w"], arrays[f"head{i}.b"]) for i in range(len(widths))]
-    return LayeredNet(input_dim, widths, num_classes, blocks, heads)
+    layout = parameter_layout(input_dim, widths, num_classes)
+    nbytes = sum(math.prod(shape) for _, shape in layout) * np.dtype(CHECKPOINT_DTYPE).itemsize
+    if len(payload) < nbytes:
+        raise FormatError(
+            f"checkpoint truncated: {len(payload)} of {nbytes} payload bytes",
+            offset=len(header_line) + len(payload),
+        )
+    if len(payload) > nbytes:
+        raise FormatError("checkpoint has trailing bytes", offset=len(header_line) + nbytes)
+    net = LayeredNet.zeros(input_dim, widths, num_classes)
+    net.flat[:] = np.frombuffer(payload, dtype=CHECKPOINT_DTYPE)
+    return net

@@ -43,11 +43,10 @@ class EntropyStats:
 
 @dataclass(frozen=True)
 class ModulatorState:
-    """Current coefficients plus the statistics that produced them."""
+    """Accuracy modulators set at a task boundary, plus the statistics that
+    produced them. Per-step gamma lives in StepTelemetry."""
 
     alpha: tuple
-    gamma: tuple
-    beta: float
     source_accuracies: tuple
     mu_acc: float
     sigma_acc: float

@@ -28,7 +28,7 @@ from .metrics import (
     entropy_deviation,
     final_average_accuracy,
 )
-from .model import LayeredNet
+from .model import LayeredNet, layer_accuracies
 from .modulation import ENTROPY_SIGNS, ModulatorState, alpha_from_accuracies, composite_loss
 from .streams import batches
 
@@ -87,27 +87,33 @@ class RunConfig:
 
 
 class AdamState:
-    """First/second moment estimates plus the shared step counter."""
+    """First/second moment vectors over the flat parameters, plus the step counter."""
 
-    def __init__(self, params):
-        self.m = {name: np.zeros_like(arr) for name, arr in params}
-        self.v = {name: np.zeros_like(arr) for name, arr in params}
+    def __init__(self, flat):
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
 
 
-def adam_step(params, grads, moments, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Bias-corrected Adam with decoupled weight decay.
+# adam_step walks the flat vector in cache-sized slices of this many entries
+# (256 KiB). Each update makes several temporaries as long as its input; for a
+# 256-wide net (273k parameters) whole-vector temporaries made the step 2.6x
+# slower than per-array updates on a 2-core x86-64 machine.
+ADAM_SLICE = 1 << 15
+
+
+def adam_step(flat, grad, moments, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam with decoupled weight decay, in place on ``flat``.
 
     The decay multiplies parameters by (1 - lr*wd) before the Adam update, so
-    the gradient path stays exactly the gradient of the loss.
+    the gradient path stays exactly the gradient of the loss. The update is
+    elementwise, so slicing does not change a bit of it.
     """
     moments.t += 1
     t = moments.t
-    shrink = 1.0 - lr * wd
-    for name, arr in params:
-        g = grads[name]
-        m = moments.m[name]
-        v = moments.v[name]
+    for lo in range(0, flat.size, ADAM_SLICE):
+        part = slice(lo, lo + ADAM_SLICE)
+        p, g, m, v = flat[part], grad[part], moments.m[part], moments.v[part]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
@@ -115,16 +121,14 @@ def adam_step(params, grads, moments, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         if wd:
-            arr *= shrink
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            p *= 1.0 - lr * wd
+        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def sgd_step(params, grads, lr, wd):
-    shrink = 1.0 - lr * wd
-    for name, arr in params:
-        if wd:
-            arr *= shrink
-        arr -= lr * grads[name]
+def sgd_step(flat, grad, lr, wd):
+    if wd:
+        flat *= 1.0 - lr * wd
+    flat -= lr * grad
 
 
 @dataclass
@@ -141,7 +145,6 @@ class RunState:
     buffer: ReplayBuffer
     vbuf: ValidationBuffer
     rng: np.random.Generator
-    alpha: tuple
     modulators: ModulatorState
     task_index: int = 0
     step: int = 0
@@ -152,24 +155,15 @@ def init_state(cfg, input_dim, num_classes):
     cfg.validate()
     net = LayeredNet.init(input_dim, cfg.widths, num_classes, seed=cfg.seed)
     train_seq, buffer_seq = np.random.SeedSequence(cfg.seed).spawn(2)
-    num_layers = net.num_layers
-    alpha = (1.0,) * num_layers
-    modulators = ModulatorState(
-        alpha=alpha,
-        gamma=(cfg.beta,) * num_layers,
-        beta=cfg.beta,
-        source_accuracies=(),
-        mu_acc=0.0,
-        sigma_acc=0.0,
-    )
     return RunState(
         net=net,
-        moments=AdamState(net.parameters()),
+        moments=AdamState(net.flat),
         buffer=ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(buffer_seq)),
         vbuf=ValidationBuffer(cfg.val_quota),
         rng=np.random.default_rng(train_seq),
-        alpha=alpha,
-        modulators=modulators,
+        modulators=ModulatorState(
+            alpha=(1.0,) * net.num_layers, source_accuracies=(), mu_acc=0.0, sigma_acc=0.0
+        ),
     )
 
 
@@ -190,15 +184,7 @@ def run_task(state, task, cfg):
     if cfg.enable_adaptive_training and state.vbuf.num_tasks > 0:
         accuracies = evaluate_layer_accuracies(state.net, state.vbuf)
         alpha, mu_acc, sigma_acc, _ = alpha_from_accuracies(accuracies)
-        state.alpha = alpha
-        state.modulators = ModulatorState(
-            alpha=alpha,
-            gamma=state.modulators.gamma,
-            beta=cfg.beta,
-            source_accuracies=tuple(accuracies),
-            mu_acc=mu_acc,
-            sigma_acc=sigma_acc,
-        )
+        state.modulators = ModulatorState(alpha, tuple(accuracies), mu_acc, sigma_acc)
 
     gamma_override = None
     if not cfg.enable_entropy_scaling:
@@ -218,20 +204,17 @@ def run_task(state, task, cfg):
         total, telemetry = composite_loss(
             record,
             y,
-            alpha=state.alpha,
+            alpha=state.modulators.alpha,
             beta=cfg.beta,
             entropy_sign=cfg.entropy_sign,
             gamma=gamma_override,
         )
-        grads_map = T.backward(total)
-        grads = {
-            name: grads_map.wrt(record.params[name])
-            for name, _ in state.net.parameters()
-        }
+        adjoints = T.backward(total)
+        grad = np.concatenate([adjoints.wrt(leaf).ravel() for leaf in record.params.values()])
         if cfg.optimizer == "adam":
             adam_step(
-                state.net.parameters(),
-                grads,
+                state.net.flat,
+                grad,
                 state.moments,
                 cfg.learning_rate,
                 cfg.weight_decay,
@@ -240,20 +223,12 @@ def run_task(state, task, cfg):
                 cfg.adam_eps,
             )
         else:
-            sgd_step(state.net.parameters(), grads, cfg.learning_rate, cfg.weight_decay)
+            sgd_step(state.net.flat, grad, cfg.learning_rate, cfg.weight_decay)
 
         state.buffer.extend(
             [(bx, int(by), task.task_id) for bx, by in zip(batch_x, batch_y)]
         )
         state.step += 1
-        state.modulators = ModulatorState(
-            alpha=state.alpha,
-            gamma=telemetry.gamma,
-            beta=cfg.beta,
-            source_accuracies=state.modulators.source_accuracies,
-            mu_acc=state.modulators.mu_acc,
-            sigma_acc=state.modulators.sigma_acc,
-        )
         state.telemetry.append(StepRecord(state.step, task.task_id, telemetry))
 
     state.vbuf.update(task.train_x, task.train_y, task.task_id, state.rng)
@@ -297,13 +272,10 @@ def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
     for t, task in enumerate(tasks, start=1):
         run_task(state, task, cfg)
         for s, seen in enumerate(tasks[:t], start=1):
-            record = state.net.forward(seen.test_x)
-            for layer in range(num_layers):
-                preds = record.probs[layer].value.argmax(axis=1)
-                acc = float((preds == seen.test_y).mean())
+            accuracies = layer_accuracies(state.net, seen.test_x, seen.test_y)
+            for layer, acc in enumerate(accuracies):
                 per_layer[layer].set(t, s, acc)
-                if layer == num_layers - 1:
-                    matrix.set(t, s, acc)
+            matrix.set(t, s, accuracies[-1])
     runtime = time.perf_counter() - started
 
     summary = build_summary(matrix, state.telemetry, runtime)

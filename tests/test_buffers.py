@@ -1,42 +1,39 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrocl import LayeredNet, ReplayBuffer, ValidationBuffer, evaluate_layer_accuracies
-from entrocl.buffers import load_snapshot
 
 
 class _ForcedRng:
-    """Stub generator returning a fixed value from integers()."""
+    """Stub generator whose integers() draws the same slot for every item."""
 
     def __init__(self, value):
         self.value = value
 
     def integers(self, low, high):
-        return self.value
+        return np.full(np.shape(high), self.value)
 
 
 class TestReservoir:
     def test_under_capacity_keeps_everything(self):
         buf = ReplayBuffer(5, np.random.default_rng(0))
         for item in "abc":
-            buf.insert(item)
+            buf.extend([item])
         assert buf.items == list("abc")
         assert buf.seen_count == 3
 
     def test_forced_replacement(self):
         buf = ReplayBuffer(1, _ForcedRng(0))
-        buf.insert("a")
-        buf.insert("b")
+        buf.extend(["a"])
+        buf.extend(["b"])
         assert buf.items == ["b"]
 
     def test_forced_discard(self):
         buf = ReplayBuffer(1, _ForcedRng(1))
-        buf.insert("a")
-        buf.insert("b")
+        buf.extend(["a"])
+        buf.extend(["b"])
         assert buf.items == ["a"]
 
     @given(st.integers(1, 8), st.integers(0, 50))
@@ -85,19 +82,6 @@ class TestReservoir:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             ReplayBuffer(0, np.random.default_rng(0))
-
-    def test_snapshot_round_trip(self):
-        rng = np.random.default_rng(5)
-        buf = ReplayBuffer(8, rng)
-        items = [(rng.standard_normal(4), int(i % 3), 1 + i // 5) for i in range(8)]
-        buf.extend(items)
-        out = io.StringIO()
-        buf.snapshot(out)
-        restored = load_snapshot(io.StringIO(out.getvalue()))
-        assert len(restored) == len(buf.items)
-        for (x, y, t), (x2, y2, t2) in zip(buf.items, restored):
-            assert np.array_equal(x, x2)
-            assert (y, t) == (y2, t2)
 
 
 class TestValidationBuffer:

@@ -73,6 +73,36 @@ class TestParsing:
         assert plan.seeds == (0, 1, 2)
         assert plan.jobs == 2
 
+    def test_config_file_lists_take_the_flag_parsers(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps({"seeds": [0, 2], "arms": ["full", "plain_er"], "widths": [8, 8]})
+        )
+        plan = parse_args(["--config", str(config)])
+        assert plan.seeds == (0, 2)
+        assert plan.arms == ("full", "plain_er")
+        assert plan.run_config.widths == (8, 8)
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            ({"arms": ["bogus"]}, "unknown arm"),
+            ({"arms": ["full", "full"]}, "distinct"),
+            ({"seeds": [1, 1]}, "distinct"),
+            ({"seeds": []}, "no seeds"),
+            ({"widths": []}, "no widths"),
+        ],
+    )
+    def test_config_file_bad_lists_rejected(self, tmp_path, values, match):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values))
+        with pytest.raises(ConfigError, match=match):
+            parse_args(["--config", str(config)])
+
+    def test_zero_beta_rejected_by_run_config(self):
+        with pytest.raises(ConfigError, match="beta"):
+            parse_args(["--beta", "0"])
+
     def test_config_file_unknown_key(self, tmp_path):
         config = tmp_path / "run.json"
         config.write_text(json.dumps({"betta": 1.0}))

@@ -7,25 +7,20 @@ import pytest
 
 from entrocl import (
     DimensionError,
+    FormatError,
     LayeredNet,
     composite_loss,
     load_checkpoint,
     save_checkpoint,
 )
 from entrocl import tensor as T
+from entrocl.training import AdamState, adam_step
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
 def zero_net(input_dim=4, widths=(6, 6), num_classes=5):
-    blocks, heads = [], []
-    fan_in = input_dim
-    for w in widths:
-        blocks.append((np.zeros((fan_in, w)), np.zeros(w)))
-        fan_in = w
-    for w in widths:
-        heads.append((np.zeros((w, num_classes)), np.zeros(num_classes)))
-    return LayeredNet(input_dim, widths, num_classes, blocks, heads)
+    return LayeredNet.zeros(input_dim, widths, num_classes)
 
 
 class TestForward:
@@ -154,6 +149,46 @@ class TestGradientStructure:
             assert np.array_equal(net.predict_layer(x, 0), first)
 
 
+class TestFlatVector:
+    def test_views_tile_flat_in_layout_order(self):
+        net = LayeredNet.init(7, (5, 9), 4, seed=21)
+        offset = 0
+        for _, arr in net.parameters():
+            assert np.shares_memory(arr, net.flat)
+            assert np.array_equal(arr.ravel(), net.flat[offset : offset + arr.size])
+            offset += arr.size
+        assert offset == net.flat.size
+
+    def test_optimizer_step_moves_flat_and_views_together(self, rng):
+        net = LayeredNet.init(7, (5, 9), 4, seed=21)
+        views = net.parameters()
+        before = [arr.copy() for _, arr in views]
+        grad = rng.standard_normal(net.flat.size)
+        adam_step(net.flat, grad, AdamState(net.flat), lr=1e-2, wd=1e-4)
+        offset = 0
+        for (name, arr), old in zip(views, before):
+            assert np.array_equal(arr.ravel(), net.flat[offset : offset + arr.size]), name
+            assert not np.array_equal(arr, old), name
+            offset += arr.size
+
+    def test_constructor_copies_into_flat(self):
+        w = np.ones((4, 6))
+        net = zero_net()
+        copy = LayeredNet(4, (6, 6), 5, [(w, np.zeros(6)), net.blocks[1]], net.heads)
+        w[:] = 2.0
+        assert np.array_equal(copy.blocks[0][0], np.ones((4, 6)))
+        assert np.shares_memory(copy.blocks[0][0], copy.flat)
+
+    def test_constructor_rejects_shape_off_layout(self):
+        net = zero_net()
+        with pytest.raises(DimensionError, match="block1.w"):
+            LayeredNet(4, (6, 6), 5, [net.blocks[0], (np.zeros((5, 6)), np.zeros(6))], net.heads)
+
+
+def write_checkpoint(path, header, payload):
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         net = LayeredNet.init(7, (5, 9), 4, seed=21)
@@ -162,8 +197,17 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.widths == net.widths
         assert loaded.num_classes == net.num_classes
+        assert loaded.flat.tobytes() == net.flat.tobytes()
         for (name, arr), (_, arr2) in zip(net.parameters(), loaded.parameters()):
             assert np.array_equal(arr, arr2), name
+
+    def test_payload_is_flat_little_endian(self, tmp_path):
+        net = LayeredNet.init(7, (5, 9), 4, seed=21)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        assert payload == net.flat.astype("<f8").tobytes()
+        assert json.loads(header_line)["order"] == [name for name, _ in net.parameters()]
 
     def test_truncated_payload_rejected(self, tmp_path):
         net = LayeredNet.init(7, (5, 9), 4, seed=21)
@@ -171,7 +215,48 @@ class TestCheckpoint:
         save_checkpoint(net, path)
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
-        from entrocl import FormatError
 
         with pytest.raises(FormatError, match="truncated"):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        net = LayeredNet.init(7, (5, 9), 4, seed=21)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + bytes(8))
+        with pytest.raises(FormatError, match="trailing") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == len(raw)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda h: h.pop("num_classes"), id="missing-dimension"),
+            pytest.param(lambda h: h.pop("order"), id="missing-order"),
+            pytest.param(lambda h: h["order"].__setitem__(0, "block9.w"), id="unknown-name"),
+            pytest.param(lambda h: h["order"].reverse(), id="reversed-order"),
+            pytest.param(lambda h: h.update(dtype=">f8"), id="big-endian"),
+            pytest.param(lambda h: h.update(widths=[5.5, 9]), id="fractional-width"),
+            pytest.param(lambda h: h.update(num_layers=3), id="wrong-layer-count"),
+        ],
+    )
+    def test_header_off_layout_rejected(self, tmp_path, mutate):
+        net = LayeredNet.init(7, (5, 9), 4, seed=21)
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(net, path)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        mutate(header)
+        write_checkpoint(path, header, payload)
+        with pytest.raises(FormatError, match="byte offset 0") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 0
+
+    @pytest.mark.parametrize("header", [[1, 2], "net", 3, None])
+    def test_non_object_header_rejected(self, tmp_path, header):
+        path = tmp_path / "net.ckpt"
+        write_checkpoint(path, header, b"")
+        with pytest.raises(FormatError, match="not a JSON object") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 0

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrocl import ConfigError
+from entrocl import ConfigError, training
 from entrocl.metrics import final_average_accuracy
+from entrocl.modulation import alpha_from_accuracies
 from entrocl.streams import StreamConfig, TaskSpec, make_synthetic_stream
 from entrocl.training import (
     AdamState,
@@ -43,28 +44,42 @@ def tiny_config(seed, **overrides):
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = [("w", np.asarray([1.0, -2.0, 3.0]))]
-        moments = AdamState(params)
-        before = params[0][1].copy()
-        adam_step(params, {"w": np.zeros(3)}, moments, lr=1e-3, wd=0.0)
-        assert np.array_equal(params[0][1], before)
+        flat = np.asarray([1.0, -2.0, 3.0])
+        moments = AdamState(flat)
+        before = flat.copy()
+        adam_step(flat, np.zeros(3), moments, lr=1e-3, wd=0.0)
+        assert np.array_equal(flat, before)
 
     def test_first_step_magnitude_is_learning_rate(self):
-        params = [("w", np.asarray(0.0))]
-        moments = AdamState(params)
-        adam_step(params, {"w": np.asarray(1.0)}, moments, lr=1e-3, wd=0.0)
-        assert float(params[0][1]) == pytest.approx(-1e-3, rel=1e-6)
+        flat = np.zeros(1)
+        moments = AdamState(flat)
+        adam_step(flat, np.ones(1), moments, lr=1e-3, wd=0.0)
+        assert float(flat[0]) == pytest.approx(-1e-3, rel=1e-6)
 
     def test_decoupled_shrink_with_zero_gradient(self):
-        params = [("w", np.asarray(2.0))]
-        moments = AdamState(params)
-        adam_step(params, {"w": np.asarray(0.0)}, moments, lr=1e-3, wd=1e-4)
-        assert float(params[0][1]) == pytest.approx(2.0 * (1.0 - 1e-7), rel=1e-15)
+        flat = np.asarray([2.0])
+        moments = AdamState(flat)
+        adam_step(flat, np.zeros(1), moments, lr=1e-3, wd=1e-4)
+        assert float(flat[0]) == pytest.approx(2.0 * (1.0 - 1e-7), rel=1e-15)
+
+    def test_slices_match_one_whole_vector_update(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        whole = rng.standard_normal(3007)
+        sliced = whole.copy()
+        whole_moments, sliced_moments = AdamState(whole), AdamState(sliced)
+        for _ in range(3):
+            grad = rng.standard_normal(3007)
+            adam_step(whole, grad, whole_moments, lr=1e-3, wd=1e-4)
+            monkeypatch.setattr(training, "ADAM_SLICE", 1000)
+            adam_step(sliced, grad, sliced_moments, lr=1e-3, wd=1e-4)
+            monkeypatch.undo()
+        assert sliced.tobytes() == whole.tobytes()
+        assert sliced_moments.v.tobytes() == whole_moments.v.tobytes()
 
     def test_sgd_step(self):
-        params = [("w", np.asarray(1.0))]
-        sgd_step(params, {"w": np.asarray(0.5)}, lr=0.1, wd=0.0)
-        assert float(params[0][1]) == pytest.approx(0.95)
+        flat = np.asarray([1.0])
+        sgd_step(flat, np.asarray([0.5]), lr=0.1, wd=0.0)
+        assert float(flat[0]) == pytest.approx(0.95)
 
 
 class TestRunTask:
@@ -72,8 +87,10 @@ class TestRunTask:
         tasks = tiny_stream(0)
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
+        initial = state.modulators
         run_task(state, tasks[0], cfg)
-        assert state.alpha == (1.0, 1.0)
+        assert state.modulators is initial  # set at task boundaries, not per step
+        assert state.modulators.alpha == (1.0, 1.0)
 
     def test_alpha_refreshes_from_second_task(self):
         tasks = tiny_stream(0)
@@ -82,6 +99,8 @@ class TestRunTask:
         run_task(state, tasks[0], cfg)
         run_task(state, tasks[1], cfg)
         assert state.modulators.source_accuracies  # populated at task 2
+        alpha, _, _, _ = alpha_from_accuracies(state.modulators.source_accuracies)
+        assert state.modulators.alpha == alpha
 
     def test_alpha_forced_neutral_when_switch_off(self):
         tasks = tiny_stream(0)
@@ -89,7 +108,7 @@ class TestRunTask:
         state = init_state(cfg, 8, 6)
         for task in tasks:
             run_task(state, task, cfg)
-        assert state.alpha == (1.0, 1.0)
+        assert state.modulators.alpha == (1.0, 1.0)
 
     def test_task_ids_must_increase(self):
         tasks = tiny_stream(0)
