@@ -297,6 +297,23 @@ def run_plan(plan):
     return 1 if failures else 0
 
 
+def _read_summaries(arm_dir):
+    """The summary.json of every seed directory under one arm, in seed order."""
+    seeds = {}
+    for path in arm_dir.iterdir():
+        try:
+            seeds[int(path.name)] = path / "summary.json"
+        except ValueError:
+            raise ValueError(f"{path} is not a seed directory") from None
+    rows = []
+    for seed in sorted(seeds):
+        try:
+            rows.append(json.loads(seeds[seed].read_text(encoding="utf-8")))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{seeds[seed]} is not valid JSON: {exc}") from None
+    return rows
+
+
 def verify_report(out_dir):
     """Recompute the aggregate from per-run summaries and diff against report.csv."""
     out = Path(out_dir)
@@ -308,14 +325,11 @@ def verify_report(out_dir):
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     arms = [line.split(",", 1)[0] for line in lines[1:]]
 
-    summaries = {}
-    for arm in arms:
-        rows = []
-        arm_dir = out / arm
-        for seed_dir in sorted(arm_dir.iterdir(), key=lambda p: int(p.name)):
-            with open(seed_dir / "summary.json", encoding="utf-8") as fh:
-                rows.append(json.load(fh))
-        summaries[arm] = rows
+    try:
+        summaries = {arm: _read_summaries(out / arm) for arm in arms}
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     buffer = io.StringIO()
     write_report(buffer, arms, summaries)

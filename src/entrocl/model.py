@@ -39,13 +39,14 @@ def parameter_layout(input_dim, widths, num_classes):
 
 @dataclass
 class ForwardRecord:
-    """Per-layer tensors from one forward pass, plus the bound parameters."""
+    """Arrays from one forward pass of ``net`` on ``x``: per layer the block
+    activation, the head logits and the head probabilities."""
 
+    net: "LayeredNet"
+    x: np.ndarray
     activations: list
     logits: list
     probs: list
-    params: dict
-    tape: T.Tape
 
     @property
     def num_layers(self):
@@ -76,13 +77,9 @@ class LayeredNet:
         self.input_dim = int(input_dim)
         self.widths = widths
         self.num_classes = int(num_classes)
-        layout = list(parameter_layout(self.input_dim, widths, self.num_classes))
-        self.flat = np.zeros(sum(math.prod(shape) for _, shape in layout))
-        self._params, offset = [], 0
-        for name, shape in layout:
-            size = math.prod(shape)
-            self._params.append((name, self.flat[offset : offset + size].reshape(shape)))
-            offset += size
+        self._layout = list(parameter_layout(self.input_dim, widths, self.num_classes))
+        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self._layout))
+        self._params = self.views(self.flat)
         views = [view for _, view in self._params]
         pairs = list(zip(views[0::2], views[1::2]))
         self.blocks, self.heads = pairs[: len(widths)], pairs[len(widths) :]
@@ -114,48 +111,36 @@ class LayeredNet:
         """Canonical (name, view) list over ``flat``, in layout order."""
         return list(self._params)
 
-    def clone(self):
-        return LayeredNet(self.input_dim, self.widths, self.num_classes, self.blocks, self.heads)
+    def views(self, vec):
+        """(name, view) pairs over any vector laid out like ``flat``."""
+        out, offset = [], 0
+        for name, shape in self._layout:
+            size = math.prod(shape)
+            out.append((name, vec[offset : offset + size].reshape(shape)))
+            offset += size
+        return out
 
-    def forward(self, x, tape=None):
+    def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"input shape {x.shape} does not match input width {self.input_dim}"
             )
-        if tape is None:
-            tape = T.Tape()
-        params = {name: tape.leaf(arr) for name, arr in self._params}
-        h = tape.leaf(x)
         activations, logits, probs = [], [], []
-        for layer in range(self.num_layers):
-            h = T.tanh(
-                T.add_bias(
-                    T.matmul(h, params[f"block{layer}.w"]), params[f"block{layer}.b"]
-                )
-            )
-            z = T.add_bias(
-                T.matmul(h, params[f"head{layer}.w"]), params[f"head{layer}.b"]
-            )
+        h = x
+        for (w, b), (hw, hb) in zip(self.blocks, self.heads):
+            h = np.tanh(h @ w + b)
+            z = h @ hw + hb
             activations.append(h)
             logits.append(z)
             probs.append(T.softmax(z))
-        return ForwardRecord(activations, logits, probs, params, tape)
-
-    def predict_layer(self, x, layer):
-        """Argmax classes from one head; ties resolve to the lowest index."""
-        if not 0 <= layer < self.num_layers:
-            raise ValueError(
-                f"layer index {layer} out of range [0, {self.num_layers})"
-            )
-        record = self.forward(x)
-        return record.probs[layer].value.argmax(axis=1)
+        return ForwardRecord(self, x, activations, logits, probs)
 
 
 def layer_accuracies(net, x, y):
     """Fraction of rows each head classifies correctly, one entry per layer."""
     record = net.forward(x)
-    return [float((p.value.argmax(axis=1) == y).mean()) for p in record.probs]
+    return [float((p.argmax(axis=1) == y).mean()) for p in record.probs]
 
 
 def _checkpoint_header(input_dim, widths, num_classes):

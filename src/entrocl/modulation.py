@@ -23,6 +23,8 @@ statistics that produced the coefficients.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tensor as T
 
 # Below this spread the layer values are treated as tied and all z-scores are 0.
@@ -53,6 +55,26 @@ class ModulatorState:
 
 
 @dataclass(frozen=True)
+class Objective:
+    """One batch's composite objective: its value, and what ``tensor.backward``
+    needs to differentiate it. ``alpha`` weighs each layer's cross entropy and
+    ``entropy_coef`` (``sign * gamma``) its entropy."""
+
+    total: float
+    record: object  # model.ForwardRecord
+    labels: np.ndarray
+    alpha: tuple
+    entropy_coef: tuple
+
+    @property
+    def tape(self):
+        """The forward arrays the backward sweep reads: the input, then each
+        layer's activation and probabilities."""
+        pairs = zip(self.record.activations, self.record.probs)
+        return [self.record.x, *(a for pair in pairs for a in pair)]
+
+
+@dataclass(frozen=True)
 class StepTelemetry:
     """Everything worth logging about one optimization step."""
 
@@ -64,7 +86,7 @@ class StepTelemetry:
 
 
 def batch_entropy(probs):
-    """Mean row entropy of a probability tensor, in nats (differentiable)."""
+    """Mean row entropy of a probability matrix, in nats."""
     return T.mean_entropy(probs)
 
 
@@ -128,7 +150,7 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
     ``entropy_sign="penalize"`` the entropy term is added to the minimized
     loss; ``"reward"`` flips its sign.
 
-    Returns (total tensor, StepTelemetry).
+    Returns (Objective, StepTelemetry).
     """
     if entropy_sign not in ENTROPY_SIGNS:
         raise ValueError(f"entropy_sign must be one of {ENTROPY_SIGNS}")
@@ -139,9 +161,9 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
             f"got {len(alpha)} alpha values for {num_layers} layers"
         )
 
+    labels = np.asarray(labels, dtype=np.int64)
     layer_losses = [T.cross_entropy(p, labels) for p in record.probs]
-    layer_entropies = [batch_entropy(p) for p in record.probs]
-    stats = entropy_summary([h.item() for h in layer_entropies])
+    stats = entropy_summary([batch_entropy(p) for p in record.probs])
     if gamma is None:
         gamma = gamma_from_entropies(stats, beta)
     else:
@@ -151,17 +173,19 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
                 f"got {len(gamma)} gamma values for {num_layers} layers"
             )
     sign = 1.0 if entropy_sign == "penalize" else -1.0
+    entropy_coef = tuple(sign * g for g in gamma)
 
-    total = layer_losses[0] * alpha[0] + layer_entropies[0] * (sign * gamma[0])
+    # summed left to right, one term at a time, so the total has fixed bits
+    total = layer_losses[0] * alpha[0] + stats.per_layer[0] * entropy_coef[0]
     for l in range(1, num_layers):
         total = total + layer_losses[l] * alpha[l]
-        total = total + layer_entropies[l] * (sign * gamma[l])
+        total = total + stats.per_layer[l] * entropy_coef[l]
 
     telemetry = StepTelemetry(
         entropy=stats,
         gamma=gamma,
         alpha=alpha,
-        layer_losses=tuple(loss.item() for loss in layer_losses),
-        total=total.item(),
+        layer_losses=tuple(layer_losses),
+        total=total,
     )
-    return total, telemetry
+    return Objective(total, record, labels, alpha, entropy_coef), telemetry

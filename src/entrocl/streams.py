@@ -6,6 +6,7 @@ task id at test time. Sources: a seeded Gaussian-blob generator, IDX image/
 label file pairs, and CSV directories written by ``save_stream_csv``.
 """
 
+import math
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -286,8 +287,14 @@ def _read_examples_csv(path):
                 raise FormatError(
                     f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
                 )
-            ys.append(int(parts[0]))
-            xs.append([float(v) for v in parts[1:]])
+            try:
+                label, row = int(parts[0]), [float(v) for v in parts[1:]]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if not all(map(math.isfinite, row)):
+                raise FormatError(f"{path}:{lineno}: non-finite feature")
+            ys.append(label)
+            xs.append(row)
     if not ys:
         raise FormatError(f"{path}: no data rows")
     return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64)

@@ -1,9 +1,12 @@
-"""Dense float64 tensors recorded on a tape for reverse-mode differentiation.
+"""Softmax heads on a tanh backbone: their values and the one gradient entrocl takes.
 
-Everything is 64-bit. Shape checking is strict: the only broadcast anywhere is
-adding a bias row to a matrix. Probabilities are floored at PROB_EPS inside the
-log-consuming reductions (cross entropy, entropy); softmax output itself is
-never clamped, so rows keep summing to one exactly.
+Everything is 64-bit. The only function entrocl differentiates is the
+composite objective ``sum_l alpha[l]*CE_l + sign*gamma[l]*H_l`` over the
+per-layer softmax heads of a ``LayeredNet``; ``backward`` is its hand-written
+reverse sweep, and ``finite_difference_gradient`` the independent oracle that
+checks it. Probabilities are floored at PROB_EPS inside the log-consuming
+reductions (cross entropy, entropy); softmax output itself is never clamped,
+so rows keep summing to one exactly.
 """
 
 import numpy as np
@@ -14,214 +17,25 @@ from .errors import DimensionError
 PROB_EPS = 1e-12
 
 
-class Tensor:
-    """A value recorded on a tape. Treat as immutable once created."""
-
-    __slots__ = ("tape", "index", "value")
-
-    def __init__(self, tape, index, value):
-        self.tape = tape
-        self.index = index
-        self.value = value
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def item(self):
-        return float(self.value)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, c):
-        return scale(self, c)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, index={self.index})"
-
-
-class _Node:
-    __slots__ = ("parents", "vjp")
-
-    def __init__(self, parents, vjp):
-        self.parents = parents
-        self.vjp = vjp
-
-
-class Tape:
-    """Recorded primitive operations, in creation order.
-
-    Creation order is a topological order by construction: a tensor can only
-    be consumed after it exists.
-    """
-
-    def __init__(self):
-        self._nodes = []
-
-    def __len__(self):
-        return len(self._nodes)
-
-    def parents_of(self, index):
-        return self._nodes[index].parents
-
-    def record(self, value, parents=(), vjp=None):
-        value = np.asarray(value, dtype=np.float64)
-        node = _Node(tuple(parents), vjp)
-        self._nodes.append(node)
-        return Tensor(self, len(self._nodes) - 1, value)
-
-    def leaf(self, value):
-        """Record an input or parameter with no upstream dependencies."""
-        return self.record(value)
-
-
-class Gradients:
-    """Adjoints produced by one backward pass, queryable per tensor."""
-
-    def __init__(self, tape, adjoints):
-        self._tape = tape
-        self._adjoints = adjoints
-
-    def wrt(self, tensor):
-        if tensor.tape is not self._tape:
-            raise ValueError("tensor does not belong to the differentiated tape")
-        adj = self._adjoints.get(tensor.index)
-        if adj is None:
-            return np.zeros_like(tensor.value)
-        return adj
-
-
-def backward(root):
-    """Reverse sweep from a scalar root; returns the gradient map.
-
-    The root's own adjoint is exactly 1.0. Stored adjoints are never mutated
-    in place, so aliasing between contributions is safe.
-    """
-    if root.value.shape != ():
-        raise ValueError(
-            f"backward requires a scalar root, got shape {root.value.shape}"
-        )
-    adjoints = {root.index: np.asarray(1.0)}
-    nodes = root.tape._nodes
-    for index in range(root.index, -1, -1):
-        grad = adjoints.get(index)
-        if grad is None:
-            continue
-        node = nodes[index]
-        if node.vjp is None:
-            continue
-        for parent_index, contribution in node.vjp(grad):
-            existing = adjoints.get(parent_index)
-            adjoints[parent_index] = (
-                contribution if existing is None else existing + contribution
-            )
-    return Gradients(root.tape, adjoints)
-
-
-def _check_same_tape(a, b):
-    if a.tape is not b.tape:
-        raise ValueError("operands were recorded on different tapes")
-
-
-def matmul(a, b):
-    """Matrix product of two rank-2 tensors."""
-    _check_same_tape(a, b)
-    va, vb = a.value, b.value
-    if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
-        raise DimensionError(
-            f"matmul shapes {va.shape} and {vb.shape} are incompatible"
-        )
-
-    def vjp(g):
-        return [(a.index, g @ vb.T), (b.index, va.T @ g)]
-
-    return a.tape.record(va @ vb, (a.index, b.index), vjp)
-
-
-def add(a, b):
-    """Elementwise sum; shapes must match exactly."""
-    _check_same_tape(a, b)
-    if a.value.shape != b.value.shape:
-        raise DimensionError(
-            f"add shapes {a.value.shape} and {b.value.shape} differ"
-        )
-
-    def vjp(g):
-        return [(a.index, g), (b.index, g)]
-
-    return a.tape.record(a.value + b.value, (a.index, b.index), vjp)
-
-
-def add_bias(x, b):
-    """Add a bias row to every row of a matrix (the one allowed broadcast)."""
-    _check_same_tape(x, b)
-    if x.value.ndim != 2 or b.value.ndim != 1 or x.value.shape[1] != b.value.shape[0]:
-        raise DimensionError(
-            f"add_bias shapes {x.value.shape} and {b.value.shape} are incompatible"
-        )
-
-    def vjp(g):
-        return [(x.index, g), (b.index, g.sum(axis=0))]
-
-    return x.tape.record(x.value + b.value, (x.index, b.index), vjp)
-
-
-def scale(x, c):
-    """Multiply by a plain float constant (no gradient flows into c)."""
-    c = float(c)
-
-    def vjp(g):
-        return [(x.index, g * c)]
-
-    return x.tape.record(x.value * c, (x.index,), vjp)
-
-
-def tanh(x):
-    out = np.tanh(x.value)
-
-    def vjp(g):
-        return [(x.index, g * (1.0 - out * out))]
-
-    return x.tape.record(out, (x.index,), vjp)
-
-
-def sum_all(x):
-    """Sum of all entries, as a scalar."""
-
-    def vjp(g):
-        return [(x.index, np.full(x.value.shape, float(g)))]
-
-    return x.tape.record(x.value.sum(), (x.index,), vjp)
-
-
 def softmax(logits):
     """Row-wise softmax with per-row max subtraction for stability."""
-    v = logits.value
+    v = np.asarray(logits, dtype=np.float64)
     if v.ndim != 2:
         raise DimensionError(f"softmax expects a rank-2 input, got shape {v.shape}")
     if v.shape[1] < 1:
         raise DimensionError("softmax row dimension is empty")
-    shifted = v - v.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        inner = (g * p).sum(axis=1, keepdims=True)
-        return [(logits.index, p * (g - inner))]
-
-    return logits.tape.record(p, (logits.index,), vjp)
+    e = np.exp(v - v.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def cross_entropy(probs, labels):
     """Mean negative log probability of the true class.
 
     Picked probabilities are floored at PROB_EPS before the log; entries at
-    the floor contribute no gradient (the floored value is constant there).
+    the floor get no gradient from ``backward`` (the floored value is
+    constant there).
     """
-    p = probs.value
+    p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if p.ndim != 2 or labels.ndim != 1 or p.shape[0] != labels.shape[0]:
         raise DimensionError(
@@ -234,17 +48,8 @@ def cross_entropy(probs, labels):
         raise ValueError(
             f"label out of range [0, {num_classes}): {labels.min()}..{labels.max()}"
         )
-    rows = np.arange(batch)
-    picked = p[rows, labels]
-    floored = np.maximum(picked, PROB_EPS)
-    out = -np.log(floored).mean()
-
-    def vjp(g):
-        d = np.zeros_like(p)
-        d[rows, labels] = np.where(picked > PROB_EPS, -1.0 / (batch * floored), 0.0)
-        return [(probs.index, float(g) * d)]
-
-    return probs.tape.record(out, (probs.index,), vjp)
+    picked = p[np.arange(batch), labels]
+    return float(-np.log(np.maximum(picked, PROB_EPS)).mean())
 
 
 def mean_entropy(probs):
@@ -253,21 +58,59 @@ def mean_entropy(probs):
     Probabilities are floored at PROB_EPS inside the log only, so one-hot rows
     give exactly zero and the result stays within [0, ln K].
     """
-    p = probs.value
+    p = np.asarray(probs, dtype=np.float64)
     if p.ndim != 2:
         raise DimensionError(f"mean_entropy expects a rank-2 input, got {p.shape}")
-    batch = p.shape[0]
-    if batch < 1:
+    if p.shape[0] < 1:
         raise ValueError("entropy of an empty batch is undefined")
-    floored = np.maximum(p, PROB_EPS)
-    logs = np.log(floored)
-    out = -(p * logs).sum(axis=1).mean()
+    return float(-(p * np.log(np.maximum(p, PROB_EPS))).sum(axis=1).mean())
 
-    def vjp(g):
-        d = -(logs + (p > PROB_EPS)) / batch
-        return [(probs.index, float(g) * d)]
 
-    return probs.tape.record(out, (probs.index,), vjp)
+def backward(objective):
+    """Gradient of ``objective.total`` as a vector laid out like ``net.flat``.
+
+    ``objective`` is what ``modulation.composite_loss`` returns: its forward
+    record, labels and the per-layer coefficients ``alpha`` (of CE) and
+    ``entropy_coef`` (``sign * gamma``, of H). The sweep runs from the deepest
+    head back to the input. Each adjoint sum in it has exactly two terms: a
+    block's output feeds its head and the next block, and a head's
+    probabilities feed its CE and its entropy. Addition of two terms is
+    commutative, so the result does not depend on the order the terms arrive.
+    """
+    record = objective.record
+    net = record.net
+    labels = objective.labels
+    batch = len(labels)
+    rows = np.arange(batch)
+    grad = np.empty_like(net.flat)
+    views = dict(net.views(grad))
+    g_next = None  # adjoint of this block's output from the block above it
+    for layer in reversed(range(net.num_layers)):
+        h, p = record.activations[layer], record.probs[layer]
+        (w, _), (hw, _) = net.blocks[layer], net.heads[layer]
+
+        picked = p[rows, labels]
+        d_ce = np.zeros_like(p)
+        d_ce[rows, labels] = np.where(
+            picked > PROB_EPS, -1.0 / (batch * np.maximum(picked, PROB_EPS)), 0.0
+        )
+        d_h = -(np.log(np.maximum(p, PROB_EPS)) + (p > PROB_EPS)) / batch
+        g_p = objective.entropy_coef[layer] * d_h + objective.alpha[layer] * d_ce
+
+        g_z = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
+        views[f"head{layer}.w"][...] = h.T @ g_z
+        views[f"head{layer}.b"][...] = g_z.sum(axis=0)
+        g_h = g_z @ hw.T
+        if g_next is not None:
+            g_h = g_h + g_next
+
+        g_a = g_h * (1.0 - h * h)
+        below = record.activations[layer - 1] if layer else record.x
+        views[f"block{layer}.w"][...] = below.T @ g_a
+        views[f"block{layer}.b"][...] = g_a.sum(axis=0)
+        if layer:
+            g_next = g_a @ w.T
+    return grad
 
 
 def finite_difference_gradient(f, params, step=1e-5):
@@ -275,7 +118,7 @@ def finite_difference_gradient(f, params, step=1e-5):
 
     ``f`` is called as ``f(params)`` and must read the arrays fresh on every
     call; entries are perturbed in place and restored. This is the
-    independent oracle used to check the tape.
+    independent oracle used to check ``backward``.
     """
     if step <= 0:
         raise ValueError("finite difference step must be positive")

@@ -200,17 +200,21 @@ def run_task(state, task, cfg):
         else:
             x, y = batch_x, batch_y
 
-        record = state.net.forward(x)
-        total, telemetry = composite_loss(
-            record,
+        objective, telemetry = composite_loss(
+            state.net.forward(x),
             y,
             alpha=state.modulators.alpha,
             beta=cfg.beta,
             entropy_sign=cfg.entropy_sign,
             gamma=gamma_override,
         )
-        adjoints = T.backward(total)
-        grad = np.concatenate([adjoints.wrt(leaf).ravel() for leaf in record.params.values()])
+        grad = T.backward(objective)
+        if not (np.isfinite(objective.total) and np.isfinite(grad).all()):
+            layer = _first_nonfinite_layer(state.net, grad, telemetry)
+            raise FloatingPointError(
+                f"step {state.step + 1} of task {task.task_id} diverged: objective "
+                f"{objective.total!r}, first non-finite layer {layer}"
+            )
         if cfg.optimizer == "adam":
             adam_step(
                 state.net.flat,
@@ -233,6 +237,17 @@ def run_task(state, task, cfg):
 
     state.vbuf.update(task.train_x, task.train_y, task.task_id, state.rng)
     return state
+
+
+def _first_nonfinite_layer(net, grad, telemetry):
+    """The shallowest layer whose loss, entropy or block/head gradient is not finite."""
+    views = dict(net.views(grad))
+    for layer in range(net.num_layers):
+        parts = [views[f"{kind}{layer}.{p}"] for kind in ("block", "head") for p in "wb"]
+        parts.append([telemetry.layer_losses[layer], telemetry.entropy.per_layer[layer]])
+        if not all(np.isfinite(part).all() for part in parts):
+            return layer
+    return None
 
 
 @dataclass

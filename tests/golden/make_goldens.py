@@ -26,15 +26,13 @@ def golden_model():
     x = np.random.default_rng(61).standard_normal((5, 6))
     labels = [0, 1, 2, 3, 0]
     record = net.forward(x)
-    total, telem = composite_loss(record, labels, alpha=(1.0, 1.0), beta=0.005)
+    objective, telem = composite_loss(record, labels, alpha=(1.0, 1.0), beta=0.005)
     payload = {
         "input": x.tolist(),
         "labels": labels,
-        "logits": [t.value.tolist() for t in record.logits],
-        "predictions": [
-            net.predict_layer(x, layer).tolist() for layer in range(net.num_layers)
-        ],
-        "loss_total": total.item(),
+        "logits": [z.tolist() for z in record.logits],
+        "predictions": [p.argmax(axis=1).tolist() for p in record.probs],
+        "loss_total": objective.total,
         "gamma": list(telem.gamma),
         "entropies": list(telem.entropy.per_layer),
     }

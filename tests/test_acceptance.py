@@ -78,22 +78,13 @@ class TestGradientOracle:
         y = rng.integers(0, num_classes, size=batch)
         alpha = tuple(float(a) for a in rng.uniform(0.5, 2.0, size=len(widths)))
 
-        record = net.forward(x)
-        total, telem = composite_loss(record, y, alpha, beta=0.005)
+        objective, telem = composite_loss(net.forward(x), y, alpha, beta=0.005)
         gamma = telem.gamma  # frozen: gamma and alpha are constants of the objective
-        grads = T.backward(total)
-        analytic = {
-            name: grads.wrt(record.params[name]) for name, _ in net.parameters()
-        }
+        analytic = dict(net.views(T.backward(objective)))
 
+        # perturbing these views in place moves net's own parameters
         params = dict(net.parameters())
-
-        def f(p):
-            blocks = [(p[f"block{i}.w"], p[f"block{i}.b"]) for i in range(len(widths))]
-            heads = [(p[f"head{i}.w"], p[f"head{i}.b"]) for i in range(len(widths))]
-            clone = LayeredNet(input_dim, widths, num_classes, blocks, heads)
-            out, _ = composite_loss(clone.forward(x), y, alpha, beta=0.005, gamma=gamma)
-            return out.item()
+        f = conftest.loss_fn(net, x, y, alpha, 0.005, gamma)
 
         worst = 0.0
         step = 1e-5
@@ -171,9 +162,9 @@ class TestClosedForms:
 
         net = zero_net(input_dim=6, widths=(5, 5, 5, 5), num_classes=10)
         record = net.forward(np.ones((4, 6)))
-        total, _ = composite_loss(record, [0, 3, 6, 9], alpha=(1.0,) * 4, beta=0.005)
+        objective, _ = composite_loss(record, [0, 3, 6, 9], alpha=(1.0,) * 4, beta=0.005)
         closed_form = 4 * 1.005 * math.log(10)
-        loss_ok = abs(total.item() - closed_form) < 1e-9
+        loss_ok = abs(objective.total - closed_form) < 1e-9
 
         def mp_z(values):
             vals = [mpmath.mpf(v) for v in values]
@@ -202,7 +193,7 @@ class TestClosedForms:
         assert report(
             "closed-forms",
             ok,
-            f"degenerate loss err {abs(total.item() - closed_form):.2e}, "
+            f"degenerate loss err {abs(objective.total - closed_form):.2e}, "
             f"worked examples max err {worst:.2e}",
         )
 

@@ -210,3 +210,21 @@ class TestVerify:
 
     def test_verify_missing_report(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "nothing")]) == 1
+
+    @pytest.mark.parametrize(
+        "damage, named",
+        [
+            (lambda arm: (arm / "1" / "summary.json").unlink(), "summary.json"),
+            (lambda arm: (arm / "notes").mkdir(), "notes is not a seed directory"),
+            (lambda arm: (arm / "0" / "summary.json").write_text("{"), "is not valid JSON"),
+        ],
+        ids=["missing-summary", "non-integer-directory", "truncated-summary"],
+    )
+    def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + ["--seeds", "0,1", "--out", str(out)]) == 0
+        damage(out / "full")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err

@@ -27,15 +27,15 @@ class TestForward:
     def test_empty_batch(self):
         net = LayeredNet.init(4, (6, 6), 3, seed=1)
         record = net.forward(np.zeros((0, 4)))
-        assert record.probs[0].value.shape == (0, 3)
-        assert record.activations[1].value.shape == (0, 6)
+        assert record.probs[0].shape == (0, 3)
+        assert record.activations[1].shape == (0, 6)
 
     def test_zero_weights_give_uniform_probs(self):
         net = zero_net()
         record = net.forward(np.ones((3, 4)))
         for layer in range(net.num_layers):
-            assert np.array_equal(record.logits[layer].value, np.zeros((3, 5)))
-            assert np.allclose(record.probs[layer].value, 0.2, atol=1e-15)
+            assert np.array_equal(record.logits[layer], np.zeros((3, 5)))
+            assert np.allclose(record.probs[layer], 0.2, atol=1e-15)
 
     def test_width_mismatch(self):
         net = LayeredNet.init(4, (6, 6), 3, seed=1)
@@ -48,40 +48,45 @@ class TestForward:
         record = net.forward(np.asarray(payload["input"]))
         for layer, expected in enumerate(payload["logits"]):
             assert np.allclose(
-                record.logits[layer].value, np.asarray(expected), atol=1e-12
+                record.logits[layer], np.asarray(expected), atol=1e-12
             )
 
     def test_golden_loss_total(self):
         payload = json.loads((GOLDEN / "model_seed42.json").read_text())
         net = LayeredNet.init(6, (8, 8), 4, seed=42)
         record = net.forward(np.asarray(payload["input"]))
-        total, _ = composite_loss(
+        objective, _ = composite_loss(
             record, payload["labels"], alpha=(1.0, 1.0), beta=0.005
         )
-        assert total.item() == pytest.approx(payload["loss_total"], abs=1e-12)
+        assert objective.total == pytest.approx(payload["loss_total"], abs=1e-12)
+
+
+def predict(net, x, layer):
+    """Argmax classes from one head; ties resolve to the lowest index."""
+    return net.forward(x).probs[layer].argmax(axis=1)
 
 
 class TestPredictLayer:
     def test_uniform_probs_tie_break_to_class_zero(self):
         net = zero_net()
-        assert net.predict_layer(np.ones((4, 4)), 1).tolist() == [0, 0, 0, 0]
+        assert predict(net, np.ones((4, 4)), 1).tolist() == [0, 0, 0, 0]
 
     def test_one_hot_favoring_class_three(self):
         net = zero_net()
         net.heads[1][1][3] = 10.0  # bias lifts class 3 at layer 1
-        assert net.predict_layer(np.ones((2, 4)), 1).tolist() == [3, 3]
+        assert predict(net, np.ones((2, 4)), 1).tolist() == [3, 3]
 
     def test_layer_out_of_range(self):
-        net = zero_net()
-        with pytest.raises(ValueError, match="out of range"):
-            net.predict_layer(np.ones((1, 4)), 2)
+        # one head per layer and no more: a 2-layer net has no head 2
+        record = zero_net().forward(np.ones((1, 4)))
+        assert len(record.probs) == len(record.logits) == len(record.activations) == 2
 
     def test_golden_predictions(self):
         payload = json.loads((GOLDEN / "model_seed42.json").read_text())
         net = LayeredNet.init(6, (8, 8), 4, seed=42)
         x = np.asarray(payload["input"])
         for layer, expected in enumerate(payload["predictions"]):
-            assert net.predict_layer(x, layer).tolist() == expected
+            assert predict(net, x, layer).tolist() == expected
 
 
 class TestInit:
@@ -119,34 +124,33 @@ class TestGradientStructure:
         net = LayeredNet.init(5, (6, 6, 6), 3, seed=7)
         x = rng.standard_normal((4, 5))
         base = net.forward(x)
-        perturbed = net.clone()
-        perturbed.heads[1][0][:] += rng.standard_normal((6, 3))
-        new = perturbed.forward(x)
+        net.heads[1][0][:] += rng.standard_normal((6, 3))
+        new = net.forward(x)
         for layer in range(3):
-            same = np.array_equal(new.logits[layer].value, base.logits[layer].value)
+            same = np.array_equal(new.logits[layer], base.logits[layer])
             assert same == (layer != 1)
 
     def test_backbone_coupling(self, rng):
+        # one-hot alpha and zero gamma: the objective is one head's cross entropy
         net = LayeredNet.init(5, (6, 6, 6), 3, seed=7)
         x = rng.standard_normal((4, 5))
         y = rng.integers(0, 3, size=4)
         for head_layer in range(3):
-            record = net.forward(x)
-            loss = T.cross_entropy(record.probs[head_layer], y)
-            grads = T.backward(loss)
-            for block in range(3):
-                g = grads.wrt(record.params[f"block{block}.w"])
-                if block > head_layer:
-                    assert np.array_equal(g, np.zeros_like(g))
-                else:
-                    assert np.abs(g).max() > 0.0
+            alpha = [float(layer == head_layer) for layer in range(3)]
+            objective, _ = composite_loss(net.forward(x), y, alpha, beta=0.005, gamma=(0.0,) * 3)
+            grads = dict(net.views(T.backward(objective)))
+            for layer in range(3):
+                for name in (f"block{layer}.w", f"head{layer}.w", f"head{layer}.b"):
+                    g = grads[name]
+                    reached = layer == head_layer if name.startswith("head") else layer <= head_layer
+                    assert np.array_equal(g, np.zeros_like(g)) != reached, name
 
     def test_argmax_tie_break_is_deterministic(self):
         net = zero_net()
         x = np.ones((6, 4))
-        first = net.predict_layer(x, 0)
+        first = predict(net, x, 0)
         for _ in range(3):
-            assert np.array_equal(net.predict_layer(x, 0), first)
+            assert np.array_equal(predict(net, x, 0), first)
 
 
 class TestFlatVector:

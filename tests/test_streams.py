@@ -194,3 +194,18 @@ class TestCsvRoundTrip:
         cfg = small_cfg(num_tasks=2)
         with pytest.raises(ConfigError):
             load_csv_stream(tmp_path / "stream", cfg)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(1, "nan"), (2, "inf"), (4, "-Infinity"), (3, "0x1p3"), (0, "1.5"), (0, "one")],
+    )
+    def test_bad_field_names_path_and_line(self, tmp_path, column, value):
+        save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path / "stream")
+        path = tmp_path / "stream" / "train.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"train\.csv:4: "):
+            load_csv_stream(tmp_path / "stream", small_cfg())

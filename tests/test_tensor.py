@@ -11,64 +11,33 @@ from entrocl import tensor as T
 from conftest import analytic_gradients, loss_fn, relative_error
 
 
-def make_pair(a, b):
-    tape = T.Tape()
-    return tape.leaf(np.asarray(a, dtype=np.float64)), tape.leaf(
-        np.asarray(b, dtype=np.float64)
-    )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a, b = make_pair(np.eye(2), [[3.0, 4.0], [5.0, 6.0]])
-        assert np.array_equal(T.matmul(a, b).value, [[3.0, 4.0], [5.0, 6.0]])
-
-    def test_zero(self):
-        a, b = make_pair([[1.0, 2.0]], [[0.0], [0.0]])
-        assert np.array_equal(T.matmul(a, b).value, [[0.0]])
-
-    def test_hand_multiplication(self):
-        a, b = make_pair([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
-        assert np.array_equal(T.matmul(a, b).value, [[17.0], [39.0]])
-
-    def test_shape_mismatch_names_both_shapes(self):
-        a, b = make_pair(np.zeros((2, 3)), np.zeros((2, 3)))
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(a, b)
-
-
 class TestSoftmax:
     def test_symmetry(self):
-        tape = T.Tape()
-        p = T.softmax(tape.leaf([[0.0, 0.0, 0.0]]))
-        assert np.allclose(p.value, 1.0 / 3.0, atol=1e-15)
+        p = T.softmax([[0.0, 0.0, 0.0]])
+        assert np.allclose(p, 1.0 / 3.0, atol=1e-15)
 
     def test_large_logits_stay_finite(self):
-        tape = T.Tape()
-        p = T.softmax(tape.leaf([[1000.0, 0.0]]))
-        assert np.all(np.isfinite(p.value))
-        assert p.value[0, 0] == pytest.approx(1.0, abs=1e-12)
-        assert p.value[0, 1] == pytest.approx(0.0, abs=1e-12)
+        p = T.softmax([[1000.0, 0.0]])
+        assert np.all(np.isfinite(p))
+        assert p[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert p[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_logits(self):
         # independent evaluation of exp-normalize for [1, 2]
         e1, e2 = math.exp(1.0), math.exp(2.0)
         expected = [e1 / (e1 + e2), e2 / (e1 + e2)]
-        tape = T.Tape()
-        p = T.softmax(tape.leaf([[1.0, 2.0]]))
-        assert np.allclose(p.value, expected, atol=1e-12)
-        assert p.value[0, 0] == pytest.approx(0.26894, abs=1e-5)
-        assert p.value[0, 1] == pytest.approx(0.73106, abs=1e-5)
+        p = T.softmax([[1.0, 2.0]])
+        assert np.allclose(p, expected, atol=1e-12)
+        assert p[0, 0] == pytest.approx(0.26894, abs=1e-5)
+        assert p[0, 1] == pytest.approx(0.73106, abs=1e-5)
 
     def test_empty_row_dimension_rejected(self):
-        tape = T.Tape()
         with pytest.raises(DimensionError):
-            T.softmax(tape.leaf(np.zeros((2, 0))))
+            T.softmax(np.zeros((2, 0)))
 
     def test_empty_batch_allowed(self):
-        tape = T.Tape()
-        p = T.softmax(tape.leaf(np.zeros((0, 4))))
-        assert p.value.shape == (0, 4)
+        p = T.softmax(np.zeros((0, 4)))
+        assert p.shape == (0, 4)
 
     @given(
         hnp.arrays(
@@ -80,8 +49,7 @@ class TestSoftmax:
     )
     @settings(max_examples=100, deadline=None)
     def test_rows_normalized_and_positive(self, logits):
-        tape = T.Tape()
-        p = T.softmax(tape.leaf(logits)).value
+        p = T.softmax(logits)
         assert np.all(p > 0.0)
         assert np.all(p < 1.0 + 1e-12)
         assert np.allclose(p.sum(axis=1), 1.0, atol=1e-9)
@@ -89,65 +57,67 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_one_hot_is_zero(self):
-        tape = T.Tape()
-        probs = tape.leaf([[1.0, 0.0, 0.0]])
-        assert T.cross_entropy(probs, [0]).item() < 1e-12
+        probs = np.asarray([[1.0, 0.0, 0.0]])
+        assert T.cross_entropy(probs, [0]) < 1e-12
 
     def test_uniform_ten_classes(self):
-        tape = T.Tape()
-        probs = tape.leaf(np.full((3, 10), 0.1))
-        assert T.cross_entropy(probs, [0, 5, 9]).item() == pytest.approx(
+        probs = np.full((3, 10), 0.1)
+        assert T.cross_entropy(probs, [0, 5, 9]) == pytest.approx(
             math.log(10.0), abs=1e-12
         )
 
     def test_point_nine(self):
-        tape = T.Tape()
-        probs = tape.leaf([[0.9, 0.1]])
-        loss = T.cross_entropy(probs, [0]).item()
+        probs = np.asarray([[0.9, 0.1]])
+        loss = T.cross_entropy(probs, [0])
         assert loss == pytest.approx(-math.log(0.9), abs=1e-12)
         assert loss == pytest.approx(0.105361, abs=1e-6)
 
     def test_label_out_of_range(self):
-        tape = T.Tape()
-        probs = tape.leaf([[0.5, 0.5]])
+        probs = np.asarray([[0.5, 0.5]])
         with pytest.raises(ValueError, match="label out of range"):
             T.cross_entropy(probs, [2])
 
 
 class TestBackward:
-    def test_constant_root_gives_zero_gradients(self):
-        tape = T.Tape()
-        w = tape.leaf(np.ones((3, 2)))
-        c = tape.leaf(np.asarray(5.0))
-        grads = T.backward(c)
-        assert np.array_equal(grads.wrt(w), np.zeros((3, 2)))
+    def test_constant_root_gives_zero_gradients(self, rng):
+        # with every coefficient zero the objective no longer depends on the net
+        net = LayeredNet.init(5, (6, 6), 3, seed=4)
+        grad = T.backward(
+            composite_loss(net.forward(rng.standard_normal((4, 5))), [0, 1, 2, 0],
+                           (0.0, 0.0), beta=0.005, gamma=(0.0, 0.0))[0]
+        )
+        assert grad.shape == net.flat.shape
+        assert np.array_equal(grad, np.zeros_like(grad))
 
-    def test_sum_gives_ones(self):
-        tape = T.Tape()
-        w = tape.leaf(np.arange(6.0).reshape(2, 3))
-        grads = T.backward(T.sum_all(w))
-        assert np.array_equal(grads.wrt(w), np.ones((2, 3)))
+    def test_tape_lists_the_arrays_the_sweep_reads(self, rng):
+        net = LayeredNet.init(4, (5, 7, 3), 3, seed=8)
+        record = net.forward(rng.standard_normal((6, 4)))
+        objective, _ = composite_loss(record, [0, 1, 2, 0, 1, 2], (1.0,) * 3, beta=0.005)
+        expected = [record.x]
+        for h, p in zip(record.activations, record.probs):
+            expected += [h, p]
+        assert len(objective.tape) == 2 * net.num_layers + 1
+        assert all(a is b for a, b in zip(objective.tape, expected))
 
-    def test_root_adjoint_is_exactly_one(self):
-        tape = T.Tape()
-        w = tape.leaf(np.ones(3))
-        root = T.sum_all(w)
-        grads = T.backward(root)
-        assert float(grads.wrt(root)) == 1.0
-
-    def test_non_scalar_root_rejected(self):
-        tape = T.Tape()
-        w = tape.leaf(np.ones(3))
-        with pytest.raises(ValueError, match="scalar"):
-            T.backward(w)
+    def test_floored_true_class_gets_no_gradient(self):
+        # head 1's bias pushes class 0 to e^-60 (below PROB_EPS) or e^-20 (above)
+        net = LayeredNet.zeros(4, (6, 6), 3)
+        x = np.ones((2, 4))
+        for gap, floored in ((60.0, True), (20.0, False)):
+            net.heads[1][1][:] = [-gap, 0.0, 0.0]
+            record = net.forward(x)
+            assert (record.probs[1][:, 0] < T.PROB_EPS).all() == floored
+            objective, _ = composite_loss(record, [0, 0], (0.0, 1.0), beta=0.005,
+                                          gamma=(0.0, 0.0))
+            grad = T.backward(objective)
+            assert np.array_equal(grad, np.zeros_like(grad)) == floored
 
     def test_two_layer_net_matches_finite_differences(self, rng):
         net = LayeredNet.init(5, (8, 8), 3, seed=11)
         x = rng.standard_normal((7, 5))
         y = rng.integers(0, 3, size=7)
         alpha = (1.0, 1.0)
-        record = net.forward(x)
-        _, telem = composite_loss(record, y, alpha, beta=0.005)
+        _, telem = composite_loss(net.forward(x), y, alpha, beta=0.005)
         gamma = telem.gamma
         analytic = analytic_gradients(net, x, y, alpha, 0.005, gamma)
         fd = T.finite_difference_gradient(
@@ -156,28 +126,19 @@ class TestBackward:
         for name in fd:
             assert relative_error(analytic[name], fd[name]).max() < 1e-4
 
-    def test_tape_nodes_are_topologically_ordered(self, rng):
-        net = LayeredNet.init(4, (6, 6), 3, seed=2)
-        record = net.forward(rng.standard_normal((3, 4)))
-        tape = record.tape
-        for index in range(len(tape)):
-            assert all(parent < index for parent in tape.parents_of(index))
-
     def test_replay_determinism(self):
         def run():
             rng = np.random.default_rng(99)
             net = LayeredNet.init(4, (6, 6), 3, seed=5)
             x = rng.standard_normal((8, 4))
             y = rng.integers(0, 3, size=8)
-            record = net.forward(x)
-            total, _ = composite_loss(record, y, (1.0, 1.0), beta=0.005)
-            grads = T.backward(total)
-            return total.item(), grads.wrt(record.params["block0.w"])
+            objective, _ = composite_loss(net.forward(x), y, (1.0, 1.0), beta=0.005)
+            return objective.total, T.backward(objective)
 
         loss_a, grad_a = run()
         loss_b, grad_b = run()
         assert loss_a == loss_b
-        assert np.array_equal(grad_a, grad_b)
+        assert grad_a.tobytes() == grad_b.tobytes()
 
 
 class TestFiniteDifference:
@@ -214,8 +175,6 @@ class TestFiniteDifference:
 )
 @settings(max_examples=100, deadline=None)
 def test_softmax_entropy_pipeline_stays_finite(logits):
-    tape = T.Tape()
-    p = T.softmax(tape.leaf(logits))
-    h = T.mean_entropy(p)
-    assert np.isfinite(h.item())
-    assert -1e-9 <= h.item() <= math.log(logits.shape[1]) + 1e-9
+    h = T.mean_entropy(T.softmax(logits))
+    assert np.isfinite(h)
+    assert -1e-9 <= h <= math.log(logits.shape[1]) + 1e-9

@@ -128,6 +128,19 @@ class TestRunTask:
         assert state.step == 0
         assert len(state.buffer) == 0
 
+    def test_non_finite_step_fails_loudly(self):
+        tasks = tiny_stream(0)
+        tasks[0].train_x[17, 3] = np.nan
+        cfg = tiny_config(0)
+        state = init_state(cfg, 8, 6)
+        with pytest.raises(
+            FloatingPointError, match=r"step \d+ of task 1 diverged: .* first non-finite layer 0"
+        ):
+            run_task(state, tasks[0], cfg)
+        # the diverged step is reported before the optimizer applies it
+        assert np.isfinite(state.net.flat).all()
+        assert all(np.isfinite(rec.telemetry.total) for rec in state.telemetry)
+
     def test_multi_head_replay_learns_separable_toy(self):
         # plain multi-head ER (both switches off, beta zeroed)
         final = []
@@ -144,7 +157,7 @@ class TestRunTask:
             )
             state = init_state(cfg, 8, 2)
             run_task(state, tasks[0], cfg)
-            preds = state.net.predict_layer(tasks[0].test_x, 1)
+            preds = state.net.forward(tasks[0].test_x).probs[1].argmax(axis=1)
             final.append(float((preds == tasks[0].test_y).mean()))
         assert float(np.mean(final)) > 0.95
 
