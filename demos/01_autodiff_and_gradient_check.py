@@ -13,22 +13,21 @@ net = LayeredNet.init(input_dim=6, widths=(8, 8), num_classes=3, seed=42)
 x = rng.standard_normal((5, 6))
 y = rng.integers(0, 3, size=5)
 
-objective, telemetry = composite_loss(net.forward(x), y, alpha=(1.0, 1.0), beta=0.005)
+objective = composite_loss(net.forward(x), y, alpha=(1.0, 1.0), beta=0.005)
 print("loss:", objective.total)
-print("per-layer cross entropy:", telemetry.layer_losses)
-print("per-layer batch entropy:", telemetry.entropy.per_layer)
+print("per-layer cross entropy:", objective.layer_losses)
+print("per-layer batch entropy:", objective.entropy.per_layer)
 
 # one vector laid out like net.flat; net.views names its pieces
 analytic = dict(net.views(T.backward(objective)))
 
 # finite differences with the entropy-scaling coefficients frozen, as the
 # objective treats them; the oracle perturbs net's own parameters in place
-gamma = telemetry.gamma
+gamma = objective.gamma
 
 
 def loss_at(params):
-    out, _ = composite_loss(net.forward(x), y, (1.0, 1.0), 0.005, gamma=gamma)
-    return out.total
+    return composite_loss(net.forward(x), y, (1.0, 1.0), 0.005, gamma=gamma).total
 
 
 fd = T.finite_difference_gradient(loss_at, dict(net.parameters()), step=1e-5)

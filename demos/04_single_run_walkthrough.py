@@ -26,7 +26,8 @@ print(f"average forgetting     : {s['average_forgetting']:.4f}")
 print(f"final entropy spread   : {s['entropy_spread_final']:.4f}")
 print(f"entropy deviation by task: {np.round(s['delta_t_per_task'], 4)}")
 
-last_task = result.telemetry[-1].task
-rows = [r.telemetry.entropy.per_layer for r in result.telemetry if r.task == last_task]
+# one telemetry row per step: the task id and per-layer entropy, z, gamma, alpha, loss
+telemetry = result.telemetry
+rows = telemetry["entropy"][telemetry["task"] == telemetry["task"][-1]]
 print(f"\nper-layer mean entropy over the last task's final 10 steps:")
-print(" ", np.round(np.mean(rows[-10:], axis=0), 4))
+print(" ", np.round(rows[-10:].mean(axis=0), 4))

@@ -17,7 +17,6 @@ from .modulation import (
     EntropyStats,
     ModulatorState,
     alpha_from_accuracies,
-    batch_entropy,
     composite_loss,
     gamma_from_entropies,
     entropy_summary,
@@ -52,7 +51,6 @@ __all__ = [
     "alpha_from_accuracies",
     "average_forgetting",
     "backward_transfer",
-    "batch_entropy",
     "batches",
     "composite_loss",
     "cross_layer_entropy_spread",

@@ -63,9 +63,6 @@ class ValidationBuffer:
     def num_tasks(self):
         return len(self.per_task)
 
-    def total_stored(self):
-        return sum(len(v[1]) for v in self.per_task.values())
-
     def update(self, inputs, labels, task_id, rng):
         """Store a class-balanced quota of the task's examples.
 

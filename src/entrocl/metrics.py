@@ -4,8 +4,8 @@ The grid a[t][s] holds accuracy on task s after finishing task t (1-based task
 ids, defined for s <= t). From it: final average accuracy, backward transfer
 (negative means forgetting) and average forgetting (drop from each task's
 best-ever accuracy, always nonnegative). Entropy telemetry feeds two
-diagnostics: the squared deviation of per-layer entropies from a target
-profile, and the cross-layer entropy spread near the end of a run.
+diagnostics: the squared deviation of per-layer entropies from their mean,
+and the cross-layer entropy spread near the end of a run.
 """
 
 import numpy as np
@@ -87,22 +87,11 @@ def average_forgetting(matrix):
     return float(np.mean(drops))
 
 
-def entropy_deviation(per_layer_entropies, targets=None):
-    """Sum of squared deviations of layer entropies from their targets.
-
-    Targets default to the cross-layer mean, so a uniform shift of all
-    entropies leaves the result unchanged.
-    """
+def entropy_deviation(per_layer_entropies):
+    """Sum of squared deviations of layer entropies from their cross-layer
+    mean, so a uniform shift of all entropies leaves the result unchanged."""
     values = np.asarray(per_layer_entropies, dtype=np.float64)
-    if targets is None:
-        targets = np.full_like(values, values.mean())
-    else:
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.shape != values.shape:
-            raise ValueError(
-                f"{len(values)} entropies but {len(targets)} targets"
-            )
-    return float(((values - targets) ** 2).sum())
+    return float(((values - values.mean()) ** 2).sum())
 
 
 def cross_layer_entropy_spread(per_step_entropies, window=50):

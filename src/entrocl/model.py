@@ -54,21 +54,8 @@ class ForwardRecord:
 
 
 class LayeredNet:
-    def __init__(self, input_dim, widths, num_classes, blocks, heads):
-        """Copy the given (weight, bias) pairs into a fresh flat vector."""
-        self._allocate(input_dim, widths, num_classes)
-        if len(blocks) != self.num_layers or len(heads) != self.num_layers:
-            raise ValueError("blocks, heads and widths must have equal length")
-        arrays = [arr for pair in (*blocks, *heads) for arr in pair]
-        for (name, view), arr in zip(self._params, arrays, strict=True):
-            if np.shape(arr) != view.shape:
-                raise DimensionError(
-                    f"{name} has shape {np.shape(arr)}, the layout needs {view.shape}"
-                )
-            view[...] = arr
-
-    def _allocate(self, input_dim, widths, num_classes):
-        """Zero the flat vector and bind the per-layer views into it."""
+    def __init__(self, input_dim, widths, num_classes):
+        """An all-zero net: allocate the flat vector and bind the per-layer views into it."""
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2:
             raise ValueError("a layered net needs at least 2 blocks")
@@ -84,13 +71,6 @@ class LayeredNet:
         pairs = list(zip(views[0::2], views[1::2]))
         self.blocks, self.heads = pairs[: len(widths)], pairs[len(widths) :]
 
-    @classmethod
-    def zeros(cls, input_dim, widths, num_classes):
-        """A net whose every parameter is zero."""
-        net = cls.__new__(cls)
-        net._allocate(input_dim, widths, num_classes)
-        return net
-
     @property
     def num_layers(self):
         return len(self.widths)
@@ -99,7 +79,7 @@ class LayeredNet:
     def init(cls, input_dim, widths, num_classes, seed):
         """Deterministic fan-scaled uniform init; biases start at zero."""
         rng = np.random.default_rng(seed)
-        net = cls.zeros(input_dim, widths, num_classes)
+        net = cls(input_dim, widths, num_classes)
         for _, arr in net.parameters():
             if arr.ndim == 2:
                 fan_in, fan_out = arr.shape
@@ -214,6 +194,6 @@ def load_checkpoint(path):
         )
     if len(payload) > nbytes:
         raise FormatError("checkpoint has trailing bytes", offset=len(header_line) + nbytes)
-    net = LayeredNet.zeros(input_dim, widths, num_classes)
+    net = LayeredNet(input_dim, widths, num_classes)
     net.flat[:] = np.frombuffer(payload, dtype=CHECKPOINT_DTYPE)
     return net

@@ -46,7 +46,7 @@ class EntropyStats:
 @dataclass(frozen=True)
 class ModulatorState:
     """Accuracy modulators set at a task boundary, plus the statistics that
-    produced them. Per-step gamma lives in StepTelemetry."""
+    produced them. Per-step gamma lives in the Objective."""
 
     alpha: tuple
     source_accuracies: tuple
@@ -56,15 +56,19 @@ class ModulatorState:
 
 @dataclass(frozen=True)
 class Objective:
-    """One batch's composite objective: its value, and what ``tensor.backward``
-    needs to differentiate it. ``alpha`` weighs each layer's cross entropy and
-    ``entropy_coef`` (``sign * gamma``) its entropy."""
+    """One batch's composite objective: its value, what ``tensor.backward``
+    needs to differentiate it, and what the step logs. ``alpha`` weighs each
+    layer's cross entropy ``layer_losses`` and ``entropy_coef``
+    (``sign * gamma``) its mean entropy ``entropy.per_layer``."""
 
     total: float
     record: object  # model.ForwardRecord
     labels: np.ndarray
     alpha: tuple
     entropy_coef: tuple
+    gamma: tuple
+    layer_losses: tuple
+    entropy: EntropyStats
 
     @property
     def tape(self):
@@ -72,22 +76,6 @@ class Objective:
         layer's activation and probabilities."""
         pairs = zip(self.record.activations, self.record.probs)
         return [self.record.x, *(a for pair in pairs for a in pair)]
-
-
-@dataclass(frozen=True)
-class StepTelemetry:
-    """Everything worth logging about one optimization step."""
-
-    entropy: EntropyStats
-    gamma: tuple
-    alpha: tuple
-    layer_losses: tuple
-    total: float
-
-
-def batch_entropy(probs):
-    """Mean row entropy of a probability matrix, in nats."""
-    return T.mean_entropy(probs)
 
 
 def layer_zscores(values):
@@ -150,7 +138,7 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
     ``entropy_sign="penalize"`` the entropy term is added to the minimized
     loss; ``"reward"`` flips its sign.
 
-    Returns (Objective, StepTelemetry).
+    Returns the Objective.
     """
     if entropy_sign not in ENTROPY_SIGNS:
         raise ValueError(f"entropy_sign must be one of {ENTROPY_SIGNS}")
@@ -162,8 +150,8 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
         )
 
     labels = np.asarray(labels, dtype=np.int64)
-    layer_losses = [T.cross_entropy(p, labels) for p in record.probs]
-    stats = entropy_summary([batch_entropy(p) for p in record.probs])
+    layer_losses = tuple(T.cross_entropy(p, labels) for p in record.probs)
+    stats = entropy_summary([T.mean_entropy(p) for p in record.probs])
     if gamma is None:
         gamma = gamma_from_entropies(stats, beta)
     else:
@@ -180,12 +168,4 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
     for l in range(1, num_layers):
         total = total + layer_losses[l] * alpha[l]
         total = total + stats.per_layer[l] * entropy_coef[l]
-
-    telemetry = StepTelemetry(
-        entropy=stats,
-        gamma=gamma,
-        alpha=alpha,
-        layer_losses=tuple(layer_losses),
-        total=total,
-    )
-    return Objective(total, record, labels, alpha, entropy_coef), telemetry
+    return Objective(total, record, labels, alpha, entropy_coef, gamma, layer_losses, stats)

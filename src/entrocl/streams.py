@@ -223,19 +223,21 @@ def load_idx_stream(images_path, labels_path, cfg):
     return _split_labeled_pool(images, labels, cfg)
 
 
-def _split_labeled_pool(inputs, labels, cfg):
-    """Per-class deterministic 80/20 train/test split, then task assembly."""
+def _class_ids(labels, cfg):
+    """The distinct labels, which must be exactly 0..C-1 for C classes in the stream."""
     classes = np.unique(labels)
-    if len(classes) != cfg.num_tasks * cfg.classes_per_task:
-        raise ConfigError(
-            f"found {len(classes)} classes, need exactly "
-            f"{cfg.num_tasks * cfg.classes_per_task}"
-        )
+    if len(classes) != cfg.num_classes:
+        raise ConfigError(f"found {len(classes)} classes, need exactly {cfg.num_classes}")
     if not np.array_equal(classes, np.arange(len(classes))):
         raise ConfigError(f"class labels must be 0..{len(classes) - 1}, got {classes}")
+    return classes
+
+
+def _split_labeled_pool(inputs, labels, cfg):
+    """Per-class deterministic 80/20 train/test split, then task assembly."""
     rng = np.random.default_rng(cfg.seed)
     per_class = []
-    for c in classes:
+    for c in _class_ids(labels, cfg):
         idx = np.flatnonzero(labels == c)
         order = rng.permutation(len(idx))
         n_train = int(round(0.8 * len(idx)))
@@ -309,16 +311,13 @@ def load_csv_stream(directory, cfg):
     directory = Path(directory)
     train_x, train_y = _read_examples_csv(directory / "train.csv")
     test_x, test_y = _read_examples_csv(directory / "test.csv")
-    classes = np.unique(np.concatenate([train_y, test_y]))
-    if len(classes) != cfg.num_tasks * cfg.classes_per_task:
-        raise ConfigError(
-            f"found {len(classes)} classes, need exactly "
-            f"{cfg.num_tasks * cfg.classes_per_task}"
+    if test_x.shape[1] != train_x.shape[1]:
+        raise FormatError(
+            f"{directory / 'test.csv'}:1: header has {test_x.shape[1]} features, "
+            f"train.csv has {train_x.shape[1]}"
         )
-    if not np.array_equal(classes, np.arange(len(classes))):
-        raise ConfigError(f"class labels must be 0..{len(classes) - 1}, got {classes}")
     per_class = []
-    for c in classes:
+    for c in _class_ids(np.concatenate([train_y, test_y]), cfg):
         per_class.append(
             (train_x[np.flatnonzero(train_y == c)], test_x[np.flatnonzero(test_y == c)])
         )

@@ -113,21 +113,23 @@ def backward(objective):
     return grad
 
 
-def finite_difference_gradient(f, params, step=1e-5):
+def finite_difference_gradient(f, params, step=1e-5, entries=None):
     """Central-difference gradient of ``f`` with respect to a dict of arrays.
 
     ``f`` is called as ``f(params)`` and must read the arrays fresh on every
-    call; entries are perturbed in place and restored. This is the
-    independent oracle used to check ``backward``.
+    call; entries are perturbed in place and restored. ``entries``, when
+    given, maps every name to the flat indices to difference; the gradient is
+    NaN at the indices it leaves out. This is the independent oracle used to
+    check ``backward``.
     """
     if step <= 0:
         raise ValueError("finite difference step must be positive")
     grads = {}
     for name, arr in params.items():
-        grad = np.zeros_like(arr, dtype=np.float64)
+        grad = np.full(arr.shape, np.nan)
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
-        for i in range(flat.size):
+        for i in range(flat.size) if entries is None else entries[name]:
             orig = flat[i]
             flat[i] = orig + step
             f_plus = f(params)

@@ -11,7 +11,7 @@ run is a pure function of (config, stream).
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,17 @@ from .modulation import ENTROPY_SIGNS, ModulatorState, alpha_from_accuracies, co
 from .streams import batches
 
 SPREAD_WINDOW = 50
+
+# The per-layer columns of telemetry.csv, in order. A run's telemetry is one
+# record array with a row per step: the task id and each of these as an (L,)
+# float64 field.
+TELEMETRY_FIELDS = ("entropy", "z", "gamma", "alpha", "loss")
+
+
+def telemetry_dtype(num_layers):
+    return np.dtype(
+        [("task", np.int64)] + [(name, np.float64, (num_layers,)) for name in TELEMETRY_FIELDS]
+    )
 
 
 @dataclass
@@ -132,13 +143,6 @@ def sgd_step(flat, grad, lr, wd):
 
 
 @dataclass
-class StepRecord:
-    step: int
-    task: int
-    telemetry: object  # modulation.StepTelemetry
-
-
-@dataclass
 class RunState:
     net: LayeredNet
     moments: AdamState
@@ -146,9 +150,9 @@ class RunState:
     vbuf: ValidationBuffer
     rng: np.random.Generator
     modulators: ModulatorState
+    telemetry: np.ndarray  # every step of every completed task, see TELEMETRY_FIELDS
     task_index: int = 0
     step: int = 0
-    telemetry: list = field(default_factory=list)
 
 
 def init_state(cfg, input_dim, num_classes):
@@ -164,6 +168,7 @@ def init_state(cfg, input_dim, num_classes):
         modulators=ModulatorState(
             alpha=(1.0,) * net.num_layers, source_accuracies=(), mu_acc=0.0, sigma_acc=0.0
         ),
+        telemetry=np.zeros(0, telemetry_dtype(net.num_layers)),
     )
 
 
@@ -190,7 +195,9 @@ def run_task(state, task, cfg):
     if not cfg.enable_entropy_scaling:
         gamma_override = (cfg.beta,) * num_layers
 
-    for batch_x, batch_y in batches(task, cfg.batch_size, state.rng):
+    # one row per batch that ``batches`` yields
+    rows = np.zeros(-(-task.train_size // cfg.batch_size), telemetry_dtype(num_layers))
+    for i, (batch_x, batch_y) in enumerate(batches(task, cfg.batch_size, state.rng)):
         replay = state.buffer.sample(cfg.buffer_batch_size, state.rng)
         if replay:
             rx = np.stack([item[0] for item in replay])
@@ -200,7 +207,7 @@ def run_task(state, task, cfg):
         else:
             x, y = batch_x, batch_y
 
-        objective, telemetry = composite_loss(
+        objective = composite_loss(
             state.net.forward(x),
             y,
             alpha=state.modulators.alpha,
@@ -210,7 +217,7 @@ def run_task(state, task, cfg):
         )
         grad = T.backward(objective)
         if not (np.isfinite(objective.total) and np.isfinite(grad).all()):
-            layer = _first_nonfinite_layer(state.net, grad, telemetry)
+            layer = _first_nonfinite_layer(state.net, grad, objective)
             raise FloatingPointError(
                 f"step {state.step + 1} of task {task.task_id} diverged: objective "
                 f"{objective.total!r}, first non-finite layer {layer}"
@@ -233,18 +240,27 @@ def run_task(state, task, cfg):
             [(bx, int(by), task.task_id) for bx, by in zip(batch_x, batch_y)]
         )
         state.step += 1
-        state.telemetry.append(StepRecord(state.step, task.task_id, telemetry))
+        stats = objective.entropy
+        rows[i] = (
+            task.task_id,
+            stats.per_layer,
+            stats.z,
+            objective.gamma,
+            objective.alpha,
+            objective.layer_losses,
+        )
 
+    state.telemetry = np.concatenate([state.telemetry, rows])
     state.vbuf.update(task.train_x, task.train_y, task.task_id, state.rng)
     return state
 
 
-def _first_nonfinite_layer(net, grad, telemetry):
+def _first_nonfinite_layer(net, grad, objective):
     """The shallowest layer whose loss, entropy or block/head gradient is not finite."""
     views = dict(net.views(grad))
     for layer in range(net.num_layers):
         parts = [views[f"{kind}{layer}.{p}"] for kind in ("block", "head") for p in "wb"]
-        parts.append([telemetry.layer_losses[layer], telemetry.entropy.per_layer[layer]])
+        parts.append([objective.layer_losses[layer], objective.entropy.per_layer[layer]])
         if not all(np.isfinite(part).all() for part in parts):
             return layer
     return None
@@ -254,7 +270,7 @@ def _first_nonfinite_layer(net, grad, telemetry):
 class RunResult:
     matrix: AccuracyMatrix
     per_layer: list
-    telemetry: list
+    telemetry: np.ndarray  # one row per step, see TELEMETRY_FIELDS
     summary: dict
     runtime_seconds: float
 
@@ -301,37 +317,29 @@ def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
 
 
 def build_summary(matrix, telemetry, runtime_seconds):
-    task_ids = sorted({rec.task for rec in telemetry})
-    deltas = []
-    for task_id in task_ids:
-        rows = np.asarray(
-            [rec.telemetry.entropy.per_layer for rec in telemetry if rec.task == task_id]
-        )
-        tail = rows[-min(SPREAD_WINDOW, len(rows)) :]
-        deltas.append(entropy_deviation(tail.mean(axis=0)))
-    final_rows = np.asarray(
-        [rec.telemetry.entropy.per_layer for rec in telemetry if rec.task == task_ids[-1]]
-    )
+    tasks = telemetry["task"]
+    per_task = [telemetry["entropy"][tasks == t] for t in np.unique(tasks)]
     return {
         "acc_final": final_average_accuracy(matrix),
         "bwt": backward_transfer(matrix),
         "average_forgetting": average_forgetting(matrix),
-        "entropy_spread_final": cross_layer_entropy_spread(final_rows, SPREAD_WINDOW),
-        "delta_t_per_task": deltas,
+        "entropy_spread_final": cross_layer_entropy_spread(per_task[-1], SPREAD_WINDOW),
+        "delta_t_per_task": [
+            entropy_deviation(rows[-SPREAD_WINDOW:].mean(axis=0)) for rows in per_task
+        ],
         "runtime_seconds": runtime_seconds,
     }
 
 
 def write_telemetry_csv(fh, telemetry):
-    fh.write("step,task,layer,entropy,z,gamma,alpha,loss\n")
-    for rec in telemetry:
-        t = rec.telemetry
-        for layer in range(len(t.entropy.per_layer)):
-            fh.write(
-                f"{rec.step},{rec.task},{layer},"
-                f"{t.entropy.per_layer[layer]!r},{t.entropy.z[layer]!r},"
-                f"{t.gamma[layer]!r},{t.alpha[layer]!r},{t.layer_losses[layer]!r}\n"
-            )
+    """One line per step and layer. ``tolist`` gives Python floats, whose
+    ``repr`` round-trips exactly."""
+    fh.write(",".join(("step", "task", "layer", *TELEMETRY_FIELDS)) + "\n")
+    tasks = telemetry["task"].tolist()
+    columns = [telemetry[name].tolist() for name in TELEMETRY_FIELDS]
+    for step, (task, *fields) in enumerate(zip(tasks, *columns), start=1):
+        for layer, values in enumerate(zip(*fields)):
+            fh.write(f"{step},{task},{layer}," + ",".join(map(repr, values)) + "\n")
 
 
 def write_run_artifacts(out_dir, cfg, result, manifest_extra=None):

@@ -31,14 +31,13 @@ def loss_fn(net, x, y, alpha, beta, gamma):
     """
 
     def f(params):
-        objective, _ = composite_loss(net.forward(x), y, alpha=alpha, beta=beta, gamma=gamma)
-        return objective.total
+        return composite_loss(net.forward(x), y, alpha=alpha, beta=beta, gamma=gamma).total
 
     return f
 
 
 def analytic_gradients(net, x, y, alpha, beta, gamma):
-    objective, _ = composite_loss(net.forward(x), y, alpha=alpha, beta=beta, gamma=gamma)
+    objective = composite_loss(net.forward(x), y, alpha=alpha, beta=beta, gamma=gamma)
     return dict(net.views(T.backward(objective)))
 
 

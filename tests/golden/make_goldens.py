@@ -9,6 +9,7 @@ differences, closed forms) before being frozen; treat diffs as regressions
 unless the change is deliberate.
 """
 
+import io
 import json
 from pathlib import Path
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from entrocl import LayeredNet, ValidationBuffer, composite_loss, evaluate_layer_accuracies
 from entrocl.streams import StreamConfig, make_synthetic_stream
-from entrocl.training import RunConfig, run_sequence
+from entrocl.training import RunConfig, run_sequence, write_telemetry_csv
 
 HERE = Path(__file__).parent
 
@@ -26,15 +27,15 @@ def golden_model():
     x = np.random.default_rng(61).standard_normal((5, 6))
     labels = [0, 1, 2, 3, 0]
     record = net.forward(x)
-    objective, telem = composite_loss(record, labels, alpha=(1.0, 1.0), beta=0.005)
+    objective = composite_loss(record, labels, alpha=(1.0, 1.0), beta=0.005)
     payload = {
         "input": x.tolist(),
         "labels": labels,
         "logits": [z.tolist() for z in record.logits],
         "predictions": [p.argmax(axis=1).tolist() for p in record.probs],
         "loss_total": objective.total,
-        "gamma": list(telem.gamma),
-        "entropies": list(telem.entropy.per_layer),
+        "gamma": list(objective.gamma),
+        "entropies": list(objective.entropy.per_layer),
     }
     (HERE / "model_seed42.json").write_text(json.dumps(payload, indent=1))
 
@@ -53,15 +54,24 @@ def golden_validation_accuracies():
 def golden_full_run_matrix():
     tasks = make_synthetic_stream(StreamConfig(seed=0))
     result = run_sequence(tasks, RunConfig(seed=0))
-    import io
-
     buf = io.StringIO()
     result.matrix.to_csv(buf)
     (HERE / "accuracy_matrix_full_seed0.csv").write_text(buf.getvalue())
+
+
+def golden_telemetry():
+    tasks = make_synthetic_stream(
+        StreamConfig(num_tasks=2, train_per_class=24, test_per_class=5, input_dim=6, seed=0)
+    )
+    result = run_sequence(tasks, RunConfig(seed=0, widths=(8, 8)))
+    buf = io.StringIO()
+    write_telemetry_csv(buf, result.telemetry)
+    (HERE / "telemetry_tiny_seed0.csv").write_text(buf.getvalue())
 
 
 if __name__ == "__main__":
     golden_model()
     golden_validation_accuracies()
     golden_full_run_matrix()
+    golden_telemetry()
     print("goldens written to", HERE)

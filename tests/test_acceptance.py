@@ -23,7 +23,7 @@ from entrocl import tensor as T
 from entrocl.cli import ExperimentPlan, apply_arm, run_plan
 from entrocl.modulation import alpha_from_accuracies, entropy_summary, gamma_from_entropies, layer_zscores
 from entrocl.streams import StreamConfig, make_synthetic_stream
-from entrocl.training import RunConfig, run_sequence, write_telemetry_csv
+from entrocl.training import RunConfig, run_sequence
 
 mpmath.mp.dps = 50
 
@@ -78,37 +78,31 @@ class TestGradientOracle:
         y = rng.integers(0, num_classes, size=batch)
         alpha = tuple(float(a) for a in rng.uniform(0.5, 2.0, size=len(widths)))
 
-        objective, telem = composite_loss(net.forward(x), y, alpha, beta=0.005)
-        gamma = telem.gamma  # frozen: gamma and alpha are constants of the objective
+        objective = composite_loss(net.forward(x), y, alpha, beta=0.005)
+        gamma = objective.gamma  # frozen: gamma and alpha are constants of the objective
         analytic = dict(net.views(T.backward(objective)))
 
         # perturbing these views in place moves net's own parameters
         params = dict(net.parameters())
-        f = conftest.loss_fn(net, x, y, alpha, 0.005, gamma)
+        entries = None
+        if sample_entries is not None:
+            entries = {
+                name: rng.choice(arr.size, size=min(sample_entries, arr.size), replace=False)
+                for name, arr in params.items()
+            }
+        fd = T.finite_difference_gradient(
+            conftest.loss_fn(net, x, y, alpha, 0.005, gamma), params, step=1e-5, entries=entries
+        )
 
         worst = 0.0
-        step = 1e-5
-        for name, arr in params.items():
-            flat = arr.reshape(-1)
-            if sample_entries is None:
-                indices = range(flat.size)
-            else:
-                k = min(sample_entries, flat.size)
-                indices = rng.choice(flat.size, size=k, replace=False)
-            aflat = analytic[name].reshape(-1)
-            for i in indices:
-                orig = flat[i]
-                flat[i] = orig + step
-                f_plus = f(params)
-                flat[i] = orig - step
-                f_minus = f(params)
-                flat[i] = orig
-                fd = (f_plus - f_minus) / (2 * step)
-                a = aflat[i]
-                # entries below 1e-6 are checked in absolute terms: the FD
-                # truncation floor (~1e-10) makes smaller ratios meaningless
-                rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-                worst = max(worst, rel)
+        for name in params:
+            picked = slice(None) if entries is None else entries[name]
+            # entries below 1e-6 are checked in absolute terms: the FD
+            # truncation floor (~1e-10) makes smaller ratios meaningless
+            rel = conftest.relative_error(
+                analytic[name].reshape(-1)[picked], fd[name].reshape(-1)[picked], floor=1e-6
+            )
+            worst = max(worst, float(rel.max()))
         return worst
 
     def test_criterion_1_gradient_oracle(self):
@@ -140,14 +134,9 @@ class TestModulatorBounds:
         result = run_sequence(tasks, cfg)
         lo_a, hi_a = math.exp(-1), math.e
         lo_g, hi_g = cfg.beta * math.exp(-1), cfg.beta * math.e
-        violations = 0
-        for rec in result.telemetry:
-            for a in rec.telemetry.alpha:
-                if not lo_a <= a <= hi_a:
-                    violations += 1
-            for g in rec.telemetry.gamma:
-                if not lo_g <= g <= hi_g:
-                    violations += 1
+        alpha, gamma = result.telemetry["alpha"], result.telemetry["gamma"]
+        violations = int((~((lo_a <= alpha) & (alpha <= hi_a))).sum())
+        violations += int((~((lo_g <= gamma) & (gamma <= hi_g))).sum())
         ok = violations == 0
         assert report(
             "modulator-bounds",
@@ -162,7 +151,7 @@ class TestClosedForms:
 
         net = zero_net(input_dim=6, widths=(5, 5, 5, 5), num_classes=10)
         record = net.forward(np.ones((4, 6)))
-        objective, _ = composite_loss(record, [0, 3, 6, 9], alpha=(1.0,) * 4, beta=0.005)
+        objective = composite_loss(record, [0, 3, 6, 9], alpha=(1.0,) * 4, beta=0.005)
         closed_form = 4 * 1.005 * math.log(10)
         loss_ok = abs(objective.total - closed_form) < 1e-9
 

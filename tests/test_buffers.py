@@ -136,9 +136,10 @@ class TestEvaluateLayerAccuracies:
     def test_perfect_net_scores_one(self):
         # one-hot inputs routed through near-identity blocks and scaled heads
         k = 4
-        blocks = [(2.0 * np.eye(k), np.zeros(k)), (2.0 * np.eye(k), np.zeros(k))]
-        heads = [(10.0 * np.eye(k), np.zeros(k)), (10.0 * np.eye(k), np.zeros(k))]
-        net = LayeredNet(k, (k, k), k, blocks, heads)
+        net = LayeredNet(k, (k, k), k)
+        for (w, _), (hw, _) in zip(net.blocks, net.heads):
+            w[...] = 2.0 * np.eye(k)
+            hw[...] = 10.0 * np.eye(k)
         rng = np.random.default_rng(0)
         x = 8.0 * np.eye(k)[np.tile(np.arange(k), 10)]
         y = np.tile(np.arange(k), 10)

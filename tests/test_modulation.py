@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from entrocl import (
     LayeredNet,
     alpha_from_accuracies,
-    batch_entropy,
     composite_loss,
     entropy_summary,
     gamma_from_entropies,
@@ -41,18 +40,20 @@ def mp_alpha(accuracies):
 
 
 class TestBatchEntropy:
+    """``tensor.mean_entropy``: the mean row entropy of a batch of probabilities."""
+
     def test_uniform_ten(self):
-        assert batch_entropy(np.full((4, 10), 0.1)) == pytest.approx(math.log(10), abs=1e-12)
+        assert T.mean_entropy(np.full((4, 10), 0.1)) == pytest.approx(math.log(10), abs=1e-12)
 
     def test_one_hot_is_zero(self):
-        assert abs(batch_entropy(np.eye(3))) < 1e-10
+        assert abs(T.mean_entropy(np.eye(3))) < 1e-10
 
     def test_fair_coin(self):
-        assert batch_entropy([[0.5, 0.5]]) == pytest.approx(math.log(2), abs=1e-12)
+        assert T.mean_entropy([[0.5, 0.5]]) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            batch_entropy(np.zeros((0, 3)))
+            T.mean_entropy(np.zeros((0, 3)))
 
 
 class TestLayerZScores:
@@ -210,9 +211,7 @@ class TestCompositeLoss:
         x = rng.standard_normal((8, 5))
         y = rng.integers(0, 4, size=8)
         record = net.forward(x)
-        objective, _ = composite_loss(
-            record, y, alpha=(1.0, 1.0), beta=0.005, gamma=(0.0, 0.0)
-        )
+        objective = composite_loss(record, y, alpha=(1.0, 1.0), beta=0.005, gamma=(0.0, 0.0))
         expected = sum(T.cross_entropy(p, y) for p in record.probs)
         assert objective.total == pytest.approx(expected, abs=1e-12)
 
@@ -221,25 +220,21 @@ class TestCompositeLoss:
 
         net = zero_net(input_dim=4, widths=(6, 6, 6, 6), num_classes=10)
         record = net.forward(np.ones((5, 4)))
-        objective, telem = composite_loss(
-            record, [0, 1, 2, 3, 4], alpha=(1.0,) * 4, beta=0.005
-        )
+        objective = composite_loss(record, [0, 1, 2, 3, 4], alpha=(1.0,) * 4, beta=0.005)
         assert objective.total == pytest.approx(4 * 1.005 * math.log(10), abs=1e-9)
         assert objective.total == pytest.approx(9.25639, abs=1e-5)
-        assert telem.gamma == (0.005,) * 4
-        assert telem.entropy.z == (0.0,) * 4
+        assert objective.gamma == (0.005,) * 4
+        assert objective.entropy.z == (0.0,) * 4
 
     def test_reward_sign_flips_entropy_term(self, rng):
         net = LayeredNet.init(5, (6, 6), 4, seed=3)
         x = rng.standard_normal((8, 5))
         y = rng.integers(0, 4, size=8)
         record = net.forward(x)
-        pen, telem = composite_loss(record, y, (1.0, 1.0), 0.005)
-        rew, _ = composite_loss(
-            record, y, (1.0, 1.0), 0.005, entropy_sign="reward"
-        )
-        ce = sum(telem.layer_losses)
-        reg = sum(g * h for g, h in zip(telem.gamma, telem.entropy.per_layer))
+        pen = composite_loss(record, y, (1.0, 1.0), 0.005)
+        rew = composite_loss(record, y, (1.0, 1.0), 0.005, entropy_sign="reward")
+        ce = sum(pen.layer_losses)
+        reg = sum(g * h for g, h in zip(pen.gamma, pen.entropy.per_layer))
         assert pen.total == pytest.approx(ce + reg, abs=1e-12)
         assert rew.total == pytest.approx(ce - reg, abs=1e-12)
 
@@ -257,8 +252,7 @@ class TestCompositeLoss:
         x = rng.standard_normal((6, 5))
         y = rng.integers(0, 4, size=6)
         record = net.forward(x)
-        _, telem = composite_loss(record, y, (1.0, 1.0), 0.005)
-        gamma = telem.gamma
+        gamma = composite_loss(record, y, (1.0, 1.0), 0.005).gamma
         analytic = analytic_gradients(net, x, y, (1.0, 1.0), 0.005, gamma)
         fd = T.finite_difference_gradient(
             loss_fn(net, x, y, (1.0, 1.0), 0.005, gamma),

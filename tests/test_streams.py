@@ -209,3 +209,11 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=r"train\.csv:4: "):
             load_csv_stream(tmp_path / "stream", small_cfg())
+
+    def test_feature_count_differs_between_splits(self, tmp_path):
+        save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path / "stream")
+        wider = make_synthetic_stream(small_cfg(input_dim=5))
+        save_stream_csv(wider, tmp_path / "wider")
+        (tmp_path / "wider" / "test.csv").replace(tmp_path / "stream" / "test.csv")
+        with pytest.raises(FormatError, match=r"test\.csv:1: header has 5 features, train\.csv has 4"):
+            load_csv_stream(tmp_path / "stream", small_cfg())

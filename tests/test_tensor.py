@@ -84,7 +84,7 @@ class TestBackward:
         net = LayeredNet.init(5, (6, 6), 3, seed=4)
         grad = T.backward(
             composite_loss(net.forward(rng.standard_normal((4, 5))), [0, 1, 2, 0],
-                           (0.0, 0.0), beta=0.005, gamma=(0.0, 0.0))[0]
+                           (0.0, 0.0), beta=0.005, gamma=(0.0, 0.0))
         )
         assert grad.shape == net.flat.shape
         assert np.array_equal(grad, np.zeros_like(grad))
@@ -92,7 +92,7 @@ class TestBackward:
     def test_tape_lists_the_arrays_the_sweep_reads(self, rng):
         net = LayeredNet.init(4, (5, 7, 3), 3, seed=8)
         record = net.forward(rng.standard_normal((6, 4)))
-        objective, _ = composite_loss(record, [0, 1, 2, 0, 1, 2], (1.0,) * 3, beta=0.005)
+        objective = composite_loss(record, [0, 1, 2, 0, 1, 2], (1.0,) * 3, beta=0.005)
         expected = [record.x]
         for h, p in zip(record.activations, record.probs):
             expected += [h, p]
@@ -101,14 +101,14 @@ class TestBackward:
 
     def test_floored_true_class_gets_no_gradient(self):
         # head 1's bias pushes class 0 to e^-60 (below PROB_EPS) or e^-20 (above)
-        net = LayeredNet.zeros(4, (6, 6), 3)
+        net = LayeredNet(4, (6, 6), 3)
         x = np.ones((2, 4))
         for gap, floored in ((60.0, True), (20.0, False)):
             net.heads[1][1][:] = [-gap, 0.0, 0.0]
             record = net.forward(x)
             assert (record.probs[1][:, 0] < T.PROB_EPS).all() == floored
-            objective, _ = composite_loss(record, [0, 0], (0.0, 1.0), beta=0.005,
-                                          gamma=(0.0, 0.0))
+            objective = composite_loss(record, [0, 0], (0.0, 1.0), beta=0.005,
+                                       gamma=(0.0, 0.0))
             grad = T.backward(objective)
             assert np.array_equal(grad, np.zeros_like(grad)) == floored
 
@@ -117,8 +117,7 @@ class TestBackward:
         x = rng.standard_normal((7, 5))
         y = rng.integers(0, 3, size=7)
         alpha = (1.0, 1.0)
-        _, telem = composite_loss(net.forward(x), y, alpha, beta=0.005)
-        gamma = telem.gamma
+        gamma = composite_loss(net.forward(x), y, alpha, beta=0.005).gamma
         analytic = analytic_gradients(net, x, y, alpha, 0.005, gamma)
         fd = T.finite_difference_gradient(
             loss_fn(net, x, y, alpha, 0.005, gamma), dict(net.parameters()), step=1e-5
@@ -132,7 +131,7 @@ class TestBackward:
             net = LayeredNet.init(4, (6, 6), 3, seed=5)
             x = rng.standard_normal((8, 4))
             y = rng.integers(0, 3, size=8)
-            objective, _ = composite_loss(net.forward(x), y, (1.0, 1.0), beta=0.005)
+            objective = composite_loss(net.forward(x), y, (1.0, 1.0), beta=0.005)
             return objective.total, T.backward(objective)
 
         loss_a, grad_a = run()
@@ -164,6 +163,19 @@ class TestFiniteDifference:
     def test_step_must_be_positive(self):
         with pytest.raises(ValueError):
             T.finite_difference_gradient(lambda p: 0.0, {"x": np.ones(1)}, step=0.0)
+
+    def test_selected_entries_only(self):
+        params = {"x": np.arange(6.0).reshape(2, 3), "y": np.ones(2)}
+        grads = T.finite_difference_gradient(
+            lambda p: float((p["x"] ** 2).sum() + 3.0 * p["y"].sum()),
+            params,
+            entries={"x": [4, 1], "y": [0]},
+        )
+        gx = grads["x"].reshape(-1)
+        assert np.allclose(gx[[1, 4]], [2.0, 8.0], atol=1e-6)
+        assert np.isnan(gx[[0, 2, 3, 5]]).all()
+        assert grads["y"][0] == pytest.approx(3.0, abs=1e-6)
+        assert np.isnan(grads["y"][1])
 
 
 @given(

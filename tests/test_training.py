@@ -10,6 +10,7 @@ from entrocl.metrics import final_average_accuracy
 from entrocl.modulation import alpha_from_accuracies
 from entrocl.streams import StreamConfig, TaskSpec, make_synthetic_stream
 from entrocl.training import (
+    TELEMETRY_FIELDS,
     AdamState,
     RunConfig,
     adam_step,
@@ -130,16 +131,19 @@ class TestRunTask:
 
     def test_non_finite_step_fails_loudly(self):
         tasks = tiny_stream(0)
-        tasks[0].train_x[17, 3] = np.nan
+        tasks[1].train_x[17, 3] = np.nan
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
+        run_task(state, tasks[0], cfg)
         with pytest.raises(
-            FloatingPointError, match=r"step \d+ of task 1 diverged: .* first non-finite layer 0"
+            FloatingPointError, match=r"step \d+ of task 2 diverged: .* first non-finite layer 0"
         ):
-            run_task(state, tasks[0], cfg)
+            run_task(state, tasks[1], cfg)
         # the diverged step is reported before the optimizer applies it
         assert np.isfinite(state.net.flat).all()
-        assert all(np.isfinite(rec.telemetry.total) for rec in state.telemetry)
+        # the telemetry holds the completed first task and nothing of the failed one
+        assert state.telemetry["task"].tolist() == [1] * math.ceil(tasks[0].train_size / 10)
+        assert all(np.isfinite(state.telemetry[name]).all() for name in TELEMETRY_FIELDS)
 
     def test_multi_head_replay_learns_separable_toy(self):
         # plain multi-head ER (both switches off, beta zeroed)
@@ -192,15 +196,15 @@ class TestRunSequence:
         tasks = tiny_stream(1)
         cfg = tiny_config(1, batch_size=7)
         result = run_sequence(tasks, cfg)
-        expected = sum(math.ceil(t.train_size / 7) for t in tasks)
-        assert len(result.telemetry) == expected
+        expected = [math.ceil(t.train_size / 7) for t in tasks]
+        assert len(result.telemetry) == sum(expected)
+        assert np.bincount(result.telemetry["task"])[1:].tolist() == expected
 
     def test_losses_finite_at_every_step(self):
         tasks = tiny_stream(2)
         result = run_sequence(tasks, tiny_config(2))
-        for rec in result.telemetry:
-            assert np.isfinite(rec.telemetry.total)
-            assert all(np.isfinite(v) for v in rec.telemetry.layer_losses)
+        for name in TELEMETRY_FIELDS:
+            assert np.isfinite(result.telemetry[name]).all(), name
 
     def test_needs_two_tasks(self):
         tasks = tiny_stream(0)[:1]
@@ -243,13 +247,13 @@ class TestRunSequence:
         for arm in ("full", "no_entropy_scaling"):
             cfg = replace(apply_arm(tiny_config(6), arm), seed=6)
             results[arm] = run_sequence(tasks, cfg)
-        first_full = results["full"].telemetry[0].telemetry
-        first_no_es = results["no_entropy_scaling"].telemetry[0].telemetry
+        first_full = results["full"].telemetry[0]
+        first_no_es = results["no_entropy_scaling"].telemetry[0]
         # same params and same batch before the first update: identical entropies
-        assert first_full.entropy.per_layer == first_no_es.entropy.per_layer
-        assert first_full.layer_losses == first_no_es.layer_losses
+        assert np.array_equal(first_full["entropy"], first_no_es["entropy"])
+        assert np.array_equal(first_full["loss"], first_no_es["loss"])
         # the gamma path is where they diverge
-        assert first_no_es.gamma == (0.005, 0.005)
+        assert first_no_es["gamma"].tolist() == [0.005, 0.005]
 
     def test_golden_full_run_matrix_bitwise(self):
         tasks = make_synthetic_stream(StreamConfig(seed=0))
@@ -258,6 +262,16 @@ class TestRunSequence:
         result.matrix.to_csv(out)
         expected = (GOLDEN / "accuracy_matrix_full_seed0.csv").read_text()
         assert out.getvalue() == expected
+
+    def test_golden_telemetry_bitwise(self):
+        tasks = make_synthetic_stream(
+            StreamConfig(num_tasks=2, train_per_class=24, test_per_class=5, input_dim=6, seed=0)
+        )
+        result = run_sequence(tasks, RunConfig(seed=0, widths=(8, 8)))
+        out = io.StringIO()
+        write_telemetry_csv(out, result.telemetry)
+        expected = (GOLDEN / "telemetry_tiny_seed0.csv").read_bytes()
+        assert out.getvalue().encode("utf-8") == expected
 
     def test_artifact_files_written(self, tmp_path):
         tasks = tiny_stream(7)
