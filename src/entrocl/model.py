@@ -39,14 +39,15 @@ def parameter_layout(input_dim, widths, num_classes):
 
 @dataclass
 class ForwardRecord:
-    """Arrays from one forward pass of ``net`` on ``x``: per layer the block
-    activation, the head logits and the head probabilities."""
+    """Arrays from one forward pass of ``net`` on ``x``: the list of block
+    activations, and the heads' logits and probabilities, each one ``(L, B, K)``
+    stack whose ``[l]`` (or l-th iterate) is head l's ``(B, K)`` array."""
 
     net: "LayeredNet"
     x: np.ndarray
     activations: list
-    logits: list
-    probs: list
+    logits: np.ndarray
+    probs: np.ndarray
 
     @property
     def num_layers(self):
@@ -64,12 +65,17 @@ class LayeredNet:
         self.input_dim = int(input_dim)
         self.widths = widths
         self.num_classes = int(num_classes)
-        self._layout = list(parameter_layout(self.input_dim, widths, self.num_classes))
-        self.flat = np.zeros(sum(math.prod(shape) for _, shape in self._layout))
+        self._slots, end = [], 0  # (name, slice of flat, shape), bound once per net
+        for name, shape in parameter_layout(self.input_dim, widths, self.num_classes):
+            self._slots.append((name, slice(end, end := end + math.prod(shape)), shape))
+        pairs = list(zip(self._slots[0::2], self._slots[1::2]))  # (w, b): blocks, then heads
+        block_slots, head_slots = pairs[: len(widths)], pairs[len(widths) :]
+        self._layer_slots = [(*blk, *head) for blk, head in zip(block_slots, head_slots)]
+        self.flat = np.zeros(end)
         self._params = self.views(self.flat)
-        views = [view for _, view in self._params]
-        pairs = list(zip(views[0::2], views[1::2]))
-        self.blocks, self.heads = pairs[: len(widths)], pairs[len(widths) :]
+        layers = [self.layer_views(self.flat, l) for l in range(len(widths))]
+        self.blocks = [(w, b) for w, b, _, _ in layers]
+        self.heads = [(hw, hb) for _, _, hw, hb in layers]
 
     @property
     def num_layers(self):
@@ -93,12 +99,12 @@ class LayeredNet:
 
     def views(self, vec):
         """(name, view) pairs over any vector laid out like ``flat``."""
-        out, offset = [], 0
-        for name, shape in self._layout:
-            size = math.prod(shape)
-            out.append((name, vec[offset : offset + size].reshape(shape)))
-            offset += size
-        return out
+        return [(name, vec[part].reshape(shape)) for name, part, shape in self._slots]
+
+    def layer_views(self, vec, layer):
+        """Views of ``vec`` (laid out like ``flat``) at one layer's block
+        weight, block bias, head weight and head bias."""
+        return [vec[part].reshape(shape) for _, part, shape in self._layer_slots[layer]]
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -106,15 +112,15 @@ class LayeredNet:
             raise DimensionError(
                 f"input shape {x.shape} does not match input width {self.input_dim}"
             )
-        activations, logits, probs = [], [], []
+        activations = []
+        logits = np.empty((self.num_layers, len(x), self.num_classes))
         h = x
-        for (w, b), (hw, hb) in zip(self.blocks, self.heads):
+        for (w, b), (hw, hb), z in zip(self.blocks, self.heads, logits):
             h = np.tanh(h @ w + b)
-            z = h @ hw + hb
+            np.matmul(h, hw, out=z)
+            z += hb
             activations.append(h)
-            logits.append(z)
-            probs.append(T.softmax(z))
-        return ForwardRecord(self, x, activations, logits, probs)
+        return ForwardRecord(self, x, activations, logits, T.softmax(logits))
 
 
 def layer_accuracies(net, x, y):

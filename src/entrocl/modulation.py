@@ -59,7 +59,8 @@ class Objective:
     """One batch's composite objective: its value, what ``tensor.backward``
     needs to differentiate it, and what the step logs. ``alpha`` weighs each
     layer's cross entropy ``layer_losses`` and ``entropy_coef``
-    (``sign * gamma``) its mean entropy ``entropy.per_layer``."""
+    (``sign * gamma``) its mean entropy ``entropy.per_layer``; ``logp`` is
+    ``tensor.head_losses``'s ``(L, B, K)`` log of the floored probabilities."""
 
     total: float
     record: object  # model.ForwardRecord
@@ -69,6 +70,7 @@ class Objective:
     gamma: tuple
     layer_losses: tuple
     entropy: EntropyStats
+    logp: np.ndarray
 
     @property
     def tape(self):
@@ -150,8 +152,8 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
         )
 
     labels = np.asarray(labels, dtype=np.int64)
-    layer_losses = tuple(T.cross_entropy(p, labels) for p in record.probs)
-    stats = entropy_summary([T.mean_entropy(p) for p in record.probs])
+    ce, entropies, logp = T.head_losses(record.probs, labels)
+    layer_losses, stats = tuple(ce.tolist()), entropy_summary(entropies.tolist())
     if gamma is None:
         gamma = gamma_from_entropies(stats, beta)
     else:
@@ -168,4 +170,4 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
     for l in range(1, num_layers):
         total = total + layer_losses[l] * alpha[l]
         total = total + stats.per_layer[l] * entropy_coef[l]
-    return Objective(total, record, labels, alpha, entropy_coef, gamma, layer_losses, stats)
+    return Objective(total, record, labels, alpha, entropy_coef, gamma, layer_losses, stats, logp)

@@ -2,11 +2,12 @@
 
 Everything is 64-bit. The only function entrocl differentiates is the
 composite objective ``sum_l alpha[l]*CE_l + sign*gamma[l]*H_l`` over the
-per-layer softmax heads of a ``LayeredNet``; ``backward`` is its hand-written
-reverse sweep, and ``finite_difference_gradient`` the independent oracle that
-checks it. Probabilities are floored at PROB_EPS inside the log-consuming
-reductions (cross entropy, entropy); softmax output itself is never clamped,
-so rows keep summing to one exactly.
+per-layer softmax heads of a ``LayeredNet``; ``head_losses`` gives its terms
+for all heads at once, ``backward`` is its hand-written reverse sweep, and
+``finite_difference_gradient`` the independent oracle that checks it.
+Probabilities are floored at PROB_EPS inside the log-consuming reductions
+(cross entropy, entropy); softmax output itself is never clamped, so rows
+keep summing to one exactly.
 """
 
 import numpy as np
@@ -18,96 +19,93 @@ PROB_EPS = 1e-12
 
 
 def softmax(logits):
-    """Row-wise softmax with per-row max subtraction for stability."""
+    """Softmax over the last axis with per-row max subtraction for stability.
+
+    Takes one head's ``(B, K)`` logits or a stack of heads ``(L, B, K)``;
+    each slice of a stack gets exactly the bits it would get alone.
+    """
     v = np.asarray(logits, dtype=np.float64)
-    if v.ndim != 2:
-        raise DimensionError(f"softmax expects a rank-2 input, got shape {v.shape}")
-    if v.shape[1] < 1:
+    if v.ndim not in (2, 3):
+        raise DimensionError(f"softmax expects a rank-2 or rank-3 input, got shape {v.shape}")
+    if v.shape[-1] < 1:
         raise DimensionError("softmax row dimension is empty")
-    e = np.exp(v - v.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = v - v.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
-def cross_entropy(probs, labels):
-    """Mean negative log probability of the true class.
+def head_losses(probs, labels):
+    """Per-head cross entropy and mean entropy of an ``(L, B, K)`` stack.
 
-    Picked probabilities are floored at PROB_EPS before the log; entries at
-    the floor get no gradient from ``backward`` (the floored value is
-    constant there).
+    Returns ``(ce, entropy, logp)``: the ``(L,)`` mean negative log probability
+    of the true class, the ``(L,)`` mean over rows of ``-sum_i p_i ln p_i`` in
+    nats, and ``logp = ln(max(p, PROB_EPS))``, which ``backward`` reuses. One-hot
+    rows give exactly zero entropy; entries at the floor get no gradient from
+    ``backward`` (the floored value is constant there).
     """
     p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if p.ndim != 2 or labels.ndim != 1 or p.shape[0] != labels.shape[0]:
-        raise DimensionError(
-            f"cross_entropy shapes {p.shape} and labels {labels.shape} do not align"
-        )
-    batch, num_classes = p.shape
+    if p.ndim != 3 or labels.ndim != 1 or p.shape[1] != labels.shape[0]:
+        raise DimensionError(f"probs {p.shape} and labels {labels.shape} do not align")
+    _, batch, num_classes = p.shape
     if batch < 1:
-        raise ValueError("cross_entropy over an empty batch is undefined")
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ValueError(
-            f"label out of range [0, {num_classes}): {labels.min()}..{labels.max()}"
-        )
-    picked = p[np.arange(batch), labels]
-    return float(-np.log(np.maximum(picked, PROB_EPS)).mean())
-
-
-def mean_entropy(probs):
-    """Mean over rows of -sum_i p_i ln p_i, in nats.
-
-    Probabilities are floored at PROB_EPS inside the log only, so one-hot rows
-    give exactly zero and the result stays within [0, ln K].
-    """
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim != 2:
-        raise DimensionError(f"mean_entropy expects a rank-2 input, got {p.shape}")
-    if p.shape[0] < 1:
-        raise ValueError("entropy of an empty batch is undefined")
-    return float(-(p * np.log(np.maximum(p, PROB_EPS))).sum(axis=1).mean())
+        raise ValueError("cross entropy and entropy of an empty batch are undefined")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"label out of range [0, {num_classes}): {labels.min()}..{labels.max()}")
+    logp = np.log(np.maximum(p, PROB_EPS))
+    # the fancy index comes back F-ordered, and a mean over its strided rows
+    # would sum sequentially instead of pairwise, changing the bits
+    picked = np.ascontiguousarray(logp[:, np.arange(batch), labels])
+    ce = -picked.mean(axis=1)
+    entropy = -(p * logp).sum(axis=2).mean(axis=1)
+    return ce, entropy, logp
 
 
 def backward(objective):
     """Gradient of ``objective.total`` as a vector laid out like ``net.flat``.
 
     ``objective`` is what ``modulation.composite_loss`` returns: its forward
-    record, labels and the per-layer coefficients ``alpha`` (of CE) and
-    ``entropy_coef`` (``sign * gamma``, of H). The sweep runs from the deepest
-    head back to the input. Each adjoint sum in it has exactly two terms: a
-    block's output feeds its head and the next block, and a head's
-    probabilities feed its CE and its entropy. Addition of two terms is
-    commutative, so the result does not depend on the order the terms arrive.
+    record, labels, the heads' ``logp`` and the per-layer coefficients
+    ``alpha`` (of CE) and ``entropy_coef`` (``sign * gamma``, of H). The
+    heads' adjoints are computed on their whole ``(L, B, K)`` stack, then the
+    sweep runs from the deepest block back to the input. Each adjoint sum has
+    exactly two terms: a block's output feeds its head and the next block,
+    and a head's probabilities feed its CE and its entropy. Addition of two
+    terms is commutative, so the result does not depend on their order.
     """
-    record = objective.record
-    net = record.net
-    labels = objective.labels
+    record, labels = objective.record, objective.labels
+    net, p = record.net, record.probs
     batch = len(labels)
     rows = np.arange(batch)
+    coef = np.asarray(objective.entropy_coef).reshape(-1, 1, 1)
+    alpha = np.asarray(objective.alpha).reshape(-1, 1, 1)
+
+    picked = p[:, rows, labels]
+    d_ce = np.zeros_like(p)
+    d_ce[:, rows, labels] = np.where(
+        picked > PROB_EPS, -1.0 / (batch * np.maximum(picked, PROB_EPS)), 0.0
+    )
+    d_h = -(objective.logp + (p > PROB_EPS)) / batch
+    g_p = coef * d_h + alpha * d_ce
+    g_z = p * (g_p - (g_p * p).sum(axis=2, keepdims=True))
+
     grad = np.empty_like(net.flat)
-    views = dict(net.views(grad))
     g_next = None  # adjoint of this block's output from the block above it
     for layer in reversed(range(net.num_layers)):
-        h, p = record.activations[layer], record.probs[layer]
+        h, gz = record.activations[layer], g_z[layer]
         (w, _), (hw, _) = net.blocks[layer], net.heads[layer]
-
-        picked = p[rows, labels]
-        d_ce = np.zeros_like(p)
-        d_ce[rows, labels] = np.where(
-            picked > PROB_EPS, -1.0 / (batch * np.maximum(picked, PROB_EPS)), 0.0
-        )
-        d_h = -(np.log(np.maximum(p, PROB_EPS)) + (p > PROB_EPS)) / batch
-        g_p = objective.entropy_coef[layer] * d_h + objective.alpha[layer] * d_ce
-
-        g_z = p * (g_p - (g_p * p).sum(axis=1, keepdims=True))
-        views[f"head{layer}.w"][...] = h.T @ g_z
-        views[f"head{layer}.b"][...] = g_z.sum(axis=0)
-        g_h = g_z @ hw.T
+        block_w, block_b, head_w, head_b = net.layer_views(grad, layer)
+        np.matmul(h.T, gz, out=head_w)
+        np.sum(gz, axis=0, out=head_b)
+        g_h = gz @ hw.T
         if g_next is not None:
-            g_h = g_h + g_next
+            g_h += g_next
 
         g_a = g_h * (1.0 - h * h)
         below = record.activations[layer - 1] if layer else record.x
-        views[f"block{layer}.w"][...] = below.T @ g_a
-        views[f"block{layer}.b"][...] = g_a.sum(axis=0)
+        np.matmul(below.T, g_a, out=block_w)
+        np.sum(g_a, axis=0, out=block_b)
         if layer:
             g_next = g_a @ w.T
     return grad

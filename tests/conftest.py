@@ -36,6 +36,17 @@ def loss_fn(net, x, y, alpha, beta, gamma):
     return f
 
 
+def cross_entropy(probs, labels):
+    """One head's cross entropy, through the stacked kernel."""
+    return float(T.head_losses(np.asarray(probs, dtype=np.float64)[None], labels)[0][0])
+
+
+def mean_entropy(probs):
+    """One head's mean row entropy, through the stacked kernel."""
+    p = np.asarray(probs, dtype=np.float64)
+    return float(T.head_losses(p[None], np.zeros(len(p), dtype=np.int64))[1][0])
+
+
 def analytic_gradients(net, x, y, alpha, beta, gamma):
     objective = composite_loss(net.forward(x), y, alpha=alpha, beta=beta, gamma=gamma)
     return dict(net.views(T.backward(objective)))

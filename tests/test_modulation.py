@@ -15,6 +15,7 @@ from entrocl import (
     layer_zscores,
 )
 from entrocl import tensor as T
+from conftest import cross_entropy, mean_entropy
 
 mpmath.mp.dps = 50
 
@@ -40,20 +41,20 @@ def mp_alpha(accuracies):
 
 
 class TestBatchEntropy:
-    """``tensor.mean_entropy``: the mean row entropy of a batch of probabilities."""
+    """The mean row entropy of a batch of probabilities, from ``tensor.head_losses``."""
 
     def test_uniform_ten(self):
-        assert T.mean_entropy(np.full((4, 10), 0.1)) == pytest.approx(math.log(10), abs=1e-12)
+        assert mean_entropy(np.full((4, 10), 0.1)) == pytest.approx(math.log(10), abs=1e-12)
 
     def test_one_hot_is_zero(self):
-        assert abs(T.mean_entropy(np.eye(3))) < 1e-10
+        assert abs(mean_entropy(np.eye(3))) < 1e-10
 
     def test_fair_coin(self):
-        assert T.mean_entropy([[0.5, 0.5]]) == pytest.approx(math.log(2), abs=1e-12)
+        assert mean_entropy([[0.5, 0.5]]) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            T.mean_entropy(np.zeros((0, 3)))
+            mean_entropy(np.zeros((0, 3)))
 
 
 class TestLayerZScores:
@@ -212,7 +213,7 @@ class TestCompositeLoss:
         y = rng.integers(0, 4, size=8)
         record = net.forward(x)
         objective = composite_loss(record, y, alpha=(1.0, 1.0), beta=0.005, gamma=(0.0, 0.0))
-        expected = sum(T.cross_entropy(p, y) for p in record.probs)
+        expected = sum(cross_entropy(p, y) for p in record.probs)
         assert objective.total == pytest.approx(expected, abs=1e-12)
 
     def test_degenerate_zero_weight_closed_form(self):

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from entrocl import DimensionError, LayeredNet, composite_loss
 from entrocl import tensor as T
-from conftest import analytic_gradients, loss_fn, relative_error
+from conftest import analytic_gradients, cross_entropy, loss_fn, mean_entropy, relative_error
 
 
 class TestSoftmax:
@@ -58,24 +58,55 @@ class TestSoftmax:
 class TestCrossEntropy:
     def test_one_hot_is_zero(self):
         probs = np.asarray([[1.0, 0.0, 0.0]])
-        assert T.cross_entropy(probs, [0]) < 1e-12
+        assert cross_entropy(probs, [0]) < 1e-12
 
     def test_uniform_ten_classes(self):
         probs = np.full((3, 10), 0.1)
-        assert T.cross_entropy(probs, [0, 5, 9]) == pytest.approx(
+        assert cross_entropy(probs, [0, 5, 9]) == pytest.approx(
             math.log(10.0), abs=1e-12
         )
 
     def test_point_nine(self):
         probs = np.asarray([[0.9, 0.1]])
-        loss = T.cross_entropy(probs, [0])
+        loss = cross_entropy(probs, [0])
         assert loss == pytest.approx(-math.log(0.9), abs=1e-12)
         assert loss == pytest.approx(0.105361, abs=1e-6)
 
     def test_label_out_of_range(self):
         probs = np.asarray([[0.5, 0.5]])
         with pytest.raises(ValueError, match="label out of range"):
-            T.cross_entropy(probs, [2])
+            cross_entropy(probs, [2])
+
+
+class TestHeadLosses:
+    def test_stacked_heads_match_each_head_alone_bitwise(self):
+        # batches below 9 rows and from 9 up, where numpy's sums turn pairwise
+        rng = np.random.default_rng(2024)
+        for batch in range(1, 81):
+            num_layers, num_classes = int(rng.integers(2, 6)), int(rng.integers(2, 12))
+            logits = 8.0 * rng.standard_normal((num_layers, batch, num_classes))
+            logits[0, 0, 0] = -80.0  # a probability below PROB_EPS
+            labels = rng.integers(0, num_classes, size=batch)
+            labels[0] = 0
+            probs = T.softmax(logits)
+            ce, entropy, logp = T.head_losses(probs, labels)
+            assert ce.shape == entropy.shape == (num_layers,)
+            for layer, z in enumerate(logits):
+                p = T.softmax(z)
+                assert p.tobytes() == probs[layer].tobytes()
+                # one head alone, as the loss was computed per head
+                picked = p[np.arange(batch), labels]
+                ce_alone = -np.log(np.maximum(picked, T.PROB_EPS)).mean()
+                h_alone = -(p * np.log(np.maximum(p, T.PROB_EPS))).sum(axis=1).mean()
+                assert ce[layer].tobytes() == ce_alone.tobytes(), (batch, layer)
+                assert entropy[layer].tobytes() == h_alone.tobytes(), (batch, layer)
+                assert logp[layer].tobytes() == np.log(np.maximum(p, T.PROB_EPS)).tobytes()
+
+    def test_shapes_must_align(self):
+        with pytest.raises(DimensionError):
+            T.head_losses(np.full((2, 3), 0.5), [0, 1])
+        with pytest.raises(DimensionError):
+            T.head_losses(np.full((2, 3, 2), 0.5), [0, 1])
 
 
 class TestBackward:
@@ -97,7 +128,10 @@ class TestBackward:
         for h, p in zip(record.activations, record.probs):
             expected += [h, p]
         assert len(objective.tape) == 2 * net.num_layers + 1
-        assert all(a is b for a, b in zip(objective.tape, expected))
+        for a, b in zip(objective.tape, expected):
+            # the heads are slices of one (L, B, K) stack: each access is a new view
+            assert np.shares_memory(a, b) and a.shape == b.shape
+            assert np.array_equal(a, b)
 
     def test_floored_true_class_gets_no_gradient(self):
         # head 1's bias pushes class 0 to e^-60 (below PROB_EPS) or e^-20 (above)
@@ -187,6 +221,6 @@ class TestFiniteDifference:
 )
 @settings(max_examples=100, deadline=None)
 def test_softmax_entropy_pipeline_stays_finite(logits):
-    h = T.mean_entropy(T.softmax(logits))
+    h = mean_entropy(T.softmax(logits))
     assert np.isfinite(h)
     assert -1e-9 <= h <= math.log(logits.shape[1]) + 1e-9

@@ -77,6 +77,31 @@ class TestAdam:
         assert sliced.tobytes() == whole.tobytes()
         assert sliced_moments.v.tobytes() == whole_moments.v.tobytes()
 
+    @pytest.mark.parametrize("wd", [0.0, 1e-4])
+    def test_buffered_update_matches_the_plain_expressions_bitwise(self, wd):
+        rng = np.random.default_rng(3)
+        size = 2 * training.ADAM_SLICE + 123  # two whole slices and a partial one
+        flat = rng.standard_normal(size)
+        moments = AdamState(flat)
+        p, m, v = flat.copy(), np.zeros(size), np.zeros(size)
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        for t in range(1, 6):
+            g = rng.standard_normal(size)
+            adam_step(flat, g, moments, lr=lr, wd=wd, beta1=b1, beta2=b2, eps=eps)
+            # the update written with whole-array temporaries
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            if wd:
+                p *= 1.0 - lr * wd
+            p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert flat.tobytes() == p.tobytes()
+        assert moments.m.tobytes() == m.tobytes()
+        assert moments.v.tobytes() == v.tobytes()
+
     def test_sgd_step(self):
         flat = np.asarray([1.0])
         sgd_step(flat, np.asarray([0.5]), lr=0.1, wd=0.0)
