@@ -53,11 +53,14 @@ def apply_arm(cfg, arm):
 def parse_seeds(text):
     """Accept '7', '0,3,9' or inclusive ranges like '0..19'."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        seeds = tuple(range(int(lo), int(hi) + 1))
-    else:
-        seeds = tuple(int(part) for part in text.split(",") if part != "")
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            seeds = tuple(range(int(lo), int(hi) + 1))
+        else:
+            seeds = tuple(int(part) for part in text.split(",") if part != "")
+    except ValueError:
+        raise ConfigError(f"--seeds: not an integer list or range: {text!r}") from None
     if not seeds:
         raise ConfigError(f"no seeds in {text!r}")
     if len(set(seeds)) != len(seeds):
@@ -78,7 +81,10 @@ def parse_arms(text):
 
 
 def parse_widths(text):
-    widths = tuple(int(part) for part in text.split(",") if part != "")
+    try:
+        widths = tuple(int(part) for part in text.split(",") if part != "")
+    except ValueError:
+        raise ConfigError(f"--widths: not a comma-separated integer list: {text!r}") from None
     if not widths:
         raise ConfigError(f"no widths in {text!r}")
     return widths
@@ -149,8 +155,17 @@ def parse_args(argv):
     # Pre-scan for --config so file values become defaults the flags override.
     probe, _ = parser.parse_known_args(argv)
     if probe.config:
-        with open(probe.config, encoding="utf-8") as fh:
-            file_values = json.load(fh)
+        try:
+            with open(probe.config, encoding="utf-8") as fh:
+                file_values = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"{probe.config}: cannot read config: {exc.strerror}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{probe.config}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{probe.config}: not UTF-8 text at byte {exc.start}") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"{probe.config}: config must be a flat JSON object")
         known = {action.dest for action in parser._actions}
@@ -227,12 +242,6 @@ def execute_run(arm, seed, run_config, stream_config, out_dir):
     return result.summary
 
 
-def _worker(job):
-    arm, seed, run_config, stream_config, out_dir = job
-    summary = execute_run(arm, seed, run_config, stream_config, out_dir)
-    return arm, seed, summary
-
-
 def write_report(fh, arms, summaries):
     """Per-arm mean and population std of the summary metrics."""
     header = ["arm", "n_seeds"]
@@ -268,24 +277,19 @@ def run_plan(plan):
     failures = []
     summaries = {arm: [] for arm in plan.arms}
     if plan.jobs == 1:
-        outcomes = []
         for job in jobs:
             try:
-                outcomes.append(_worker(job))
+                summaries[job[0]].append(execute_run(*job))
             except Exception as exc:  # noqa: BLE001 - report and keep going
                 failures.append((job[0], job[1], repr(exc)))
     else:
-        outcomes = []
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
-            futures = [pool.submit(_worker, job) for job in jobs]
+            futures = [pool.submit(execute_run, *job) for job in jobs]
             for job, future in zip(jobs, futures):
                 try:
-                    outcomes.append(future.result())
+                    summaries[job[0]].append(future.result())
                 except Exception as exc:  # noqa: BLE001
                     failures.append((job[0], job[1], repr(exc)))
-
-    for arm, seed, summary in outcomes:
-        summaries[arm].append(summary)
 
     completed_arms = [arm for arm in plan.arms if summaries[arm]]
     if completed_arms:
@@ -306,11 +310,17 @@ def _read_summaries(arm_dir):
         except ValueError:
             raise ValueError(f"{path} is not a seed directory") from None
     rows = []
-    for seed in sorted(seeds):
+    for _, path in sorted(seeds.items()):
         try:
-            rows.append(json.loads(seeds[seed].read_text(encoding="utf-8")))
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{seeds[seed]} is not valid JSON: {exc}") from None
+            summary = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # bad JSON or bad UTF-8, named with the file
+            raise ValueError(f"{path} is not valid JSON: {exc}") from None
+        if not isinstance(summary, dict):
+            raise ValueError(f"{path}: summary is not a JSON object")
+        for name in REPORT_METRICS:
+            if type(summary.get(name)) not in (int, float):
+                raise ValueError(f"{path}: {name} is missing or not a number")
+        rows.append(summary)
     return rows
 
 
@@ -318,15 +328,14 @@ def verify_report(out_dir):
     """Recompute the aggregate from per-run summaries and diff against report.csv."""
     out = Path(out_dir)
     report_path = out / "report.csv"
-    if not report_path.exists():
-        print(f"error: {report_path} not found", file=sys.stderr)
-        return 1
-    with open(report_path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    arms = [line.split(",", 1)[0] for line in lines[1:]]
-
     try:
+        with open(report_path, encoding="utf-8") as fh:
+            lines = [line.rstrip("\n") for line in fh if line.strip()]
+        arms = [line.split(",", 1)[0] for line in lines[1:]]
         summaries = {arm: _read_summaries(out / arm) for arm in arms}
+    except UnicodeDecodeError as exc:
+        print(f"error: {report_path}: not UTF-8 text at byte {exc.start}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

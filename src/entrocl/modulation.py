@@ -38,8 +38,6 @@ class EntropyStats:
     """Per-layer mean batch entropies with their cross-layer z-scores."""
 
     per_layer: tuple
-    mu: float
-    sigma: float
     z: tuple
 
 
@@ -100,13 +98,8 @@ def layer_zscores(values):
 
 
 def entropy_summary(per_layer_entropies):
-    mu, sigma, z = layer_zscores(per_layer_entropies)
-    return EntropyStats(
-        per_layer=tuple(float(v) for v in per_layer_entropies),
-        mu=mu,
-        sigma=sigma,
-        z=tuple(z),
-    )
+    _, _, z = layer_zscores(per_layer_entropies)
+    return EntropyStats(per_layer=tuple(float(v) for v in per_layer_entropies), z=tuple(z))
 
 
 def gamma_from_entropies(stats, beta):

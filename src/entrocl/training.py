@@ -46,7 +46,7 @@ def telemetry_dtype(num_layers):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     beta: float = 0.005
     learning_rate: float = 1e-3
@@ -61,9 +61,6 @@ class RunConfig:
     seed: int = 0
     widths: tuple = (64, 64, 64, 64)
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def validate(self):
         if self.beta < 0:
@@ -90,11 +87,6 @@ class RunConfig:
             raise ConfigError(f"widths must be positive, got {self.widths}")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
-
-    def to_dict(self):
-        d = asdict(self)
-        d["widths"] = list(self.widths)
-        return d
 
 
 # adam_step walks the flat vector in cache-sized slices of this many entries
@@ -154,6 +146,7 @@ def sgd_step(flat, grad, lr, wd):
 
 @dataclass
 class RunState:
+    cfg: RunConfig  # validated by init_state; governs every task of the run
     net: LayeredNet
     moments: AdamState
     buffer: ReplayBuffer
@@ -162,7 +155,6 @@ class RunState:
     modulators: ModulatorState
     telemetry: np.ndarray  # every step of every completed task, see TELEMETRY_FIELDS
     task_index: int = 0
-    step: int = 0
 
 
 def init_state(cfg, input_dim, num_classes):
@@ -170,6 +162,7 @@ def init_state(cfg, input_dim, num_classes):
     net = LayeredNet.init(input_dim, cfg.widths, num_classes, seed=cfg.seed)
     train_seq, buffer_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     return RunState(
+        cfg=cfg,
         net=net,
         moments=AdamState(net.flat),
         buffer=ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(buffer_seq)),
@@ -182,9 +175,9 @@ def init_state(cfg, input_dim, num_classes):
     )
 
 
-def run_task(state, task, cfg):
-    """Train on one task for a single epoch, per the outer-loop protocol."""
-    cfg.validate()
+def run_task(state, task):
+    """Train one epoch on ``task`` under ``state.cfg``, per the outer-loop protocol."""
+    cfg = state.cfg
     if task.train_size == 0:
         raise ConfigError(f"task {task.task_id} has no training examples")
     if task.task_id <= state.task_index:
@@ -229,27 +222,17 @@ def run_task(state, task, cfg):
         if not (np.isfinite(objective.total) and np.isfinite(grad).all()):
             layer = _first_nonfinite_layer(state.net, grad, objective)
             raise FloatingPointError(
-                f"step {state.step + 1} of task {task.task_id} diverged: objective "
+                f"step {len(state.telemetry) + i + 1} of task {task.task_id} diverged: objective "
                 f"{objective.total!r}, first non-finite layer {layer}"
             )
         if cfg.optimizer == "adam":
-            adam_step(
-                state.net.flat,
-                grad,
-                state.moments,
-                cfg.learning_rate,
-                cfg.weight_decay,
-                cfg.adam_beta1,
-                cfg.adam_beta2,
-                cfg.adam_eps,
-            )
+            adam_step(state.net.flat, grad, state.moments, cfg.learning_rate, cfg.weight_decay)
         else:
             sgd_step(state.net.flat, grad, cfg.learning_rate, cfg.weight_decay)
 
         state.buffer.extend(
             [(bx, int(by), task.task_id) for bx, by in zip(batch_x, batch_y)]
         )
-        state.step += 1
         stats = objective.entropy
         rows[i] = (
             task.task_id,
@@ -281,7 +264,6 @@ class RunResult:
     per_layer: list
     telemetry: np.ndarray  # one row per step, see TELEMETRY_FIELDS
     summary: dict
-    runtime_seconds: float
 
 
 def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
@@ -290,7 +272,6 @@ def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
     Returns a RunResult; when ``out_dir`` is given, also writes the manifest,
     accuracy matrices, telemetry and summary there.
     """
-    cfg.validate()
     if len(tasks) < 2:
         raise ConfigError("a sequence needs at least 2 tasks")
     for task in tasks:
@@ -310,16 +291,15 @@ def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
 
     started = time.perf_counter()
     for t, task in enumerate(tasks, start=1):
-        run_task(state, task, cfg)
+        run_task(state, task)
         for s, seen in enumerate(tasks[:t], start=1):
             accuracies = layer_accuracies(state.net, seen.test_x, seen.test_y)
             for layer, acc in enumerate(accuracies):
                 per_layer[layer].set(t, s, acc)
             matrix.set(t, s, accuracies[-1])
-    runtime = time.perf_counter() - started
 
-    summary = build_summary(matrix, state.telemetry, runtime)
-    result = RunResult(matrix, per_layer, state.telemetry, summary, runtime)
+    summary = build_summary(matrix, state.telemetry, time.perf_counter() - started)
+    result = RunResult(matrix, per_layer, state.telemetry, summary)
     if out_dir is not None:
         write_run_artifacts(out_dir, cfg, result, manifest_extra)
     return result
@@ -356,7 +336,7 @@ def write_run_artifacts(out_dir, cfg, result, manifest_extra=None):
     out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {
-        "run_config": cfg.to_dict(),
+        "run_config": asdict(cfg),
         "seed": cfg.seed,
         "version": __version__,
     }

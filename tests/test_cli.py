@@ -13,6 +13,19 @@ from entrocl.cli import (
     verify_report,
 )
 
+
+def edit_summary(path, **values):
+    summary = json.loads(path.read_text())
+    summary.update(values)
+    path.write_text(json.dumps(summary))
+
+
+def report_as_directory(arm):
+    report = arm.parent / "report.csv"
+    report.unlink()
+    report.mkdir()
+
+
 FAST_FLAGS = [
     "--train-per-class", "30",
     "--test-per-class", "10",
@@ -102,6 +115,34 @@ class TestParsing:
     def test_zero_beta_rejected_by_run_config(self):
         with pytest.raises(ConfigError, match="beta"):
             parse_args(["--beta", "0"])
+
+    @pytest.mark.parametrize(
+        "flag, text, named",
+        [
+            ("--seeds", "x", "--seeds: not an integer list or range: 'x'"),
+            ("--seeds", "0..a", "--seeds: not an integer list or range: '0..a'"),
+            ("--widths", "a,b", "--widths: not a comma-separated integer list: 'a,b'"),
+            ("--config", None, "run.json: cannot read config: No such file or directory"),
+            ("--config", '{"beta": 0.01,\n "seeds": }', "run.json:2:11: invalid JSON"),
+            ("--config", b"\xff\xfe", "not UTF-8 text at byte 0"),
+        ],
+        ids=["seeds-word", "seeds-range", "widths-word", "config-missing", "config-bad-json",
+             "config-not-utf8"],
+    )
+    def test_bad_boundary_input_exits_2_with_an_error_line(
+        self, tmp_path, capsys, flag, text, named
+    ):
+        if flag == "--config":
+            config = tmp_path / "run.json"
+            if isinstance(text, bytes):
+                config.write_bytes(text)
+            elif text is not None:
+                config.write_text(text)
+            text = str(config)
+        assert main([flag, text, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not (tmp_path / "out").exists()
 
     def test_config_file_unknown_key(self, tmp_path):
         config = tmp_path / "run.json"
@@ -217,8 +258,31 @@ class TestVerify:
             (lambda arm: (arm / "1" / "summary.json").unlink(), "summary.json"),
             (lambda arm: (arm / "notes").mkdir(), "notes is not a seed directory"),
             (lambda arm: (arm / "0" / "summary.json").write_text("{"), "is not valid JSON"),
+            (
+                lambda arm: (arm / "0" / "summary.json").write_text('{"acc_final": 0.5}'),
+                "summary.json: bwt is missing or not a number",
+            ),
+            (
+                lambda arm: (arm / "0" / "summary.json").write_text("[1, 2]"),
+                "summary.json: summary is not a JSON object",
+            ),
+            (
+                lambda arm: edit_summary(arm / "1" / "summary.json", acc_final="high"),
+                "summary.json: acc_final is missing or not a number",
+            ),
+            (
+                lambda arm: (arm / "1" / "summary.json").write_bytes(b"\xff{}"),
+                "summary.json is not valid JSON",
+            ),
+            (report_as_directory, "Is a directory"),
+            (
+                lambda arm: (arm.parent / "report.csv").write_bytes(b"arm\xff\n"),
+                "report.csv: not UTF-8 text at byte 3",
+            ),
         ],
-        ids=["missing-summary", "non-integer-directory", "truncated-summary"],
+        ids=["missing-summary", "non-integer-directory", "truncated-summary", "missing-metric",
+             "non-object-summary", "non-numeric-metric", "non-utf8-summary",
+             "report-is-directory", "non-utf8-report"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

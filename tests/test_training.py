@@ -114,7 +114,7 @@ class TestRunTask:
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
         initial = state.modulators
-        run_task(state, tasks[0], cfg)
+        run_task(state, tasks[0])
         assert state.modulators is initial  # set at task boundaries, not per step
         assert state.modulators.alpha == (1.0, 1.0)
 
@@ -122,8 +122,8 @@ class TestRunTask:
         tasks = tiny_stream(0)
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
-        run_task(state, tasks[0], cfg)
-        run_task(state, tasks[1], cfg)
+        run_task(state, tasks[0])
+        run_task(state, tasks[1])
         assert state.modulators.source_accuracies  # populated at task 2
         alpha, _, _, _ = alpha_from_accuracies(state.modulators.source_accuracies)
         assert state.modulators.alpha == alpha
@@ -133,37 +133,45 @@ class TestRunTask:
         cfg = tiny_config(0, enable_adaptive_training=False)
         state = init_state(cfg, 8, 6)
         for task in tasks:
-            run_task(state, task, cfg)
+            run_task(state, task)
         assert state.modulators.alpha == (1.0, 1.0)
 
     def test_task_ids_must_increase(self):
         tasks = tiny_stream(0)
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
-        run_task(state, tasks[0], cfg)
+        run_task(state, tasks[0])
         with pytest.raises(ConfigError):
-            run_task(state, tasks[0], cfg)
+            run_task(state, tasks[0])
 
-    def test_invalid_config_fails_before_mutation(self):
-        tasks = tiny_stream(0)
+    def test_invalid_config_is_rejected_before_any_work(self):
         cfg = tiny_config(0, learning_rate=-1.0)
-        good = tiny_config(0)
-        state = init_state(good, 8, 6)
-        with pytest.raises(ConfigError):
-            run_task(state, tasks[0], cfg)
-        assert state.step == 0
-        assert len(state.buffer) == 0
+        with pytest.raises(ConfigError, match="learning rate"):
+            init_state(cfg, 8, 6)
+        with pytest.raises(ConfigError, match="learning rate"):
+            run_sequence(tiny_stream(0), cfg)
+
+    def test_state_binds_its_config(self):
+        cfg = tiny_config(0)
+        state = init_state(cfg, 8, 6)
+        assert state.cfg is cfg
+        with pytest.raises(AttributeError):
+            state.cfg.learning_rate = -1.0  # frozen: validated once, never edited
 
     def test_non_finite_step_fails_loudly(self):
         tasks = tiny_stream(0)
         tasks[1].train_x[17, 3] = np.nan
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
-        run_task(state, tasks[0], cfg)
+        run_task(state, tasks[0])
         with pytest.raises(
             FloatingPointError, match=r"step \d+ of task 2 diverged: .* first non-finite layer 0"
-        ):
-            run_task(state, tasks[1], cfg)
+        ) as failure:
+            run_task(state, tasks[1])
+        # the run's step count: task 1's steps, then the steps of task 2 up to the bad one
+        step = int(str(failure.value).split()[1])
+        task1_steps, task2_steps = (math.ceil(t.train_size / 10) for t in tasks[:2])
+        assert task1_steps < step <= task1_steps + task2_steps
         # the diverged step is reported before the optimizer applies it
         assert np.isfinite(state.net.flat).all()
         # the telemetry holds the completed first task and nothing of the failed one
@@ -185,7 +193,7 @@ class TestRunTask:
                 enable_adaptive_training=False,
             )
             state = init_state(cfg, 8, 2)
-            run_task(state, tasks[0], cfg)
+            run_task(state, tasks[0])
             preds = state.net.forward(tasks[0].test_x).probs[1].argmax(axis=1)
             final.append(float((preds == tasks[0].test_y).mean()))
         assert float(np.mean(final)) > 0.95
