@@ -14,10 +14,9 @@ cfg = RunConfig(seed=0)
 result = run_sequence(tasks, cfg)
 
 print("\naccuracy matrix (row = after task t, column = eval task s):")
-T = result.matrix.num_tasks
-for t in range(1, T + 1):
-    row = " ".join(f"{result.matrix.get(t, s):.3f}" for s in range(1, t + 1))
-    print(f"  t={t}: {row}")
+# result.accuracy is (layers, tasks, tasks); its last layer is the reported deepest head
+for t, row in enumerate(result.accuracy[-1], start=1):
+    print(f"  t={t}: " + " ".join(f"{a:.3f}" for a in row[:t]))
 
 s = result.summary
 print(f"\nfinal average accuracy : {s['acc_final']:.4f}")

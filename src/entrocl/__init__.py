@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .buffers import ReplayBuffer, ValidationBuffer, evaluate_layer_accuracies
 from .errors import ConfigError, DimensionError, FormatError
 from .metrics import (
-    AccuracyMatrix,
     average_forgetting,
     backward_transfer,
     cross_layer_entropy_spread,
@@ -35,7 +34,6 @@ from .streams import (
 from .training import RunConfig, adam_step, run_sequence, run_task
 
 __all__ = [
-    "AccuracyMatrix",
     "ConfigError",
     "DimensionError",
     "EntropyStats",

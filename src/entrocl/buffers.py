@@ -20,9 +20,6 @@ class ReplayBuffer:
         self.seen_count = 0
         self.rng = rng
 
-    def __len__(self):
-        return len(self.items)
-
     def extend(self, items):
         """Bulk insert; draws all replacement slots in one vectorized call."""
         items = list(items)
@@ -58,10 +55,6 @@ class ValidationBuffer:
             raise ValueError(f"per-task quota must be positive, got {per_task_quota}")
         self.per_task_quota = int(per_task_quota)
         self.per_task = {}
-
-    @property
-    def num_tasks(self):
-        return len(self.per_task)
 
     def update(self, inputs, labels, task_id, rng):
         """Store a class-balanced quota of the task's examples.

@@ -198,6 +198,8 @@ def parse_args(argv):
     )
     run_config.validate()
 
+    if int(args.num_tasks) < 2:
+        raise ConfigError(f"--num-tasks: a sequence needs at least 2 tasks, got {args.num_tasks}")
     stream_config = StreamConfig(
         source=args.stream,
         num_tasks=int(args.num_tasks),

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check of its configs."""
+
+import math
+from dataclasses import fields
 
 
 class DimensionError(ValueError):
@@ -17,3 +20,11 @@ class FormatError(ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+def require_finite(config):
+    """Raise ConfigError naming the first float field of a config dataclass that is not finite."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value!r}")

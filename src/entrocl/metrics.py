@@ -1,90 +1,63 @@
 """Continual-learning evaluation metrics over a task-by-task accuracy grid.
 
 The grid a[t][s] holds accuracy on task s after finishing task t (1-based task
-ids, defined for s <= t). From it: final average accuracy, backward transfer
-(negative means forgetting) and average forgetting (drop from each task's
-best-ever accuracy, always nonnegative). Entropy telemetry feeds two
-diagnostics: the squared deviation of per-layer entropies from their mean,
-and the cross-layer entropy spread near the end of a run.
+ids, defined for s <= t). It is a float64 (T, T) array with a[t][s] at
+[t-1, s-1] and NaN above the diagonal. From it: final average accuracy,
+backward transfer (negative means forgetting) and average forgetting (drop
+from each task's best-ever accuracy, always nonnegative). Entropy telemetry
+feeds two diagnostics: the squared deviation of per-layer entropies from their
+mean, and the cross-layer entropy spread near the end of a run.
 """
 
 import numpy as np
 
 
-class AccuracyMatrix:
-    def __init__(self, num_tasks):
-        if num_tasks < 1:
-            raise ValueError("need at least one task")
-        self.num_tasks = int(num_tasks)
-        self._grid = np.full((num_tasks, num_tasks), np.nan)
-
-    def set(self, after_task, eval_task, accuracy):
-        if not 1 <= eval_task <= after_task <= self.num_tasks:
-            raise ValueError(
-                f"entry ({after_task}, {eval_task}) outside the lower triangle"
-            )
-        if not 0.0 <= accuracy <= 1.0:
-            raise ValueError(f"accuracy {accuracy} outside [0, 1]")
-        self._grid[after_task - 1, eval_task - 1] = accuracy
-
-    def get(self, after_task, eval_task):
-        value = self._grid[after_task - 1, eval_task - 1]
-        if np.isnan(value):
-            raise ValueError(f"entry ({after_task}, {eval_task}) was never filled")
-        return float(value)
-
-    def is_complete(self):
-        lower = np.tril_indices(self.num_tasks)
-        return not np.any(np.isnan(self._grid[lower]))
-
-    def _require_complete(self):
-        if not self.is_complete():
-            raise ValueError("accuracy matrix is incomplete")
-
-    def to_csv(self, fh):
-        """Grid layout: row t, column s, cell a[t][s]; undefined cells empty."""
-        fh.write("task," + ",".join(str(s) for s in range(1, self.num_tasks + 1)) + "\n")
-        for t in range(1, self.num_tasks + 1):
-            cells = []
-            for s in range(1, self.num_tasks + 1):
-                cells.append(repr(self.get(t, s)) if s <= t else "")
-            fh.write(f"{t}," + ",".join(cells) + "\n")
+def _complete(grid):
+    """``grid`` as a float64 (T, T) array, checked full on and below the diagonal, NaN above."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 2 or grid.shape[0] != grid.shape[1] or grid.size == 0:
+        raise ValueError(f"accuracy matrix must be a nonempty (T, T) grid, got {grid.shape}")
+    lower = np.tri(len(grid), dtype=bool)
+    if np.isnan(grid[lower]).any():
+        raise ValueError("accuracy matrix is incomplete")
+    return np.where(lower, grid, np.nan)
 
 
-def final_average_accuracy(matrix):
+def write_accuracy_csv(fh, grid):
+    """Grid layout: row t, column s, cell a[t][s]; cells above the diagonal empty.
+    ``tolist`` gives Python floats, whose ``repr`` round-trips exactly."""
+    grid = _complete(grid)
+    fh.write("task," + ",".join(str(s) for s in range(1, len(grid) + 1)) + "\n")
+    for t, row in enumerate(grid.tolist(), start=1):
+        fh.write(f"{t}," + ",".join(repr(a) if s < t else "" for s, a in enumerate(row)) + "\n")
+
+
+def final_average_accuracy(grid):
     """Mean accuracy over all tasks after the last one finished."""
-    matrix._require_complete()
-    T = matrix.num_tasks
-    return float(np.mean([matrix.get(T, s) for s in range(1, T + 1)]))
+    return float(np.mean(_complete(grid)[-1]))
 
 
-def backward_transfer(matrix):
+def backward_transfer(grid):
     """Mean of a[T][s] - a[s][s] over s < T; negative values mean forgetting."""
-    matrix._require_complete()
-    T = matrix.num_tasks
-    if T < 2:
+    grid = _complete(grid)
+    if len(grid) < 2:
         raise ValueError("backward transfer needs at least 2 tasks")
-    diffs = [matrix.get(T, s) - matrix.get(s, s) for s in range(1, T)]
-    return float(np.mean(diffs))
+    return float(np.mean(grid[-1, :-1] - grid.diagonal()[:-1]))
 
 
-def average_forgetting(matrix):
+def average_forgetting(grid):
     """Mean drop from each task's best-ever accuracy to its final accuracy.
 
     Nonnegative by construction; equals -BWT whenever every column peaks at
     its diagonal.
     """
-    matrix._require_complete()
-    T = matrix.num_tasks
-    if T < 2:
+    grid = _complete(grid)
+    if len(grid) < 2:
         raise ValueError("average forgetting needs at least 2 tasks")
-    drops = []
-    for s in range(1, T):
-        # best-ever includes the final row, keeping the drop nonnegative even
-        # under positive backward transfer
-        best = max(matrix.get(k, s) for k in range(s, T + 1))
-        drops.append(best - matrix.get(T, s))
-    return float(np.mean(drops))
+    # best-ever includes the final row, keeping the drop nonnegative even under
+    # positive backward transfer; fmax skips the NaNs above the diagonal
+    best = np.fmax.reduce(grid[:, :-1], axis=0)
+    return float(np.mean(best - grid[-1, :-1]))
 
 
 def entropy_deviation(per_layer_entropies):

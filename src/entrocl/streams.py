@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, require_finite
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -63,6 +63,7 @@ class StreamConfig:
         return self.num_tasks * self.classes_per_task
 
     def validate(self):
+        require_finite(self)
         if self.source not in STREAM_SOURCES:
             raise ConfigError(f"unknown stream source {self.source!r}")
         if self.num_tasks < 1 or self.classes_per_task < 1:
@@ -168,47 +169,38 @@ def batches(task, batch_size, rng):
         yield task.train_x[idx], task.train_y[idx]
 
 
-def parse_idx_images(path):
-    """Parse an IDX image file into a (count, rows*cols) float matrix in [0, 1]."""
+def _read_idx(path, magic, kind):
+    """An IDX file's uint8 payload in the shape of the big-endian uint32
+    dimensions after its magic, whose low byte gives their count."""
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated IDX image header", offset=len(data))
-    magic, count, rows, cols = struct.unpack(">IIII", data[:16])
-    if magic != IDX_IMAGE_MAGIC:
+    header = 4 * (1 + (magic & 0xFF))
+    if len(data) < header:
+        raise FormatError(f"{path}: truncated IDX {kind} header", offset=len(data))
+    found, *dims = struct.unpack(f">{header // 4}I", data[:header])
+    if found != magic:
         raise FormatError(
-            f"{path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}",
-            offset=0,
+            f"{path}: bad {kind} magic 0x{found:08x}, expected 0x{magic:08x}", offset=0
         )
-    expected = 16 + count * rows * cols
+    expected = header + math.prod(dims)
     if len(data) != expected:
         raise FormatError(
-            f"{path}: expected {expected} bytes for {count} images of "
-            f"{rows}x{cols}, got {len(data)}",
+            f"{path}: expected {expected} bytes for {kind}s of shape {tuple(dims)}, "
+            f"got {len(data)}",
             offset=min(len(data), expected),
         )
-    pixels = np.frombuffer(data, dtype=np.uint8, offset=16)
+    return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
+
+
+def parse_idx_images(path):
+    """Parse an IDX image file into a (count, rows*cols) float matrix in [0, 1]."""
+    pixels = _read_idx(path, IDX_IMAGE_MAGIC, "image")
+    count, rows, cols = pixels.shape
     return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
 def parse_idx_labels(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 8:
-        raise FormatError(f"{path}: truncated IDX label header", offset=len(data))
-    magic, count = struct.unpack(">II", data[:8])
-    if magic != IDX_LABEL_MAGIC:
-        raise FormatError(
-            f"{path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}",
-            offset=0,
-        )
-    expected = 8 + count
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes for {count} labels, got {len(data)}",
-            offset=min(len(data), expected),
-        )
-    return np.frombuffer(data, dtype=np.uint8, offset=8).astype(np.int64)
+    return _read_idx(path, IDX_LABEL_MAGIC, "label").astype(np.int64)
 
 
 def load_idx_stream(images_path, labels_path, cfg):

@@ -19,14 +19,14 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .buffers import ReplayBuffer, ValidationBuffer, evaluate_layer_accuracies
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .metrics import (
-    AccuracyMatrix,
     average_forgetting,
     backward_transfer,
     cross_layer_entropy_spread,
     entropy_deviation,
     final_average_accuracy,
+    write_accuracy_csv,
 )
 from .model import LayeredNet, layer_accuracies
 from .modulation import ENTROPY_SIGNS, ModulatorState, alpha_from_accuracies, composite_loss
@@ -63,6 +63,7 @@ class RunConfig:
     optimizer: str = "adam"
 
     def validate(self):
+        require_finite(self)
         if self.beta < 0:
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
         if self.enable_entropy_scaling and self.beta == 0:
@@ -189,7 +190,7 @@ def run_task(state, task):
     num_layers = state.net.num_layers
 
     # the from-the-second-task guard: modulators need past-task validation data
-    if cfg.enable_adaptive_training and state.vbuf.num_tasks > 0:
+    if cfg.enable_adaptive_training and state.vbuf.per_task:
         accuracies = evaluate_layer_accuracies(state.net, state.vbuf)
         alpha, mu_acc, sigma_acc, _ = alpha_from_accuracies(accuracies)
         state.modulators = ModulatorState(alpha, tuple(accuracies), mu_acc, sigma_acc)
@@ -260,8 +261,9 @@ def _first_nonfinite_layer(net, grad, objective):
 
 @dataclass
 class RunResult:
-    matrix: AccuracyMatrix
-    per_layer: list
+    # [l, t-1, s-1]: head l's accuracy on task s after training task t, NaN for s > t;
+    # accuracy[-1] is the reported (deepest-head) grid
+    accuracy: np.ndarray
     telemetry: np.ndarray  # one row per step, see TELEMETRY_FIELDS
     summary: dict
 
@@ -270,7 +272,7 @@ def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
     """Run the whole stream and evaluate after every task.
 
     Returns a RunResult; when ``out_dir`` is given, also writes the manifest,
-    accuracy matrices, telemetry and summary there.
+    accuracy grids, telemetry and summary there.
     """
     if len(tasks) < 2:
         raise ConfigError("a sequence needs at least 2 tasks")
@@ -284,34 +286,29 @@ def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
     input_dim = tasks[0].train_x.shape[1]
     num_classes = max(max(task.class_ids) for task in tasks) + 1
     state = init_state(cfg, input_dim, num_classes)
-    num_layers = state.net.num_layers
-
-    matrix = AccuracyMatrix(len(tasks))
-    per_layer = [AccuracyMatrix(len(tasks)) for _ in range(num_layers)]
+    accuracy = np.full((state.net.num_layers, len(tasks), len(tasks)), np.nan)
 
     started = time.perf_counter()
-    for t, task in enumerate(tasks, start=1):
+    for t, task in enumerate(tasks):
         run_task(state, task)
-        for s, seen in enumerate(tasks[:t], start=1):
-            accuracies = layer_accuracies(state.net, seen.test_x, seen.test_y)
-            for layer, acc in enumerate(accuracies):
-                per_layer[layer].set(t, s, acc)
-            matrix.set(t, s, accuracies[-1])
+        for s, seen in enumerate(tasks[: t + 1]):
+            accuracy[:, t, s] = layer_accuracies(state.net, seen.test_x, seen.test_y)
 
-    summary = build_summary(matrix, state.telemetry, time.perf_counter() - started)
-    result = RunResult(matrix, per_layer, state.telemetry, summary)
+    summary = build_summary(accuracy[-1], state.telemetry, time.perf_counter() - started)
+    result = RunResult(accuracy, state.telemetry, summary)
     if out_dir is not None:
         write_run_artifacts(out_dir, cfg, result, manifest_extra)
     return result
 
 
-def build_summary(matrix, telemetry, runtime_seconds):
+def build_summary(grid, telemetry, runtime_seconds):
+    """The run's metrics from its deepest-head (T, T) accuracy grid and its telemetry."""
     tasks = telemetry["task"]
     per_task = [telemetry["entropy"][tasks == t] for t in np.unique(tasks)]
     return {
-        "acc_final": final_average_accuracy(matrix),
-        "bwt": backward_transfer(matrix),
-        "average_forgetting": average_forgetting(matrix),
+        "acc_final": final_average_accuracy(grid),
+        "bwt": backward_transfer(grid),
+        "average_forgetting": average_forgetting(grid),
         "entropy_spread_final": cross_layer_entropy_spread(per_task[-1], SPREAD_WINDOW),
         "delta_t_per_task": [
             entropy_deviation(rows[-SPREAD_WINDOW:].mean(axis=0)) for rows in per_task
@@ -347,14 +344,13 @@ def write_run_artifacts(out_dir, cfg, result, manifest_extra=None):
         fh.write("\n")
 
     with open(out_dir / "accuracy_matrix.csv", "w", encoding="utf-8") as fh:
-        result.matrix.to_csv(fh)
+        write_accuracy_csv(fh, result.accuracy[-1])
     with open(out_dir / "per_layer_accuracy.csv", "w", encoding="utf-8") as fh:
         fh.write("after_task,eval_task,layer,accuracy\n")
-        T_tasks = result.matrix.num_tasks
-        for t in range(1, T_tasks + 1):
-            for s in range(1, t + 1):
-                for layer, m in enumerate(result.per_layer):
-                    fh.write(f"{t},{s},{layer},{m.get(t, s)!r}\n")
+        for t, row in enumerate(result.accuracy.transpose(1, 2, 0).tolist(), start=1):
+            for s, layers in enumerate(row[:t], start=1):
+                for layer, acc in enumerate(layers):
+                    fh.write(f"{t},{s},{layer},{acc!r}\n")
     with open(out_dir / "telemetry.csv", "w", encoding="utf-8") as fh:
         write_telemetry_csv(fh, result.telemetry)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:

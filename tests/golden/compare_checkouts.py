@@ -1,0 +1,111 @@
+"""Run the same plans through two checkouts' CLIs and diff their artifacts byte for byte.
+
+    python3 tests/golden/compare_checkouts.py PARENT CHANGE
+
+PARENT and CHANGE are repository roots, for example a clean copy of the parent
+commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
+``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
+hold 12 runs: the four arms on seeds 0 and 1 at ``--jobs 2``, then one run
+each with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``
+and the benchmark's wide-eval shape. Every file of every plan is compared
+byte for byte (``report.csv`` included), ``summary.json`` less its wall-clock
+``runtime_seconds``. Exits 0 when all match; otherwise prints each differing
+or missing file and exits 1.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+WIDE_EVAL = (
+    "--input-dim", "256", "--widths", "256,256,256,256",
+    "--batch-size", "50", "--buffer-batch-size", "16",
+    "--buffer-capacity", "2000", "--test-per-class", "1000",
+)
+ALL_ARMS = "full,no_entropy_scaling,no_adaptive_training,plain_er"
+PLANS = {
+    "arms": ("--arms", ALL_ARMS, "--seeds", "0,1", "--jobs", "2"),
+    "sgd": ("--optimizer", "sgd"),
+    "reward": ("--entropy-sign", "reward"),
+    "widths": ("--widths", "8,16,4"),
+    "wide-eval": WIDE_EVAL,
+}
+
+
+def checkout_env(root):
+    """The environment that imports entrocl from ``root/src``, checked by importing it."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    where = subprocess.run(
+        [sys.executable, "-c", "import entrocl; print(entrocl.__file__)"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(where).resolve().is_relative_to(root):
+        sys.exit(f"error: entrocl imported from {where}, not from {root / 'src'}")
+    return env
+
+
+def comparable(path):
+    """The bytes to compare: the file, or summary.json without its wall time."""
+    data = path.read_bytes()
+    if path.name == "summary.json":
+        summary = json.loads(data)
+        summary.pop("runtime_seconds", None)
+        data = json.dumps(summary, sort_keys=True).encode()
+    return data
+
+
+def diff_trees(left, right):
+    """Relative paths of files that differ or exist on one side only, and the files compared."""
+    files = {
+        str(path.relative_to(root))
+        for root in (left, right)
+        for path in root.rglob("*")
+        if path.is_file()
+    }
+    differing = []
+    for name in sorted(files):
+        a, b = left / name, right / name
+        if not (a.is_file() and b.is_file()) or comparable(a) != comparable(b):
+            differing.append(name)
+    return differing, len(files)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="root of the first checkout")
+    parser.add_argument("change", type=Path, help="root of the second checkout")
+    args = parser.parse_args(argv)
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for label, root in checkouts.items():
+        if not (root / "src" / "entrocl").is_dir():
+            parser.error(f"{label}: {root} has no src/entrocl")
+    envs = {label: checkout_env(root) for label, root in checkouts.items()}
+
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="entrocl_compare_") as tmp:
+        for plan, flags in PLANS.items():
+            outs = {}
+            for label, env in envs.items():
+                outs[label] = Path(tmp) / label / plan
+                command = [sys.executable, "-m", "entrocl.cli", *flags, "--out", str(outs[label])]
+                code = subprocess.run(command, env=env, cwd=tmp).returncode
+                if code != 0:
+                    print(f"{plan}: the {label} CLI exited {code}")
+                    failed = True
+            differing, compared = diff_trees(outs["parent"], outs["change"])
+            runs = len(list(outs["parent"].rglob("summary.json")))
+            for name in differing:
+                print(f"{plan}: {name} differs")
+            failed = failed or bool(differing)
+            status = f"{len(differing)} differ" if differing else "all identical"
+            print(f"{plan}: {runs} run(s), {compared} files, {status}")
+    print("DIFFERENT" if failed else "IDENTICAL")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,13 +11,15 @@ unless the change is deliberate.
 
 import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from entrocl import LayeredNet, ValidationBuffer, composite_loss, evaluate_layer_accuracies
+from entrocl.metrics import write_accuracy_csv
 from entrocl.streams import StreamConfig, make_synthetic_stream
-from entrocl.training import RunConfig, run_sequence, write_telemetry_csv
+from entrocl.training import RunConfig, run_sequence, write_run_artifacts, write_telemetry_csv
 
 HERE = Path(__file__).parent
 
@@ -55,7 +57,7 @@ def golden_full_run_matrix():
     tasks = make_synthetic_stream(StreamConfig(seed=0))
     result = run_sequence(tasks, RunConfig(seed=0))
     buf = io.StringIO()
-    result.matrix.to_csv(buf)
+    write_accuracy_csv(buf, result.accuracy[-1])
     (HERE / "accuracy_matrix_full_seed0.csv").write_text(buf.getvalue())
 
 
@@ -69,9 +71,26 @@ def golden_telemetry():
     (HERE / "telemetry_tiny_seed0.csv").write_text(buf.getvalue())
 
 
+def golden_per_layer_accuracy():
+    """Three tasks and three heads through the artifact writer, so every loop of
+    per_layer_accuracy.csv is pinned."""
+    tasks = make_synthetic_stream(
+        StreamConfig(
+            num_tasks=3, train_per_class=60, test_per_class=7, input_dim=6,
+            separation=4.0, seed=0,
+        )
+    )
+    cfg = RunConfig(seed=0, widths=(8, 8, 8))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_run_artifacts(tmp, cfg, run_sequence(tasks, cfg))
+        data = (Path(tmp) / "per_layer_accuracy.csv").read_bytes()
+    (HERE / "per_layer_accuracy_tiny_seed0.csv").write_bytes(data)
+
+
 if __name__ == "__main__":
     golden_model()
     golden_validation_accuracies()
     golden_full_run_matrix()
     golden_telemetry()
+    golden_per_layer_accuracy()
     print("goldens written to", HERE)

@@ -41,7 +41,7 @@ class TestReservoir:
     def test_capacity_never_exceeded(self, capacity, n_items):
         buf = ReplayBuffer(capacity, np.random.default_rng(3))
         buf.extend(range(n_items))
-        assert len(buf) == min(capacity, n_items)
+        assert len(buf.items) == min(capacity, n_items)
         assert buf.seen_count == n_items
 
     def test_extend_matches_residency_law_quickly(self):

@@ -125,9 +125,17 @@ class TestParsing:
             ("--config", None, "run.json: cannot read config: No such file or directory"),
             ("--config", '{"beta": 0.01,\n "seeds": }', "run.json:2:11: invalid JSON"),
             ("--config", b"\xff\xfe", "not UTF-8 text at byte 0"),
+            ("--beta", "nan", "beta must be finite, got nan"),
+            ("--lr", "nan", "learning_rate must be finite, got nan"),
+            ("--lr", "inf", "learning_rate must be finite, got inf"),
+            ("--wd", "nan", "weight_decay must be finite, got nan"),
+            ("--noise-scale", "nan", "noise_scale must be finite, got nan"),
+            ("--separation", "inf", "separation must be finite, got inf"),
+            ("--num-tasks", "1", "--num-tasks: a sequence needs at least 2 tasks, got 1"),
         ],
         ids=["seeds-word", "seeds-range", "widths-word", "config-missing", "config-bad-json",
-             "config-not-utf8"],
+             "config-not-utf8", "beta-nan", "lr-nan", "lr-inf", "wd-nan", "noise-scale-nan",
+             "separation-inf", "num-tasks-1"],
     )
     def test_bad_boundary_input_exits_2_with_an_error_line(
         self, tmp_path, capsys, flag, text, named

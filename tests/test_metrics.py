@@ -4,21 +4,21 @@ import numpy as np
 import pytest
 
 from entrocl.metrics import (
-    AccuracyMatrix,
     average_forgetting,
     backward_transfer,
     cross_layer_entropy_spread,
     entropy_deviation,
     final_average_accuracy,
+    write_accuracy_csv,
 )
 
 
 def matrix_from(rows):
-    m = AccuracyMatrix(len(rows))
-    for t, row in enumerate(rows, start=1):
-        for s, value in enumerate(row, start=1):
-            m.set(t, s, value)
-    return m
+    """A (T, T) grid from its lower-triangle rows, NaN above the diagonal."""
+    grid = np.full((len(rows), len(rows)), np.nan)
+    for t, row in enumerate(rows):
+        grid[t, : len(row)] = row
+    return grid
 
 
 class TestFinalAverageAccuracy:
@@ -35,8 +35,8 @@ class TestFinalAverageAccuracy:
         assert final_average_accuracy(m) == pytest.approx(0.73)
 
     def test_incomplete_rejected(self):
-        m = AccuracyMatrix(2)
-        m.set(1, 1, 0.5)
+        m = np.full((2, 2), np.nan)
+        m[0, 0] = 0.5
         with pytest.raises(ValueError, match="incomplete"):
             final_average_accuracy(m)
 
@@ -130,10 +130,56 @@ class TestMatrixCsv:
     def test_grid_layout(self):
         m = matrix_from([[0.5], [0.25, 0.75]])
         out = io.StringIO()
-        m.to_csv(out)
+        write_accuracy_csv(out, m)
         assert out.getvalue() == "task,1,2\n1,0.5,\n2,0.25,0.75\n"
 
-    def test_out_of_triangle_rejected(self):
-        m = AccuracyMatrix(2)
-        with pytest.raises(ValueError):
-            m.set(1, 2, 0.5)
+
+METRICS = [final_average_accuracy, backward_transfer, average_forgetting, write_accuracy_csv]
+
+
+def call(metric, grid):
+    """The metric's value, or the text the CSV writer writes."""
+    if metric is write_accuracy_csv:
+        out = io.StringIO()
+        metric(out, grid)
+        return out.getvalue()
+    return metric(grid)
+
+
+@pytest.mark.parametrize("metric", METRICS, ids=lambda f: f.__name__)
+class TestGridChecks:
+    @pytest.mark.parametrize(
+        "shape", [(2, 3), (3,), (2, 2, 2), (0, 0)], ids=lambda dims: "x".join(map(str, dims))
+    )
+    def test_non_square_grid_rejected(self, metric, shape):
+        with pytest.raises(ValueError, match="must be a nonempty \\(T, T\\) grid"):
+            call(metric, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 0), (2, 1), (2, 2)], ids=lambda c: f"{c[0]}-{c[1]}")
+    def test_nan_on_or_below_diagonal_rejected(self, metric, cell):
+        m = matrix_from([[0.9], [0.8, 0.7], [0.6, 0.5, 0.4]])
+        m[cell] = np.nan
+        with pytest.raises(ValueError, match="accuracy matrix is incomplete"):
+            call(metric, m)
+
+    def test_values_above_diagonal_ignored(self, metric):
+        m = matrix_from([[0.9], [0.8, 0.7], [0.6, 0.5, 0.4]])
+        filled = m.copy()
+        filled[np.triu_indices(3, k=1)] = 1.0
+        assert call(metric, m) == call(metric, filled)
+
+
+class TestAgainstLoops:
+    """The vectorised metrics equal the definitions computed cell by cell."""
+
+    def test_bitwise_equal_to_the_per_cell_definitions(self, rng):
+        for _ in range(50):
+            T = int(rng.integers(2, 12))
+            m = matrix_from([rng.uniform(0, 1, size=t) for t in range(1, T + 1)])
+            cells = m.tolist()
+            final = [cells[T - 1][s] for s in range(T)]
+            assert final_average_accuracy(m) == float(np.mean(final))
+            bwt = [cells[T - 1][s] - cells[s][s] for s in range(T - 1)]
+            assert backward_transfer(m) == float(np.mean(bwt))
+            drops = [max(cells[k][s] for k in range(s, T)) - cells[T - 1][s] for s in range(T - 1)]
+            assert average_forgetting(m) == float(np.mean(drops))

@@ -121,6 +121,17 @@ def write_idx_pair(tmp_path, images, labels):
     return image_path, label_path
 
 
+# each IDX file kind: its parser, its magic and the dimensions of a small valid file
+IDX_KINDS = {
+    "image": (parse_idx_images, 0x00000803, (2, 2, 2)),
+    "label": (parse_idx_labels, 0x00000801, (3,)),
+}
+
+
+def idx_bytes(magic, dims, payload_size):
+    return struct.pack(f">{1 + len(dims)}I", magic, *dims) + bytes(int(payload_size))
+
+
 class TestIdx:
     def test_two_image_fixture(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -133,17 +144,35 @@ class TestIdx:
         assert np.allclose(x[0], images[0].reshape(-1) / 255.0)
         assert y.tolist() == [3, 7]
 
-    def test_wrong_magic(self, tmp_path):
+    @pytest.mark.parametrize("kind", IDX_KINDS)
+    def test_wrong_magic(self, tmp_path, kind):
+        parse, _, dims = IDX_KINDS[kind]
         path = tmp_path / "bad.idx"
-        path.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + bytes(4))
-        with pytest.raises(FormatError, match="magic"):
-            parse_idx_images(path)
+        path.write_bytes(idx_bytes(0xDEADBEEF, dims, np.prod(dims)))
+        with pytest.raises(FormatError, match=f"bad {kind} magic 0xdeadbeef") as failure:
+            parse(path)
+        assert failure.value.offset == 0
 
-    def test_truncated_images(self, tmp_path):
+    @pytest.mark.parametrize("kind", IDX_KINDS)
+    def test_truncated_header(self, tmp_path, kind):
+        parse, magic, dims = IDX_KINDS[kind]
         path = tmp_path / "short.idx"
-        path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + bytes(5))
-        with pytest.raises(FormatError, match="byte offset"):
-            parse_idx_images(path)
+        path.write_bytes(idx_bytes(magic, dims, 0)[:6])
+        with pytest.raises(FormatError, match=f"truncated IDX {kind} header") as failure:
+            parse(path)
+        assert failure.value.offset == 6
+
+    @pytest.mark.parametrize("extra", [-3, 1], ids=["short", "long"])
+    @pytest.mark.parametrize("kind", IDX_KINDS)
+    def test_wrong_payload_length(self, tmp_path, kind, extra):
+        parse, magic, dims = IDX_KINDS[kind]
+        path = tmp_path / "short.idx"
+        data = idx_bytes(magic, dims, np.prod(dims) + extra)
+        path.write_bytes(data)
+        expected = len(data) - extra
+        with pytest.raises(FormatError, match=f"expected {expected} bytes") as failure:
+            parse(path)
+        assert failure.value.offset == min(len(data), expected)
 
     def test_label_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(0)

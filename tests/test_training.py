@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entrocl import ConfigError, training
-from entrocl.metrics import final_average_accuracy
+from entrocl.metrics import final_average_accuracy, write_accuracy_csv
 from entrocl.modulation import alpha_from_accuracies
 from entrocl.streams import StreamConfig, TaskSpec, make_synthetic_stream
 from entrocl.training import (
@@ -18,6 +18,7 @@ from entrocl.training import (
     run_sequence,
     run_task,
     sgd_step,
+    write_run_artifacts,
     write_telemetry_csv,
 )
 
@@ -214,16 +215,19 @@ class TestRunSequence:
             )
             cfg = tiny_config(seed)
             result = run_sequence([base, twin], cfg)
-            margins.append(result.matrix.get(2, 1) - result.matrix.get(1, 1))
+            margins.append(result.accuracy[-1, 1, 0] - result.accuracy[-1, 0, 0])
         assert float(np.mean(margins)) >= -0.02
 
     def test_matrix_shape_and_fill(self):
         tasks = tiny_stream(3)
         result = run_sequence(tasks, tiny_config(3))
-        assert result.matrix.num_tasks == 3
-        assert result.matrix.is_complete()
-        for layer_matrix in result.per_layer:
-            assert layer_matrix.is_complete()
+        accuracy = result.accuracy
+        # one (L, T, T) array: two heads, three tasks
+        assert accuracy.shape == (2, 3, 3) and accuracy.dtype == np.float64
+        lower = np.tri(3, dtype=bool)
+        assert np.isfinite(accuracy[:, lower]).all()
+        assert np.isnan(accuracy[:, ~lower]).all()
+        assert ((accuracy[:, lower] >= 0) & (accuracy[:, lower] <= 1)).all()
 
     def test_step_accounting(self):
         tasks = tiny_stream(1)
@@ -264,8 +268,8 @@ class TestRunSequence:
             telemetry = io.StringIO()
             write_telemetry_csv(telemetry, result.telemetry)
             matrix = io.StringIO()
-            result.matrix.to_csv(matrix)
-            return telemetry.getvalue(), matrix.getvalue()
+            write_accuracy_csv(matrix, result.accuracy[-1])
+            return telemetry.getvalue(), matrix.getvalue(), result.accuracy.tobytes()
 
         first, second = run_once(), run_once()
         assert first == second
@@ -292,7 +296,7 @@ class TestRunSequence:
         tasks = make_synthetic_stream(StreamConfig(seed=0))
         result = run_sequence(tasks, RunConfig(seed=0))
         out = io.StringIO()
-        result.matrix.to_csv(out)
+        write_accuracy_csv(out, result.accuracy[-1])
         expected = (GOLDEN / "accuracy_matrix_full_seed0.csv").read_text()
         assert out.getvalue() == expected
 
@@ -305,6 +309,18 @@ class TestRunSequence:
         write_telemetry_csv(out, result.telemetry)
         expected = (GOLDEN / "telemetry_tiny_seed0.csv").read_bytes()
         assert out.getvalue().encode("utf-8") == expected
+
+    def test_golden_per_layer_accuracy_bitwise(self, tmp_path):
+        tasks = make_synthetic_stream(
+            StreamConfig(
+                num_tasks=3, train_per_class=60, test_per_class=7, input_dim=6,
+                separation=4.0, seed=0,
+            )
+        )
+        cfg = RunConfig(seed=0, widths=(8, 8, 8))
+        write_run_artifacts(tmp_path, cfg, run_sequence(tasks, cfg))
+        expected = (GOLDEN / "per_layer_accuracy_tiny_seed0.csv").read_bytes()
+        assert (tmp_path / "per_layer_accuracy.csv").read_bytes() == expected
 
     def test_artifact_files_written(self, tmp_path):
         tasks = tiny_stream(7)
@@ -332,5 +348,5 @@ class TestRunSequence:
         }
         assert len(summary["delta_t_per_task"]) == 3
         assert summary["acc_final"] == pytest.approx(
-            final_average_accuracy(result.matrix)
+            final_average_accuracy(result.accuracy[-1])
         )
