@@ -17,10 +17,48 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .streams import StreamConfig, make_stream
-from .training import RunConfig, run_sequence
+from .modulation import ENTROPY_SIGNS
+from .streams import STREAM_SOURCES, StreamConfig, make_stream
+from .training import OPTIMIZERS, RunConfig, run_sequence
 
-ARM_NAMES = ("full", "no_entropy_scaling", "no_adaptive_training", "plain_er")
+# The switches each ablation arm sets on the base config; plain ER also drops beta.
+ARMS = {
+    "full": dict(enable_entropy_scaling=True, enable_adaptive_training=True),
+    "no_entropy_scaling": dict(enable_entropy_scaling=False, enable_adaptive_training=True),
+    "no_adaptive_training": dict(enable_entropy_scaling=True, enable_adaptive_training=False),
+    "plain_er": dict(enable_entropy_scaling=False, enable_adaptive_training=False, beta=0.0),
+}
+ARM_NAMES = tuple(ARMS)
+
+# (flag, config field, help) for each setting a plan passes to every run. A
+# flag's default and type are the field's default and its type, its choices the
+# tuple that validates the field; seed and the two arm switches have no flag.
+STREAM_FLAGS = (
+    ("--stream", "source", "task stream source"),
+    ("--idx-images", "idx_images", "IDX image file (idx source)"),
+    ("--idx-labels", "idx_labels", "IDX label file (idx source)"),
+    ("--csv-path", "csv_path", "directory holding train.csv/test.csv (csv source)"),
+    ("--num-tasks", "num_tasks", "tasks in the stream"),
+    ("--classes-per-task", "classes_per_task", "classes introduced per task"),
+    ("--train-per-class", "train_per_class", "synthetic training examples per class"),
+    ("--test-per-class", "test_per_class", "synthetic test examples per class"),
+    ("--input-dim", "input_dim", "synthetic input dimension"),
+    ("--noise-scale", "noise_scale", "synthetic within-class noise scale"),
+    ("--separation", "separation", "synthetic class-mean scale"),
+)
+RUN_FLAGS = (
+    ("--beta", "beta", "entropy regularizer scale"),
+    ("--lr", "learning_rate", "learning rate"),
+    ("--wd", "weight_decay", "decoupled weight decay"),
+    ("--batch-size", "batch_size", "current-task batch size"),
+    ("--buffer-batch-size", "buffer_batch_size", "replay examples mixed into every step"),
+    ("--buffer-capacity", "buffer_capacity", "replay buffer capacity M"),
+    ("--val-quota", "val_quota", "validation examples stored per task"),
+    ("--entropy-sign", "entropy_sign", "add or subtract the entropy term in the loss"),
+    ("--widths", "widths", "comma-separated block widths"),
+    ("--optimizer", "optimizer", "parameter update rule"),
+)
+FIELD_CHOICES = {"source": STREAM_SOURCES, "entropy_sign": ENTROPY_SIGNS, "optimizer": OPTIMIZERS}
 
 REPORT_METRICS = ("acc_final", "bwt", "average_forgetting", "entropy_spread_final")
 
@@ -36,18 +74,10 @@ class ExperimentPlan:
 
 
 def apply_arm(cfg, arm):
-    """Realize an ablation arm via the two switches (plain ER also drops beta)."""
-    if arm == "full":
-        return replace(cfg, enable_entropy_scaling=True, enable_adaptive_training=True)
-    if arm == "no_entropy_scaling":
-        return replace(cfg, enable_entropy_scaling=False, enable_adaptive_training=True)
-    if arm == "no_adaptive_training":
-        return replace(cfg, enable_entropy_scaling=True, enable_adaptive_training=False)
-    if arm == "plain_er":
-        return replace(
-            cfg, enable_entropy_scaling=False, enable_adaptive_training=False, beta=0.0
-        )
-    raise ConfigError(f"unknown arm {arm!r}")
+    """Realize an ablation arm by setting its switches on ``cfg``."""
+    if arm not in ARMS:
+        raise ConfigError(f"unknown arm {arm!r}")
+    return replace(cfg, **ARMS[arm])
 
 
 def parse_seeds(text):
@@ -63,6 +93,8 @@ def parse_seeds(text):
         raise ConfigError(f"--seeds: not an integer list or range: {text!r}") from None
     if not seeds:
         raise ConfigError(f"no seeds in {text!r}")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds: seeds must be nonnegative, got {text!r}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {text!r}")
     return seeds
@@ -98,47 +130,13 @@ def build_parser():
     )
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file; flags override its values")
-    parser.add_argument("--stream", choices=["synthetic", "idx", "csv"],
-                        default="synthetic", help="task stream source")
-    parser.add_argument("--idx-images", type=str, default="",
-                        help="IDX image file (idx source)")
-    parser.add_argument("--idx-labels", type=str, default="",
-                        help="IDX label file (idx source)")
-    parser.add_argument("--csv-path", type=str, default="",
-                        help="directory holding train.csv/test.csv (csv source)")
-    parser.add_argument("--num-tasks", type=int, default=5, help="tasks in the stream")
-    parser.add_argument("--classes-per-task", type=int, default=2,
-                        help="classes introduced per task")
-    parser.add_argument("--train-per-class", type=int, default=500,
-                        help="synthetic training examples per class")
-    parser.add_argument("--test-per-class", type=int, default=100,
-                        help="synthetic test examples per class")
-    parser.add_argument("--input-dim", type=int, default=32,
-                        help="synthetic input dimension")
-    parser.add_argument("--noise-scale", type=float, default=1.0,
-                        help="synthetic within-class noise scale")
-    parser.add_argument("--separation", type=float, default=3.0,
-                        help="synthetic class-mean scale")
-    parser.add_argument("--beta", type=float, default=0.005,
-                        help="entropy regularizer scale")
-    parser.add_argument("--lr", type=float, default=1e-3, help="learning rate")
-    parser.add_argument("--wd", type=float, default=1e-4,
-                        help="decoupled weight decay")
-    parser.add_argument("--batch-size", type=int, default=10,
-                        help="current-task batch size")
-    parser.add_argument("--buffer-batch-size", type=int, default=64,
-                        help="replay examples mixed into every step")
-    parser.add_argument("--buffer-capacity", type=int, default=200,
-                        help="replay buffer capacity M")
-    parser.add_argument("--val-quota", type=int, default=64,
-                        help="validation examples stored per task")
-    parser.add_argument("--entropy-sign", choices=["penalize", "reward"],
-                        default="penalize",
-                        help="add or subtract the entropy term in the loss")
-    parser.add_argument("--widths", type=str, default="64,64,64,64",
-                        help="comma-separated block widths")
-    parser.add_argument("--optimizer", choices=["adam", "sgd"], default="adam",
-                        help="parameter update rule")
+    for rows, config in ((STREAM_FLAGS, StreamConfig()), (RUN_FLAGS, RunConfig())):
+        for flag, field, help_text in rows:
+            default = getattr(config, field)
+            if field == "widths":  # a string, so that parse_widths reports a bad list
+                default = ",".join(map(str, default))
+            parser.add_argument(flag, type=type(default), default=default,
+                                choices=FIELD_CHOICES.get(field), help=help_text)
     parser.add_argument("--seeds", type=str, default="0",
                         help="seed list: '3', '0,1,2' or '0..9'")
     parser.add_argument("--arms", type=str, default="full",
@@ -179,40 +177,14 @@ def parse_args(argv):
         parser.set_defaults(**defaults)
     args = parser.parse_args(argv)
 
-    if args.stream != "idx" and (args.idx_images or args.idx_labels):
-        raise ConfigError("IDX paths given but --stream is not 'idx'")
-    if args.stream != "csv" and args.csv_path:
-        raise ConfigError("--csv-path given but --stream is not 'csv'")
-
-    run_config = RunConfig(
-        beta=float(args.beta),
-        learning_rate=float(args.lr),
-        weight_decay=float(args.wd),
-        batch_size=int(args.batch_size),
-        buffer_batch_size=int(args.buffer_batch_size),
-        buffer_capacity=int(args.buffer_capacity),
-        val_quota=int(args.val_quota),
-        entropy_sign=args.entropy_sign,
-        widths=parse_widths(args.widths),
-        optimizer=args.optimizer,
+    values = dict(vars(args), widths=parse_widths(args.widths))
+    run_config, stream_config = (
+        cls(**{field: values[flag[2:].replace("-", "_")] for flag, field, _ in rows})
+        for cls, rows in ((RunConfig, RUN_FLAGS), (StreamConfig, STREAM_FLAGS))
     )
     run_config.validate()
-
-    if int(args.num_tasks) < 2:
+    if args.num_tasks < 2:
         raise ConfigError(f"--num-tasks: a sequence needs at least 2 tasks, got {args.num_tasks}")
-    stream_config = StreamConfig(
-        source=args.stream,
-        num_tasks=int(args.num_tasks),
-        classes_per_task=int(args.classes_per_task),
-        train_per_class=int(args.train_per_class),
-        test_per_class=int(args.test_per_class),
-        input_dim=int(args.input_dim),
-        noise_scale=float(args.noise_scale),
-        separation=float(args.separation),
-        idx_images=args.idx_images,
-        idx_labels=args.idx_labels,
-        csv_path=args.csv_path,
-    )
     stream_config.validate()
 
     seeds = parse_seeds(args.seeds)
@@ -226,7 +198,7 @@ def parse_args(argv):
         seeds=seeds,
         arms=arms,
         out=Path(args.out),
-        jobs=int(args.jobs),
+        jobs=args.jobs,
     )
 
 
@@ -283,7 +255,7 @@ def run_plan(plan):
             try:
                 summaries[job[0]].append(execute_run(*job))
             except Exception as exc:  # noqa: BLE001 - report and keep going
-                failures.append((job[0], job[1], repr(exc)))
+                failures.append((job[0], job[1], f"{type(exc).__name__}: {exc}"))
     else:
         with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
             futures = [pool.submit(execute_run, *job) for job in jobs]
@@ -291,7 +263,7 @@ def run_plan(plan):
                 try:
                     summaries[job[0]].append(future.result())
                 except Exception as exc:  # noqa: BLE001
-                    failures.append((job[0], job[1], repr(exc)))
+                    failures.append((job[0], job[1], f"{type(exc).__name__}: {exc}"))
 
     completed_arms = [arm for arm in plan.arms if summaries[arm]]
     if completed_arms:

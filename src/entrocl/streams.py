@@ -68,6 +68,8 @@ class StreamConfig:
             raise ConfigError(f"unknown stream source {self.source!r}")
         if self.num_tasks < 1 or self.classes_per_task < 1:
             raise ConfigError("num_tasks and classes_per_task must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.source == "synthetic":
             if self.train_per_class < 1 or self.test_per_class < 1:
                 raise ConfigError("train/test per-class counts must be positive")
@@ -77,8 +79,12 @@ class StreamConfig:
                 raise ConfigError("noise_scale must be nonnegative")
         if self.source == "idx" and not (self.idx_images and self.idx_labels):
             raise ConfigError("idx source needs --idx-images and --idx-labels")
+        if self.source != "idx" and (self.idx_images or self.idx_labels):
+            raise ConfigError("IDX paths given but --stream is not 'idx'")
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("csv source needs --csv-path")
+        if self.source != "csv" and self.csv_path:
+            raise ConfigError("--csv-path given but --stream is not 'csv'")
 
     def to_dict(self):
         return asdict(self)
@@ -196,6 +202,8 @@ def parse_idx_images(path):
     """Parse an IDX image file into a (count, rows*cols) float matrix in [0, 1]."""
     pixels = _read_idx(path, IDX_IMAGE_MAGIC, "image")
     count, rows, cols = pixels.shape
+    if rows * cols == 0:
+        raise FormatError(f"{path}: IDX images of {rows}x{cols} pixels hold no features", offset=8)
     return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
 
 
@@ -271,6 +279,8 @@ def _read_examples_csv(path):
         if not fields or fields[0] != "label":
             raise FormatError(f"{path}: header must start with 'label', got {header!r}")
         dim = len(fields) - 1
+        if dim == 0:
+            raise FormatError(f"{path}:1: header has no feature columns")
         xs, ys = [], []
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()

@@ -34,6 +34,8 @@ from .streams import batches
 
 SPREAD_WINDOW = 50
 
+OPTIMIZERS = ("adam", "sgd")
+
 # The per-layer columns of telemetry.csv, in order. A run's telemetry is one
 # record array with a row per step: the task id and each of these as an (L,)
 # float64 field.
@@ -86,8 +88,10 @@ class RunConfig:
             raise ConfigError("need at least 2 layer widths")
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must be positive, got {self.widths}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 # adam_step walks the flat vector in cache-sized slices of this many entries

@@ -9,8 +9,9 @@ hold 12 runs: the four arms on seeds 0 and 1 at ``--jobs 2``, then one run
 each with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``
 and the benchmark's wide-eval shape. Every file of every plan is compared
 byte for byte (``report.csv`` included), ``summary.json`` less its wall-clock
-``runtime_seconds``. Exits 0 when all match; otherwise prints each differing
-or missing file and exits 1.
+``runtime_seconds``. Both CLIs' ``--help`` output, printed with ``COLUMNS=80``,
+is compared too. Exits 0 when all match; otherwise prints each differing or
+missing file and exits 1.
 """
 
 import argparse
@@ -46,6 +47,14 @@ def checkout_env(root):
     if not Path(where).resolve().is_relative_to(root):
         sys.exit(f"error: entrocl imported from {where}, not from {root / 'src'}")
     return env
+
+
+def help_text(env):
+    """The CLI's ``--help`` output at a fixed terminal width."""
+    return subprocess.run(
+        [sys.executable, "-m", "entrocl.cli", "--help"],
+        env=dict(env, COLUMNS="80"), capture_output=True, text=True, check=True,
+    ).stdout
 
 
 def comparable(path):
@@ -85,7 +94,8 @@ def main(argv=None):
             parser.error(f"{label}: {root} has no src/entrocl")
     envs = {label: checkout_env(root) for label, root in checkouts.items()}
 
-    failed = False
+    failed = help_text(envs["parent"]) != help_text(envs["change"])
+    print(f"--help: {'differs' if failed else 'identical'}")
     with tempfile.TemporaryDirectory(prefix="entrocl_compare_") as tmp:
         for plan, flags in PLANS.items():
             outs = {}

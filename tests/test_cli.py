@@ -1,17 +1,26 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from entrocl import ConfigError
+from entrocl import ConfigError, RunConfig
 from entrocl.cli import (
+    ARM_NAMES,
+    ARMS,
+    RUN_FLAGS,
+    STREAM_FLAGS,
     apply_arm,
+    build_parser,
     main,
     parse_args,
     parse_seeds,
     run_plan,
     verify_report,
 )
+from entrocl.modulation import ENTROPY_SIGNS
+from entrocl.streams import STREAM_SOURCES, StreamConfig
+from entrocl.training import OPTIMIZERS
 
 
 def edit_summary(path, **values):
@@ -46,15 +55,23 @@ class TestParsing:
 
     def test_defaults(self):
         plan = parse_args([])
-        assert plan.stream_config.source == "synthetic"
+        assert plan.run_config == RunConfig()
+        assert plan.stream_config == StreamConfig()
         assert plan.arms == ("full",)
         assert plan.seeds == (0,)
-        assert plan.run_config.beta == 0.005
-        assert plan.run_config.learning_rate == 1e-3
-        assert plan.run_config.weight_decay == 1e-4
-        assert plan.run_config.batch_size == 10
-        assert plan.run_config.buffer_batch_size == 64
-        assert plan.run_config.widths == (64, 64, 64, 64)
+
+    def test_each_config_field_has_one_flag(self):
+        per_run = {"seed", "enable_entropy_scaling", "enable_adaptive_training"}
+        for cls, rows in ((RunConfig, RUN_FLAGS), (StreamConfig, STREAM_FLAGS)):
+            flagged = [field for _, field, _ in rows]
+            assert sorted(flagged) == sorted({f.name for f in fields(cls)} - per_run)
+        choices = {action.option_strings[0]: action.choices
+                   for action in build_parser()._actions if action.choices}
+        assert choices == {
+            "--stream": STREAM_SOURCES,
+            "--entropy-sign": ENTROPY_SIGNS,
+            "--optimizer": OPTIMIZERS,
+        }
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -121,6 +138,7 @@ class TestParsing:
         [
             ("--seeds", "x", "--seeds: not an integer list or range: 'x'"),
             ("--seeds", "0..a", "--seeds: not an integer list or range: '0..a'"),
+            ("--seeds", "-1", "--seeds: seeds must be nonnegative, got '-1'"),
             ("--widths", "a,b", "--widths: not a comma-separated integer list: 'a,b'"),
             ("--config", None, "run.json: cannot read config: No such file or directory"),
             ("--config", '{"beta": 0.01,\n "seeds": }', "run.json:2:11: invalid JSON"),
@@ -133,9 +151,9 @@ class TestParsing:
             ("--separation", "inf", "separation must be finite, got inf"),
             ("--num-tasks", "1", "--num-tasks: a sequence needs at least 2 tasks, got 1"),
         ],
-        ids=["seeds-word", "seeds-range", "widths-word", "config-missing", "config-bad-json",
-             "config-not-utf8", "beta-nan", "lr-nan", "lr-inf", "wd-nan", "noise-scale-nan",
-             "separation-inf", "num-tasks-1"],
+        ids=["seeds-word", "seeds-range", "seeds-negative", "widths-word", "config-missing",
+             "config-bad-json", "config-not-utf8", "beta-nan", "lr-nan", "lr-inf", "wd-nan",
+             "noise-scale-nan", "separation-inf", "num-tasks-1"],
     )
     def test_bad_boundary_input_exits_2_with_an_error_line(
         self, tmp_path, capsys, flag, text, named
@@ -160,16 +178,20 @@ class TestParsing:
 
     def test_arm_configs(self):
         base = parse_args([]).run_config
-        full = apply_arm(base, "full")
-        assert full.enable_entropy_scaling and full.enable_adaptive_training
-        no_es = apply_arm(base, "no_entropy_scaling")
-        assert not no_es.enable_entropy_scaling and no_es.enable_adaptive_training
-        no_at = apply_arm(base, "no_adaptive_training")
-        assert no_at.enable_entropy_scaling and not no_at.enable_adaptive_training
-        plain = apply_arm(base, "plain_er")
-        assert plain.beta == 0.0
-        assert not plain.enable_entropy_scaling
-        assert not plain.enable_adaptive_training
+        # (entropy scaling, adaptive training, beta) of each arm
+        expected = {
+            "full": (True, True, base.beta),
+            "no_entropy_scaling": (False, True, base.beta),
+            "no_adaptive_training": (True, False, base.beta),
+            "plain_er": (False, False, 0.0),
+        }
+        assert ARM_NAMES == tuple(expected)
+        for arm in ARMS:
+            cfg = apply_arm(base, arm)
+            switches = (cfg.enable_entropy_scaling, cfg.enable_adaptive_training, cfg.beta)
+            assert switches == expected[arm]
+        with pytest.raises(ConfigError, match="unknown arm"):
+            apply_arm(base, "bogus")
 
 
 class TestRunPlan:
@@ -230,13 +252,15 @@ class TestRunPlan:
 
     def test_failed_run_reports_arm_and_seed(self, tmp_path, capsys):
         out = tmp_path / "out"
+        (tmp_path / "no_csv").mkdir()
         code = main(
-            ["--stream", "csv", "--csv-path", str(tmp_path / "missing"),
+            ["--stream", "csv", "--csv-path", str(tmp_path / "no_csv"),
              "--num-tasks", "2", "--widths", "8,8", "--out", str(out)]
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "arm=full" in err and "seed=0" in err
+        assert err.startswith("error: run (arm=full, seed=0) failed: FileNotFoundError: ")
+        assert str(tmp_path / "no_csv" / "train.csv") in err
 
 
 class TestVerify:

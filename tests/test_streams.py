@@ -9,6 +9,7 @@ from entrocl.streams import (
     batches,
     load_csv_stream,
     load_idx_stream,
+    make_stream,
     make_synthetic_stream,
     parse_idx_images,
     parse_idx_labels,
@@ -76,6 +77,19 @@ class TestSyntheticStream:
             make_synthetic_stream(small_cfg(noise_scale=-1.0))
         with pytest.raises(ConfigError):
             make_synthetic_stream(small_cfg(num_tasks=0))
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"seed": -1}, "seed must be nonnegative, got -1"),
+            ({"idx_labels": "labels.idx"}, "IDX paths given but --stream is not 'idx'"),
+            ({"csv_path": "stream"}, "--csv-path given but --stream is not 'csv'"),
+        ],
+        ids=["negative-seed", "idx-path", "csv-path"],
+    )
+    def test_make_stream_rejects_config(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            make_stream(small_cfg(**overrides))
 
 
 class TestBatches:
@@ -174,6 +188,14 @@ class TestIdx:
             parse(path)
         assert failure.value.offset == min(len(data), expected)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
+    def test_images_without_pixels(self, tmp_path, rows, cols):
+        path = tmp_path / "empty.idx"
+        path.write_bytes(idx_bytes(0x00000803, (2, rows, cols), 0))
+        with pytest.raises(FormatError, match="hold no features") as failure:
+            parse_idx_images(path)
+        assert failure.value.offset == 8
+
     def test_label_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(4, 2, 2))
@@ -238,6 +260,12 @@ class TestCsvRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=r"train\.csv:4: "):
             load_csv_stream(tmp_path / "stream", small_cfg())
+
+    def test_header_without_features(self, tmp_path):
+        for name in ("train.csv", "test.csv"):
+            (tmp_path / name).write_text("label\n0\n1\n2\n3\n")
+        with pytest.raises(FormatError, match=r"train\.csv:1: header has no feature columns"):
+            load_csv_stream(tmp_path, small_cfg(num_tasks=2))
 
     def test_feature_count_differs_between_splits(self, tmp_path):
         save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path / "stream")

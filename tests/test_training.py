@@ -152,6 +152,10 @@ class TestRunTask:
         with pytest.raises(ConfigError, match="learning rate"):
             run_sequence(tiny_stream(0), cfg)
 
+    def test_negative_seed_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+            init_state(tiny_config(-1), 8, 6)
+
     def test_state_binds_its_config(self):
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
