@@ -23,12 +23,10 @@ class ReplayBuffer:
     def extend(self, items):
         """Bulk insert; draws all replacement slots in one vectorized call."""
         items = list(items)
-        i = 0
-        while self.seen_count < self.capacity and i < len(items):
-            self.items.append(items[i])
-            self.seen_count += 1
-            i += 1
-        rest = items[i:]
+        take = min(self.capacity - len(self.items), len(items))
+        self.items += items[:take]
+        self.seen_count += take
+        rest = items[take:]
         if rest:
             counts = self.seen_count + np.arange(len(rest))
             slots = self.rng.integers(0, counts + 1)

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import training
 from .errors import ConfigError
 from .modulation import ENTROPY_SIGNS
 from .streams import STREAM_SOURCES, StreamConfig, make_stream
-from .training import OPTIMIZERS, RunConfig, run_sequence
+from .training import OPTIMIZERS, RunConfig
 
 # The switches each ablation arm sets on the base config; plain ER also drops beta.
 ARMS = {
@@ -166,7 +167,7 @@ def parse_args(argv):
             raise ConfigError(f"{probe.config}: not UTF-8 text at byte {exc.start}") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"{probe.config}: config must be a flat JSON object")
-        known = {action.dest for action in parser._actions}
+        known = {action.dest for action in parser._actions} - {"config", "help"}
         defaults = {}
         for key, value in file_values.items():
             dest = key.replace("-", "_")
@@ -206,12 +207,9 @@ def execute_run(arm, seed, run_config, stream_config, out_dir):
     """One (arm, seed) run; module-level so worker processes can import it."""
     cfg = replace(apply_arm(run_config, arm), seed=seed)
     stream_cfg = replace(stream_config, seed=seed)
-    tasks = make_stream(stream_cfg)
-    result = run_sequence(
-        tasks,
-        cfg,
-        out_dir=out_dir,
-        manifest_extra={"arm": arm, "stream_config": stream_cfg.to_dict()},
+    result = training.run_sequence(make_stream(stream_cfg), cfg)
+    training.write_run_artifacts(
+        out_dir, cfg, result, {"arm": arm, "stream_config": stream_cfg.to_dict()}
     )
     return result.summary
 
@@ -250,14 +248,16 @@ def run_plan(plan):
 
     failures = []
     summaries = {arm: [] for arm in plan.arms}
-    if plan.jobs == 1:
+    # a fork pool starts all its workers at the first submit, so size it to the runs
+    workers = min(plan.jobs, len(jobs))
+    if workers == 1:
         for job in jobs:
             try:
                 summaries[job[0]].append(execute_run(*job))
             except Exception as exc:  # noqa: BLE001 - report and keep going
                 failures.append((job[0], job[1], f"{type(exc).__name__}: {exc}"))
     else:
-        with ProcessPoolExecutor(max_workers=plan.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(execute_run, *job) for job in jobs]
             for job, future in zip(jobs, futures):
                 try:

@@ -114,52 +114,47 @@ def make_synthetic_stream(cfg):
     means = (cfg.separation / np.sqrt(cfg.input_dim)) * rng.standard_normal(
         (num_classes, cfg.input_dim)
     )
-
-    per_class = []
+    # the train and test pools, each class's draws written into its rows in turn
+    counts = (cfg.train_per_class, cfg.test_per_class)
+    labels = np.arange(num_classes, dtype=np.int64)
+    pools = [(np.empty((num_classes * n, cfg.input_dim)), labels.repeat(n)) for n in counts]
     for c in range(num_classes):
-        train = means[c] + cfg.noise_scale * rng.standard_normal(
-            (cfg.train_per_class, cfg.input_dim)
-        )
-        test = means[c] + cfg.noise_scale * rng.standard_normal(
-            (cfg.test_per_class, cfg.input_dim)
-        )
-        per_class.append((train, test))
-
-    return _assemble_tasks(per_class, cfg)
-
-
-def _assemble_tasks(per_class, cfg):
-    """Group consecutive classes into tasks; labels are global class indices."""
-    num_classes = len(per_class)
-    if num_classes != cfg.num_tasks * cfg.classes_per_task:
-        raise ConfigError(
-            f"{num_classes} classes cannot be split into {cfg.num_tasks} tasks "
-            f"of {cfg.classes_per_task}"
-        )
-    tasks = []
-    for t in range(cfg.num_tasks):
-        class_ids = tuple(
-            range(t * cfg.classes_per_task, (t + 1) * cfg.classes_per_task)
-        )
-        train_x = np.concatenate([per_class[c][0] for c in class_ids], axis=0)
-        train_y = np.concatenate(
-            [np.full(len(per_class[c][0]), c, dtype=np.int64) for c in class_ids]
-        )
-        test_x = np.concatenate([per_class[c][1] for c in class_ids], axis=0)
-        test_y = np.concatenate(
-            [np.full(len(per_class[c][1]), c, dtype=np.int64) for c in class_ids]
-        )
-        tasks.append(
-            TaskSpec(
-                task_id=t + 1,
-                class_ids=class_ids,
-                train_x=train_x,
-                train_y=train_y,
-                test_x=test_x,
-                test_y=test_y,
+        for (inputs, _), n in zip(pools, counts):
+            inputs[c * n : (c + 1) * n] = means[c] + cfg.noise_scale * rng.standard_normal(
+                (n, cfg.input_dim)
             )
+    return _assemble_tasks(*pools, cfg)
+
+
+def _assemble_tasks(train, test, cfg, names=("train split", "test split")):
+    """Cut a train and a test pool, each an (inputs, int64 labels) pair with
+    global labels, into tasks of consecutive classes.
+
+    Each pool must hold every class 0..C-1 and no other label. A stable sort by
+    label keeps the pool's row order within each class, and every task gets
+    fresh copies of its rows.
+    """
+    classes = np.arange(cfg.num_classes)
+    edges = np.arange(0, cfg.num_classes + 1, cfg.classes_per_task)
+    splits = []
+    for (inputs, labels), name in zip((train, test), names):
+        found = np.unique(labels)
+        if not np.array_equal(found, classes):
+            missing, extra = np.setdiff1d(classes, found), np.setdiff1d(found, classes)
+            raise ConfigError(
+                f"{name}: {cfg.num_tasks} tasks of {cfg.classes_per_task} need every class "
+                f"0..{cfg.num_classes - 1} in both splits; missing {missing.tolist()}, "
+                f"unexpected {extra.tolist()}"
+            )
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], edges)
+        splits.append(
+            [(inputs[order[lo:hi]], labels[order[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
         )
-    return tasks
+    return [
+        TaskSpec(t + 1, tuple(range(lo, hi)), *train_part, *test_part)
+        for t, (lo, hi, train_part, test_part) in enumerate(zip(edges, edges[1:], *splits))
+    ]
 
 
 def batches(task, batch_size, rng):
@@ -212,7 +207,8 @@ def parse_idx_labels(path):
 
 
 def load_idx_stream(images_path, labels_path, cfg):
-    """Load an IDX image/label pair and split classes into tasks by label order."""
+    """Load an IDX image/label pair into tasks: a seeded 80/20 split of each
+    class, in class order, gives the train and test pools."""
     images = parse_idx_images(images_path)
     labels = parse_idx_labels(labels_path)
     if len(images) != len(labels):
@@ -220,31 +216,16 @@ def load_idx_stream(images_path, labels_path, cfg):
             f"label count {len(labels)} does not match image count {len(images)}",
             offset=0,
         )
-    return _split_labeled_pool(images, labels, cfg)
-
-
-def _class_ids(labels, cfg):
-    """The distinct labels, which must be exactly 0..C-1 for C classes in the stream."""
-    classes = np.unique(labels)
-    if len(classes) != cfg.num_classes:
-        raise ConfigError(f"found {len(classes)} classes, need exactly {cfg.num_classes}")
-    if not np.array_equal(classes, np.arange(len(classes))):
-        raise ConfigError(f"class labels must be 0..{len(classes) - 1}, got {classes}")
-    return classes
-
-
-def _split_labeled_pool(inputs, labels, cfg):
-    """Per-class deterministic 80/20 train/test split, then task assembly."""
     rng = np.random.default_rng(cfg.seed)
-    per_class = []
-    for c in _class_ids(labels, cfg):
+    rows = ([], [])
+    for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
-        order = rng.permutation(len(idx))
+        idx = idx[rng.permutation(len(idx))]
         n_train = int(round(0.8 * len(idx)))
-        train_idx = idx[order[:n_train]]
-        test_idx = idx[order[n_train:]]
-        per_class.append((inputs[train_idx], inputs[test_idx]))
-    return _assemble_tasks(per_class, cfg)
+        rows[0].extend(idx[:n_train].tolist())
+        rows[1].extend(idx[n_train:].tolist())
+    names = (f"{labels_path} (train split)", f"{labels_path} (test split)")
+    return _assemble_tasks(*((images[r], labels[r]) for r in rows), cfg, names)
 
 
 def save_stream_csv(tasks, directory):
@@ -310,17 +291,11 @@ def load_csv_stream(directory, cfg):
     Row order within each class is preserved, so a stream saved with
     ``save_stream_csv`` reloads into identical TaskSpecs.
     """
-    directory = Path(directory)
-    train_x, train_y = _read_examples_csv(directory / "train.csv")
-    test_x, test_y = _read_examples_csv(directory / "test.csv")
-    if test_x.shape[1] != train_x.shape[1]:
+    paths = (Path(directory) / "train.csv", Path(directory) / "test.csv")
+    train, test = map(_read_examples_csv, paths)
+    if test[0].shape[1] != train[0].shape[1]:
         raise FormatError(
-            f"{directory / 'test.csv'}:1: header has {test_x.shape[1]} features, "
-            f"train.csv has {train_x.shape[1]}"
+            f"{paths[1]}:1: header has {test[0].shape[1]} features, "
+            f"train.csv has {train[0].shape[1]}"
         )
-    per_class = []
-    for c in _class_ids(np.concatenate([train_y, test_y]), cfg):
-        per_class.append(
-            (train_x[np.flatnonzero(train_y == c)], test_x[np.flatnonzero(test_y == c)])
-        )
-    return _assemble_tasks(per_class, cfg)
+    return _assemble_tasks(train, test, cfg, paths)

@@ -272,12 +272,8 @@ class RunResult:
     summary: dict
 
 
-def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
-    """Run the whole stream and evaluate after every task.
-
-    Returns a RunResult; when ``out_dir`` is given, also writes the manifest,
-    accuracy grids, telemetry and summary there.
-    """
+def run_sequence(tasks, cfg):
+    """Run the whole stream and evaluate after every task; returns a RunResult."""
     if len(tasks) < 2:
         raise ConfigError("a sequence needs at least 2 tasks")
     for task in tasks:
@@ -299,10 +295,7 @@ def run_sequence(tasks, cfg, out_dir=None, manifest_extra=None):
             accuracy[:, t, s] = layer_accuracies(state.net, seen.test_x, seen.test_y)
 
     summary = build_summary(accuracy[-1], state.telemetry, time.perf_counter() - started)
-    result = RunResult(accuracy, state.telemetry, summary)
-    if out_dir is not None:
-        write_run_artifacts(out_dir, cfg, result, manifest_extra)
-    return result
+    return RunResult(accuracy, state.telemetry, summary)
 
 
 def build_summary(grid, telemetry, runtime_seconds):

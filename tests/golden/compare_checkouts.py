@@ -5,9 +5,11 @@
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 12 runs: the four arms on seeds 0 and 1 at ``--jobs 2``, then one run
-each with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``
-and the benchmark's wide-eval shape. Every file of every plan is compared
+hold 13 runs: the four arms on seeds 0 and 1 at ``--jobs 2``, then one run
+each with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``,
+the benchmark's wide-eval shape, and ``--stream csv`` on a seeded CSV stream
+whose rows come in shuffled class order, written once for both checkouts.
+Every file of every plan is compared
 byte for byte (``report.csv`` included), ``summary.json`` less its wall-clock
 ``runtime_seconds``. Both CLIs' ``--help`` output, printed with ``COLUMNS=80``,
 is compared too. Exits 0 when all match; otherwise prints each differing or
@@ -22,19 +24,37 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 WIDE_EVAL = (
     "--input-dim", "256", "--widths", "256,256,256,256",
     "--batch-size", "50", "--buffer-batch-size", "16",
     "--buffer-capacity", "2000", "--test-per-class", "1000",
 )
 ALL_ARMS = "full,no_entropy_scaling,no_adaptive_training,plain_er"
+CSV_STREAM = "csv_stream"  # written under the plans' working directory
 PLANS = {
     "arms": ("--arms", ALL_ARMS, "--seeds", "0,1", "--jobs", "2"),
     "sgd": ("--optimizer", "sgd"),
     "reward": ("--entropy-sign", "reward"),
     "widths": ("--widths", "8,16,4"),
     "wide-eval": WIDE_EVAL,
+    "csv": ("--stream", "csv", "--csv-path", CSV_STREAM),
 }
+
+
+def write_csv_stream(folder, classes=10, dim=16, seed=0):
+    """Seeded Gaussian blobs as train.csv/test.csv, the rows in shuffled class order."""
+    rng = np.random.default_rng(seed)
+    means = 3.0 / np.sqrt(dim) * rng.standard_normal((classes, dim))
+    folder.mkdir()
+    for name, per_class in (("train.csv", 100), ("test.csv", 20)):
+        labels = rng.permutation(np.repeat(np.arange(classes), per_class))
+        inputs = means[labels] + rng.standard_normal((len(labels), dim))
+        lines = ["label," + ",".join(f"f{i}" for i in range(dim))]
+        for y, x in zip(labels.tolist(), inputs.tolist()):
+            lines.append(f"{y}," + ",".join(map(repr, x)))
+        (folder / name).write_text("\n".join(lines) + "\n")
 
 
 def checkout_env(root):
@@ -97,6 +117,7 @@ def main(argv=None):
     failed = help_text(envs["parent"]) != help_text(envs["change"])
     print(f"--help: {'differs' if failed else 'identical'}")
     with tempfile.TemporaryDirectory(prefix="entrocl_compare_") as tmp:
+        write_csv_stream(Path(tmp) / CSV_STREAM)
         for plan, flags in PLANS.items():
             outs = {}
             for label, env in envs.items():

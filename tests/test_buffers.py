@@ -44,6 +44,32 @@ class TestReservoir:
         assert len(buf.items) == min(capacity, n_items)
         assert buf.seen_count == n_items
 
+    @given(st.integers(1, 8), st.lists(st.integers(0, 6), max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_extend_matches_one_at_a_time_fill(self, capacity, chunks):
+        # reference: fill free slots one item at a time, then one slot draw per
+        # late item; residents, seen_count and the generator state must agree
+        buf = ReplayBuffer(capacity, np.random.default_rng(5))
+        ref_items, ref_seen, ref_rng = [], 0, np.random.default_rng(5)
+        offered = 0
+        for size in chunks:
+            items = list(range(offered, offered + size))
+            offered += size
+            buf.extend(items)
+            i = 0
+            while ref_seen < capacity and i < len(items):
+                ref_items.append(items[i])
+                ref_seen += 1
+                i += 1
+            if items[i:]:
+                slots = ref_rng.integers(0, ref_seen + np.arange(len(items[i:])) + 1)
+                for j, item in zip(slots, items[i:]):
+                    if j < capacity:
+                        ref_items[j] = item
+                ref_seen += len(items[i:])
+            assert (buf.items, buf.seen_count) == (ref_items, ref_seen)
+        assert buf.rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_extend_matches_residency_law_quickly(self):
         # small Monte Carlo here; the acceptance suite runs the full-size one
         capacity, n, trials = 10, 200, 2000

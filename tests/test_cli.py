@@ -1,10 +1,11 @@
 import json
+from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from entrocl import ConfigError, RunConfig
+from entrocl import ConfigError, RunConfig, cli
 from entrocl.cli import (
     ARM_NAMES,
     ARMS,
@@ -171,10 +172,12 @@ class TestParsing:
         assert not (tmp_path / "out").exists()
 
     def test_config_file_unknown_key(self, tmp_path):
+        # config and help are argparse dests, but no setting a file can carry
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({"betta": 1.0}))
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_args(["--config", str(config)])
+        for values in ({"betta": 1.0}, {"config": "other.json"}, {"help": 1}):
+            config.write_text(json.dumps(values))
+            with pytest.raises(ConfigError, match=f"unknown config key '{next(iter(values))}'"):
+                parse_args(["--config", str(config)])
 
     def test_arm_configs(self):
         base = parse_args([]).run_config
@@ -239,6 +242,38 @@ class TestRunPlan:
         assert main(args + ["--out", str(out_a), "--jobs", "1"]) == 0
         assert main(args + ["--out", str(out_b), "--jobs", "2"]) == 0
         assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "jobs, seeds, pool_sizes",
+        [("8", "0", []), ("8", "0,1,2", [3]), ("2", "0,1,2", [2])],
+        ids=["one-run-in-process", "three-runs", "two-jobs"],
+    )
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, jobs, seeds,
+                                                 pool_sizes):
+        # a fork pool starts every worker at the first submit, so record the
+        # size asked for and run each job inline instead of forking
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + ["--jobs", jobs, "--seeds", seeds, "--out", str(out)]) == 0
+        assert sizes == pool_sizes
+        assert verify_report(out) == 0
 
     def test_too_short_widths_rejected_at_parse_time(self, tmp_path):
         code = main(["--widths", "8", "--out", str(tmp_path / "out")])

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -146,6 +147,31 @@ def idx_bytes(magic, dims, payload_size):
     return struct.pack(f">{1 + len(dims)}I", magic, *dims) + bytes(int(payload_size))
 
 
+def per_class_reference(per_class, classes_per_task):
+    """Each task's (train_x, train_y, test_x, test_y), concatenated class by class
+    from a list of every class's (train rows, test rows)."""
+    tasks = []
+    for lo in range(0, len(per_class), classes_per_task):
+        ids = range(lo, lo + classes_per_task)
+        arrays = []
+        for split in (0, 1):
+            arrays.append(np.concatenate([per_class[c][split] for c in ids]))
+            arrays.append(np.concatenate(
+                [np.full(len(per_class[c][split]), c, dtype=np.int64) for c in ids]
+            ))
+        tasks.append(arrays)
+    return tasks
+
+
+def assert_same_bytes(tasks, reference):
+    assert len(tasks) == len(reference)
+    for task, arrays in zip(tasks, reference):
+        for got, want in zip((task.train_x, task.train_y, task.test_x, task.test_y), arrays):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
 class TestIdx:
     def test_two_image_fixture(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -222,7 +248,68 @@ class TestIdx:
             assert len(task.test_y) == 4
 
 
+    def test_split_matches_per_class_reference(self, tmp_path):
+        # interleaved labels; the reference splits each class 80/20 in class order
+        rng = np.random.default_rng(8)
+        labels = np.arange(47) % 4
+        images = rng.integers(0, 256, size=(47, 2, 3)).astype(np.uint8)
+        image_path, label_path = write_idx_pair(tmp_path, images, labels)
+        inputs = images.reshape(47, 6).astype(np.float64) / 255.0
+        for seed in (0, 1):
+            cfg = StreamConfig(source="idx", num_tasks=2, classes_per_task=2, seed=seed,
+                               idx_images=str(image_path), idx_labels=str(label_path))
+            split_rng = np.random.default_rng(seed)
+            per_class = []
+            for c in range(4):
+                idx = np.flatnonzero(labels == c)
+                order = split_rng.permutation(len(idx))
+                n_train = int(round(0.8 * len(idx)))
+                per_class.append((inputs[idx[order[:n_train]]], inputs[idx[order[n_train:]]]))
+            tasks = load_idx_stream(image_path, label_path, cfg)
+            assert_same_bytes(tasks, per_class_reference(per_class, 2))
+
+    def test_class_without_test_rows(self, tmp_path):
+        # two images of class 3 both fall on the train side of the 80/20 split
+        labels = [0] * 10 + [1] * 10 + [2] * 10 + [3] * 2
+        images = np.zeros((len(labels), 2, 2))
+        image_path, label_path = write_idx_pair(tmp_path, images, labels)
+        cfg = StreamConfig(source="idx", num_tasks=2, classes_per_task=2,
+                           idx_images=str(image_path), idx_labels=str(label_path))
+        with pytest.raises(ConfigError, match=r"labels\.idx \(test split\): .*missing \[3\]"):
+            load_idx_stream(image_path, label_path, cfg)
+
+
+def write_examples_csv(path, inputs, labels):
+    lines = ["label," + ",".join(f"f{i}" for i in range(inputs.shape[1]))]
+    for label, row in zip(labels.tolist(), inputs.tolist()):
+        lines.append(f"{label}," + ",".join(map(repr, row)))
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestCsvRoundTrip:
+    def test_shuffled_rows_match_per_class_reference(self, tmp_path):
+        # tasks keep each class's rows in file order, whatever the class order
+        rng = np.random.default_rng(4)
+        pools = []
+        for name, n in (("train.csv", 60), ("test.csv", 18)):
+            labels = rng.permutation(np.arange(n) % 6)
+            inputs = rng.standard_normal((n, 3))
+            write_examples_csv(tmp_path / name, inputs, labels)
+            pools.append((inputs, labels))
+        per_class = [tuple(x[y == c] for x, y in pools) for c in range(6)]
+        tasks = load_csv_stream(tmp_path, small_cfg())
+        assert_same_bytes(tasks, per_class_reference(per_class, 2))
+
+    @pytest.mark.parametrize("dropped", [[2, 3], [3]], ids=["task-2", "class-3"])
+    def test_test_split_missing_classes(self, tmp_path, dropped):
+        save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path)
+        path = tmp_path / "test.csv"
+        lines = path.read_text().splitlines()
+        kept = [line for line in lines[1:] if int(line.split(",")[0]) not in dropped]
+        path.write_text("\n".join(lines[:1] + kept) + "\n")
+        with pytest.raises(ConfigError, match=rf"test\.csv: .*missing {re.escape(str(dropped))}"):
+            load_csv_stream(tmp_path, small_cfg())
+
     def test_save_load_identical(self, tmp_path):
         tasks = make_synthetic_stream(small_cfg())
         save_stream_csv(tasks, tmp_path / "stream")

@@ -327,8 +327,8 @@ class TestRunSequence:
         assert (tmp_path / "per_layer_accuracy.csv").read_bytes() == expected
 
     def test_artifact_files_written(self, tmp_path):
-        tasks = tiny_stream(7)
-        run_sequence(tasks, tiny_config(7), out_dir=tmp_path / "run")
+        cfg = tiny_config(7)
+        write_run_artifacts(tmp_path / "run", cfg, run_sequence(tiny_stream(7), cfg))
         for name in (
             "manifest.json",
             "accuracy_matrix.csv",
