@@ -27,6 +27,7 @@ from .streams import (
     batches,
     load_csv_stream,
     load_idx_stream,
+    load_source,
     make_stream,
     make_synthetic_stream,
     save_stream_csv,
@@ -61,6 +62,7 @@ __all__ = [
     "load_checkpoint",
     "load_csv_stream",
     "load_idx_stream",
+    "load_source",
     "make_stream",
     "make_synthetic_stream",
     "run_sequence",

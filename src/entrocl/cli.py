@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import training
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .modulation import ENTROPY_SIGNS
-from .streams import STREAM_SOURCES, StreamConfig, make_stream
+from .streams import STREAM_SOURCES, StreamConfig, load_source, make_stream
 from .training import OPTIMIZERS, RunConfig
 
 # The switches each ablation arm sets on the base config; plain ER also drops beta.
@@ -203,11 +203,12 @@ def parse_args(argv):
     )
 
 
-def execute_run(arm, seed, run_config, stream_config, out_dir):
-    """One (arm, seed) run; module-level so worker processes can import it."""
+def execute_run(arm, seed, run_config, stream_config, out_dir, source=None):
+    """One (arm, seed) run; module-level so worker processes can import it.
+    ``source`` is the plan's stream files as ``load_source`` read them."""
     cfg = replace(apply_arm(run_config, arm), seed=seed)
     stream_cfg = replace(stream_config, seed=seed)
-    result = training.run_sequence(make_stream(stream_cfg), cfg)
+    result = training.run_sequence(make_stream(stream_cfg, source), cfg)
     training.write_run_artifacts(
         out_dir, cfg, result, {"arm": arm, "stream_config": stream_cfg.to_dict()}
     )
@@ -230,6 +231,13 @@ def write_report(fh, arms, summaries):
 
 
 def run_plan(plan):
+    # a file-backed stream is read once for every run, and a bad file fails the plan here
+    try:
+        source = load_source(plan.stream_config)
+    except (FormatError, OSError, ConfigError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
     out = Path(plan.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -241,7 +249,7 @@ def run_plan(plan):
         return 1
 
     jobs = [
-        (arm, seed, plan.run_config, plan.stream_config, str(out / arm / str(seed)))
+        (arm, seed, plan.run_config, plan.stream_config, str(out / arm / str(seed)), source)
         for arm in plan.arms
         for seed in plan.seeds
     ]

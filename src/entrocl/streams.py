@@ -8,6 +8,7 @@ label file pairs, and CSV directories written by ``save_stream_csv``.
 
 import math
 import struct
+from array import array
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -90,13 +91,34 @@ class StreamConfig:
         return asdict(self)
 
 
-def make_stream(cfg):
+def load_source(cfg):
+    """Read a file-backed stream's files: what every seed's stream is built from.
+
+    For CSV this is the train and test pools, each an (inputs, int64 labels)
+    pair, with their paths; for IDX the images, the labels and the label file's
+    path. The synthetic source draws its data from the seed, so it has none.
+    """
+    cfg.validate()
+    if cfg.source == "idx":
+        return _read_idx_pair(cfg.idx_images, cfg.idx_labels)
+    if cfg.source == "csv":
+        return _read_csv_pools(cfg.csv_path)
+    return None
+
+
+def make_stream(cfg, source=None):
+    """The tasks of ``cfg``'s stream, built from ``source`` (what ``load_source``
+    returned for a config that differs at most in its seed) or, when none is
+    given, from the files read here."""
     cfg.validate()
     if cfg.source == "synthetic":
         return make_synthetic_stream(cfg)
+    if source is None:
+        source = load_source(cfg)
     if cfg.source == "idx":
-        return load_idx_stream(cfg.idx_images, cfg.idx_labels, cfg)
-    return load_csv_stream(cfg.csv_path, cfg)
+        return _split_idx(source, cfg)
+    train, test, paths = source
+    return _assemble_tasks(train, test, cfg, paths)
 
 
 def make_synthetic_stream(cfg):
@@ -206,16 +228,22 @@ def parse_idx_labels(path):
     return _read_idx(path, IDX_LABEL_MAGIC, "label").astype(np.int64)
 
 
-def load_idx_stream(images_path, labels_path, cfg):
-    """Load an IDX image/label pair into tasks: a seeded 80/20 split of each
-    class, in class order, gives the train and test pools."""
+def _read_idx_pair(images_path, labels_path):
     images = parse_idx_images(images_path)
     labels = parse_idx_labels(labels_path)
     if len(images) != len(labels):
         raise FormatError(
-            f"label count {len(labels)} does not match image count {len(images)}",
+            f"{labels_path}: label count {len(labels)} does not match image count "
+            f"{len(images)} in {images_path}",
             offset=0,
         )
+    return images, labels, labels_path
+
+
+def _split_idx(source, cfg):
+    """A seeded 80/20 split of each class, in class order, gives the train and
+    test pools."""
+    images, labels, labels_path = source
     rng = np.random.default_rng(cfg.seed)
     rows = ([], [])
     for c in np.unique(labels):
@@ -226,6 +254,11 @@ def load_idx_stream(images_path, labels_path, cfg):
         rows[1].extend(idx[n_train:].tolist())
     names = (f"{labels_path} (train split)", f"{labels_path} (test split)")
     return _assemble_tasks(*((images[r], labels[r]) for r in rows), cfg, names)
+
+
+def load_idx_stream(images_path, labels_path, cfg):
+    """Load an IDX image/label pair into tasks."""
+    return _split_idx(_read_idx_pair(images_path, labels_path), cfg)
 
 
 def save_stream_csv(tasks, directory):
@@ -254,7 +287,12 @@ def save_stream_csv(tasks, directory):
 
 
 def _read_examples_csv(path):
-    with open(path, encoding="utf-8") as fh:
+    """Parse a ``label,f0,f1,...`` file into C-contiguous float64 inputs and
+    int64 labels. Each checked row is appended to a flat typed array, so the
+    parse holds about one copy of the data, not a Python float per feature.
+    Bytes that are not UTF-8 stay in their field, which then fails to parse
+    with the line named."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         fields = header.split(",")
         if not fields or fields[0] != "label":
@@ -262,7 +300,7 @@ def _read_examples_csv(path):
         dim = len(fields) - 1
         if dim == 0:
             raise FormatError(f"{path}:1: header has no feature columns")
-        xs, ys = [], []
+        xs, ys = array("d"), array("q")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -274,15 +312,26 @@ def _read_examples_csv(path):
                 )
             try:
                 label, row = int(parts[0]), [float(v) for v in parts[1:]]
-            except ValueError as exc:
+                ys.append(label)
+            except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, row)):
                 raise FormatError(f"{path}:{lineno}: non-finite feature")
-            ys.append(label)
-            xs.append(row)
+            xs.extend(row)
     if not ys:
         raise FormatError(f"{path}: no data rows")
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64)
+    return np.frombuffer(xs, dtype=np.float64).reshape(-1, dim), np.frombuffer(ys, dtype=np.int64)
+
+
+def _read_csv_pools(directory):
+    paths = (Path(directory) / "train.csv", Path(directory) / "test.csv")
+    train, test = map(_read_examples_csv, paths)
+    if test[0].shape[1] != train[0].shape[1]:
+        raise FormatError(
+            f"{paths[1]}:1: header has {test[0].shape[1]} features, "
+            f"train.csv has {train[0].shape[1]}"
+        )
+    return train, test, paths
 
 
 def load_csv_stream(directory, cfg):
@@ -291,11 +340,5 @@ def load_csv_stream(directory, cfg):
     Row order within each class is preserved, so a stream saved with
     ``save_stream_csv`` reloads into identical TaskSpecs.
     """
-    paths = (Path(directory) / "train.csv", Path(directory) / "test.csv")
-    train, test = map(_read_examples_csv, paths)
-    if test[0].shape[1] != train[0].shape[1]:
-        raise FormatError(
-            f"{paths[1]}:1: header has {test[0].shape[1]} features, "
-            f"train.csv has {train[0].shape[1]}"
-        )
+    train, test, paths = _read_csv_pools(directory)
     return _assemble_tasks(train, test, cfg, paths)

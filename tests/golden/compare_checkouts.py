@@ -5,11 +5,14 @@
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 13 runs: the four arms on seeds 0 and 1 at ``--jobs 2``, then one run
-each with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``,
-the benchmark's wide-eval shape, and ``--stream csv`` on a seeded CSV stream
-whose rows come in shuffled class order, written once for both checkouts.
-Every file of every plan is compared
+hold 24 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
+with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4`` and
+the benchmark's wide-eval shape; ``--stream csv`` on a seeded CSV stream whose
+rows come in shuffled class order, as the four arms on seeds 0 and 1 at
+``--jobs 2`` (the process pool) and on seeds 0 and 1 at ``--jobs 1`` (in
+process); and ``--stream idx`` on a seeded IDX image/label pair, on seeds 0
+and 1, whose per-class split follows the seed. Both streams are written once
+for both checkouts. Every file of every plan is compared
 byte for byte (``report.csv`` included), ``summary.json`` less its wall-clock
 ``runtime_seconds``. Both CLIs' ``--help`` output, printed with ``COLUMNS=80``,
 is compared too. Exits 0 when all match; otherwise prints each differing or
@@ -19,6 +22,7 @@ missing file and exits 1.
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -32,14 +36,19 @@ WIDE_EVAL = (
     "--buffer-capacity", "2000", "--test-per-class", "1000",
 )
 ALL_ARMS = "full,no_entropy_scaling,no_adaptive_training,plain_er"
-CSV_STREAM = "csv_stream"  # written under the plans' working directory
+CSV_STREAM = "csv_stream"  # the streams are written under the plans' working directory
+IDX_IMAGES, IDX_LABELS = "images.idx", "labels.idx"
 PLANS = {
     "arms": ("--arms", ALL_ARMS, "--seeds", "0,1", "--jobs", "2"),
     "sgd": ("--optimizer", "sgd"),
     "reward": ("--entropy-sign", "reward"),
     "widths": ("--widths", "8,16,4"),
     "wide-eval": WIDE_EVAL,
-    "csv": ("--stream", "csv", "--csv-path", CSV_STREAM),
+    "csv": ("--stream", "csv", "--csv-path", CSV_STREAM, "--arms", ALL_ARMS,
+            "--seeds", "0,1", "--jobs", "2"),
+    "csv-serial": ("--stream", "csv", "--csv-path", CSV_STREAM, "--seeds", "0,1", "--jobs", "1"),
+    "idx": ("--stream", "idx", "--idx-images", IDX_IMAGES, "--idx-labels", IDX_LABELS,
+            "--seeds", "0,1"),
 }
 
 
@@ -55,6 +64,21 @@ def write_csv_stream(folder, classes=10, dim=16, seed=0):
         for y, x in zip(labels.tolist(), inputs.tolist()):
             lines.append(f"{y}," + ",".join(map(repr, x)))
         (folder / name).write_text("\n".join(lines) + "\n")
+
+
+def write_idx_pair(folder, classes=10, per_class=60, side=4, seed=0):
+    """Seeded uint8 images around one mean per class, in shuffled class order,
+    as an IDX image file and an IDX label file."""
+    rng = np.random.default_rng(seed)
+    means = rng.uniform(40, 215, size=(classes, side, side))
+    labels = rng.permutation(np.repeat(np.arange(classes), per_class))
+    images = np.clip(means[labels] + 30 * rng.standard_normal((len(labels), side, side)), 0, 255)
+    (folder / IDX_IMAGES).write_bytes(
+        struct.pack(">IIII", 0x00000803, len(labels), side, side) + images.astype(np.uint8).tobytes()
+    )
+    (folder / IDX_LABELS).write_bytes(
+        struct.pack(">II", 0x00000801, len(labels)) + labels.astype(np.uint8).tobytes()
+    )
 
 
 def checkout_env(root):
@@ -118,6 +142,7 @@ def main(argv=None):
     print(f"--help: {'differs' if failed else 'identical'}")
     with tempfile.TemporaryDirectory(prefix="entrocl_compare_") as tmp:
         write_csv_stream(Path(tmp) / CSV_STREAM)
+        write_idx_pair(Path(tmp))
         for plan, flags in PLANS.items():
             outs = {}
             for label, env in envs.items():

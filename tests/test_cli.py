@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from entrocl import ConfigError, RunConfig, cli
+from entrocl import ConfigError, RunConfig, cli, streams
 from entrocl.cli import (
     ARM_NAMES,
     ARMS,
@@ -20,7 +20,7 @@ from entrocl.cli import (
     verify_report,
 )
 from entrocl.modulation import ENTROPY_SIGNS
-from entrocl.streams import STREAM_SOURCES, StreamConfig
+from entrocl.streams import STREAM_SOURCES, StreamConfig, make_synthetic_stream, save_stream_csv
 from entrocl.training import OPTIMIZERS
 
 
@@ -34,6 +34,40 @@ def report_as_directory(arm):
     report = arm.parent / "report.csv"
     report.unlink()
     report.mkdir()
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with a fake that runs each job inline when it is
+    submitted; returns the list of pool sizes asked for. A fork pool starts every
+    worker at the first submit, so the fake records the size instead of forking."""
+    sizes = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    return sizes
+
+
+def csv_plan_flags(folder):
+    """Flags of a CSV-stream plan over a small stream written to ``folder``."""
+    stream = StreamConfig(num_tasks=2, train_per_class=20, test_per_class=5, input_dim=4)
+    save_stream_csv(make_synthetic_stream(stream), folder)
+    return ["--stream", "csv", "--csv-path", str(folder), "--num-tasks", "2",
+            "--widths", "8,8", "--buffer-capacity", "20"]
 
 
 FAST_FLAGS = [
@@ -248,31 +282,11 @@ class TestRunPlan:
         [("8", "0", []), ("8", "0,1,2", [3]), ("2", "0,1,2", [2])],
         ids=["one-run-in-process", "three-runs", "two-jobs"],
     )
-    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, jobs, seeds,
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, inline_pool, jobs, seeds,
                                                  pool_sizes):
-        # a fork pool starts every worker at the first submit, so record the
-        # size asked for and run each job inline instead of forking
-        sizes = []
-
-        class InlineExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
         out = tmp_path / "out"
         assert main(FAST_FLAGS + ["--jobs", jobs, "--seeds", seeds, "--out", str(out)]) == 0
-        assert sizes == pool_sizes
+        assert inline_pool == pool_sizes
         assert verify_report(out) == 0
 
     def test_too_short_widths_rejected_at_parse_time(self, tmp_path):
@@ -285,17 +299,59 @@ class TestRunPlan:
         )
         assert code == 0
 
-    def test_failed_run_reports_arm_and_seed(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["in-process", "pool"])
+    def test_plan_parses_each_csv_file_once(self, tmp_path, monkeypatch, inline_pool, jobs):
+        parsed = []
+        parse = streams._read_examples_csv
+        monkeypatch.setattr(streams, "_read_examples_csv",
+                            lambda path: parsed.append(path) or parse(path))
         out = tmp_path / "out"
-        (tmp_path / "no_csv").mkdir()
-        code = main(
-            ["--stream", "csv", "--csv-path", str(tmp_path / "no_csv"),
-             "--num-tasks", "2", "--widths", "8,8", "--out", str(out)]
-        )
+        flags = csv_plan_flags(tmp_path / "stream")
+        assert main(flags + ["--arms", "full,plain_er", "--seeds", "0,1", "--jobs", jobs,
+                             "--out", str(out)]) == 0
+        assert [Path(path).name for path in parsed] == ["train.csv", "test.csv"]
+        assert inline_pool == ([] if jobs == "1" else [2])
+        assert verify_report(out) == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fault", ["missing-train", "bad-line"])
+    def test_file_fault_fails_the_plan_once(self, tmp_path, capsys, fault, jobs):
+        folder = tmp_path / "stream"
+        flags = csv_plan_flags(folder)
+        train = folder / "train.csv"
+        if fault == "missing-train":
+            train.unlink()
+            named = str(train)
+        else:
+            lines = train.read_text().splitlines()
+            cells = lines[2].split(",")
+            cells[1] = "one"
+            lines[2] = ",".join(cells)
+            train.write_text("\n".join(lines) + "\n")
+            named = f"{train}:3: "
+        out = tmp_path / "out"
+        code = main(flags + ["--arms", "full,plain_er", "--seeds", "0,1", "--jobs", jobs,
+                             "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: run (arm=full, seed=0) failed: FileNotFoundError: ")
-        assert str(tmp_path / "no_csv" / "train.csv") in err
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert named in errors[0]
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_failed_run_reports_arm_and_seed(self, tmp_path, capsys):
+        # an Adam step of 1e300 overflows the weights within the first task
+        out = tmp_path / "out"
+        code = main(FAST_FLAGS + ["--lr", "1e300", "--arms", "full,plain_er", "--out", str(out)])
+        assert code == 1
+        errors = capsys.readouterr().err.splitlines()
+        errors = [line for line in errors if line.startswith("error:")]
+        assert [line.split(" failed: ")[0] for line in errors] == [
+            "error: run (arm=full, seed=0)", "error: run (arm=plain_er, seed=0)"
+        ]
+        assert all("FloatingPointError: step " in line for line in errors)
+        assert not (out / "report.csv").exists()
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ import pytest
 from entrocl import ConfigError, FormatError
 from entrocl.streams import (
     StreamConfig,
+    _read_examples_csv,
     batches,
     load_csv_stream,
     load_idx_stream,
+    load_source,
     make_stream,
     make_synthetic_stream,
     parse_idx_images,
@@ -172,6 +175,10 @@ def assert_same_bytes(tasks, reference):
             assert got.tobytes() == want.tobytes()
 
 
+def task_arrays(tasks):
+    return [(t.train_x, t.train_y, t.test_x, t.test_y) for t in tasks]
+
+
 class TestIdx:
     def test_two_image_fixture(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -230,8 +237,11 @@ class TestIdx:
         label_path.write_bytes(struct.pack(">II", 0x00000801, 3) + bytes([0, 1, 0]))
         cfg = StreamConfig(source="idx", num_tasks=1, classes_per_task=2,
                            idx_images=str(image_path), idx_labels=str(label_path))
-        with pytest.raises(FormatError, match="label count"):
+        with pytest.raises(FormatError, match="label count 3 does not match image count 4"
+                           ) as failure:
             load_idx_stream(image_path, label_path, cfg)
+        assert str(label_path) in str(failure.value)
+        assert str(image_path) in str(failure.value)
 
     def test_stream_assembly(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -335,7 +345,8 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize(
         "column, value",
-        [(1, "nan"), (2, "inf"), (4, "-Infinity"), (3, "0x1p3"), (0, "1.5"), (0, "one")],
+        [(1, "nan"), (2, "inf"), (4, "-Infinity"), (3, "0x1p3"), (0, "1.5"), (0, "one"),
+         (0, "9" * 20)],
     )
     def test_bad_field_names_path_and_line(self, tmp_path, column, value):
         save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path / "stream")
@@ -361,3 +372,53 @@ class TestCsvRoundTrip:
         (tmp_path / "wider" / "test.csv").replace(tmp_path / "stream" / "test.csv")
         with pytest.raises(FormatError, match=r"test\.csv:1: header has 5 features, train\.csv has 4"):
             load_csv_stream(tmp_path / "stream", small_cfg())
+
+    def test_bytes_that_are_not_utf8_name_path_and_line(self, tmp_path):
+        save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path)
+        path = tmp_path / "train.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b",", b",\xff", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(FormatError, match=r"train\.csv:3: "):
+            load_csv_stream(tmp_path, small_cfg())
+
+    def test_parse_holds_about_one_copy_of_the_data(self, tmp_path):
+        # a Python float per feature would hold about 5x the arrays' bytes
+        rng = np.random.default_rng(5)
+        path = tmp_path / "train.csv"
+        write_examples_csv(path, rng.standard_normal((5000, 32)), np.arange(5000) % 10)
+        tracemalloc.start()
+        try:
+            inputs, labels = _read_examples_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (inputs.dtype, inputs.shape) == (np.float64, (5000, 32))
+        assert (labels.dtype, labels.shape) == (np.int64, (5000,))
+        assert inputs.flags.c_contiguous and labels.flags.c_contiguous
+        assert peak <= 2 * (inputs.nbytes + labels.nbytes)
+
+
+class TestLoadSource:
+    def test_synthetic_source_has_no_files(self):
+        assert load_source(small_cfg()) is None
+
+    def test_csv_source_builds_every_seed_as_the_files_do(self, tmp_path):
+        save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path)
+        source = load_source(small_cfg(source="csv", csv_path=str(tmp_path)))
+        for seed in (0, 1):
+            seeded = small_cfg(source="csv", csv_path=str(tmp_path), seed=seed)
+            assert_same_bytes(make_stream(seeded, source), task_arrays(make_stream(seeded)))
+
+    def test_idx_source_splits_each_seed_as_the_files_do(self, tmp_path):
+        rng = np.random.default_rng(9)
+        images = rng.integers(0, 256, size=(60, 2, 2))
+        image_path, label_path = write_idx_pair(tmp_path, images, np.arange(60) % 6)
+        paths = dict(source="idx", idx_images=str(image_path), idx_labels=str(label_path))
+        source = load_source(small_cfg(**paths))
+        splits = []
+        for seed in (0, 1):
+            tasks = make_stream(small_cfg(seed=seed, **paths), source)
+            assert_same_bytes(tasks, task_arrays(make_stream(small_cfg(seed=seed, **paths))))
+            splits.append(tasks[0].train_x.tobytes())
+        assert splits[0] != splits[1]  # the split still follows the seed
