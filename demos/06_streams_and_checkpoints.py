@@ -2,6 +2,7 @@
 
 import struct
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from entrocl import (
     LayeredNet,
     StreamConfig,
     load_checkpoint,
-    load_csv_stream,
+    make_stream,
     make_synthetic_stream,
     save_checkpoint,
     save_stream_csv,
@@ -26,7 +27,7 @@ with tempfile.TemporaryDirectory(prefix="entrocl_demo_") as tmp:
                        test_per_class=3, input_dim=4, seed=5)
     tasks = make_synthetic_stream(cfg)
     save_stream_csv(tasks, workdir / "stream")
-    reloaded = load_csv_stream(workdir / "stream", cfg)
+    reloaded = make_stream(replace(cfg, source="csv", csv_path=str(workdir / "stream")))
     exact = all(
         np.array_equal(a.train_x, b.train_x) and np.array_equal(a.test_y, b.test_y)
         for a, b in zip(tasks, reloaded)

@@ -25,8 +25,6 @@ from .streams import (
     StreamConfig,
     TaskSpec,
     batches,
-    load_csv_stream,
-    load_idx_stream,
     load_source,
     make_stream,
     make_synthetic_stream,
@@ -60,8 +58,6 @@ __all__ = [
     "gamma_from_entropies",
     "layer_zscores",
     "load_checkpoint",
-    "load_csv_stream",
-    "load_idx_stream",
     "load_source",
     "make_stream",
     "make_synthetic_stream",

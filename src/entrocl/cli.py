@@ -11,7 +11,9 @@ import io
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -258,20 +260,14 @@ def run_plan(plan):
     summaries = {arm: [] for arm in plan.arms}
     # a fork pool starts all its workers at the first submit, so size it to the runs
     workers = min(plan.jobs, len(jobs))
-    if workers == 1:
-        for job in jobs:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        calls = [pool.submit(execute_run, *job).result if pool else partial(execute_run, *job)
+                 for job in jobs]
+        for job, call in zip(jobs, calls):
             try:
-                summaries[job[0]].append(execute_run(*job))
+                summaries[job[0]].append(call())
             except Exception as exc:  # noqa: BLE001 - report and keep going
                 failures.append((job[0], job[1], f"{type(exc).__name__}: {exc}"))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute_run, *job) for job in jobs]
-            for job, future in zip(jobs, futures):
-                try:
-                    summaries[job[0]].append(future.result())
-                except Exception as exc:  # noqa: BLE001
-                    failures.append((job[0], job[1], f"{type(exc).__name__}: {exc}"))
 
     completed_arms = [arm for arm in plan.arms if summaries[arm]]
     if completed_arms:
@@ -287,10 +283,10 @@ def _read_summaries(arm_dir):
     """The summary.json of every seed directory under one arm, in seed order."""
     seeds = {}
     for path in arm_dir.iterdir():
-        try:
-            seeds[int(path.name)] = path / "summary.json"
-        except ValueError:
-            raise ValueError(f"{path} is not a seed directory") from None
+        # only a seed's decimal form, so that 01 cannot stand in for seed 1
+        if not path.name.isdecimal() or str(int(path.name)) != path.name:
+            raise ValueError(f"{path} is not a seed directory")
+        seeds[int(path.name)] = path / "summary.json"
     rows = []
     for _, path in sorted(seeds.items()):
         try:
@@ -314,6 +310,9 @@ def verify_report(out_dir):
         with open(report_path, encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip()]
         arms = [line.split(",", 1)[0] for line in lines[1:]]
+        if not arms or len(set(arms)) < len(arms) or not set(arms) <= set(ARM_NAMES):
+            raise ValueError(f"{report_path}: expected one row per arm of {ARM_NAMES}, "
+                             f"got rows for {arms}")
         summaries = {arm: _read_summaries(out / arm) for arm in arms}
     except UnicodeDecodeError as exc:
         print(f"error: {report_path}: not UTF-8 text at byte {exc.start}", file=sys.stderr)

@@ -256,15 +256,11 @@ def _split_idx(source, cfg):
     return _assemble_tasks(*((images[r], labels[r]) for r in rows), cfg, names)
 
 
-def load_idx_stream(images_path, labels_path, cfg):
-    """Load an IDX image/label pair into tasks."""
-    return _split_idx(_read_idx_pair(images_path, labels_path), cfg)
-
-
 def save_stream_csv(tasks, directory):
     """Write a stream as train.csv/test.csv (header label,f0,f1,...).
 
-    Floats are written with repr, so reloading reproduces the arrays exactly.
+    Floats are written with repr, and the csv source keeps each class's rows in
+    file order, so the stream reloads into identical TaskSpecs.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -332,13 +328,3 @@ def _read_csv_pools(directory):
             f"train.csv has {train[0].shape[1]}"
         )
     return train, test, paths
-
-
-def load_csv_stream(directory, cfg):
-    """Load train.csv/test.csv from a directory and assemble tasks.
-
-    Row order within each class is preserved, so a stream saved with
-    ``save_stream_csv`` reloads into identical TaskSpecs.
-    """
-    train, test, paths = _read_csv_pools(directory)
-    return _assemble_tasks(train, test, cfg, paths)

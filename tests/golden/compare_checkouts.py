@@ -12,7 +12,11 @@ rows come in shuffled class order, as the four arms on seeds 0 and 1 at
 ``--jobs 2`` (the process pool) and on seeds 0 and 1 at ``--jobs 1`` (in
 process); and ``--stream idx`` on a seeded IDX image/label pair, on seeds 0
 and 1, whose per-class split follows the seed. Both streams are written once
-for both checkouts. Every file of every plan is compared
+for both checkouts. Every one of these plans must exit 0. Two more plans fail
+on purpose: ``--lr 1e300`` on ``full`` and ``plain_er`` over seeds 0 and 1
+makes all 8 runs diverge, at ``--jobs 2`` and at ``--jobs 1``. They must
+exit 1. For every plan, the exit codes and the ``error:`` lines on stderr are
+compared. Every file of every plan is compared
 byte for byte (``report.csv`` included), ``summary.json`` less its wall-clock
 ``runtime_seconds``. Both CLIs' ``--help`` output, printed with ``COLUMNS=80``,
 is compared too. Exits 0 when all match; otherwise prints each differing or
@@ -38,6 +42,7 @@ WIDE_EVAL = (
 ALL_ARMS = "full,no_entropy_scaling,no_adaptive_training,plain_er"
 CSV_STREAM = "csv_stream"  # the streams are written under the plans' working directory
 IDX_IMAGES, IDX_LABELS = "images.idx", "labels.idx"
+DIVERGE = ("--lr", "1e300", "--arms", "full,plain_er", "--seeds", "0,1")  # every run fails
 PLANS = {
     "arms": ("--arms", ALL_ARMS, "--seeds", "0,1", "--jobs", "2"),
     "sgd": ("--optimizer", "sgd"),
@@ -49,7 +54,11 @@ PLANS = {
     "csv-serial": ("--stream", "csv", "--csv-path", CSV_STREAM, "--seeds", "0,1", "--jobs", "1"),
     "idx": ("--stream", "idx", "--idx-images", IDX_IMAGES, "--idx-labels", IDX_LABELS,
             "--seeds", "0,1"),
+    "diverge": DIVERGE + ("--jobs", "2"),
+    "diverge-serial": DIVERGE + ("--jobs", "1"),
 }
+# the exit code each plan must give; every other plan must exit 0
+EXIT_CODES = {"diverge": 1, "diverge-serial": 1}
 
 
 def write_csv_stream(folder, classes=10, dim=16, seed=0):
@@ -144,21 +153,29 @@ def main(argv=None):
         write_csv_stream(Path(tmp) / CSV_STREAM)
         write_idx_pair(Path(tmp))
         for plan, flags in PLANS.items():
-            outs = {}
+            outs, outcomes = {}, {}
             for label, env in envs.items():
                 outs[label] = Path(tmp) / label / plan
                 command = [sys.executable, "-m", "entrocl.cli", *flags, "--out", str(outs[label])]
-                code = subprocess.run(command, env=env, cwd=tmp).returncode
-                if code != 0:
-                    print(f"{plan}: the {label} CLI exited {code}")
+                done = subprocess.run(command, env=env, cwd=tmp, capture_output=True, text=True)
+                errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+                outcomes[label] = (done.returncode, errors)
+                if done.returncode != EXIT_CODES.get(plan, 0):
+                    print(f"{plan}: the {label} CLI exited {done.returncode}:\n{done.stderr}")
                     failed = True
+            if outcomes["parent"] != outcomes["change"]:
+                print(f"{plan}: exit codes or error lines differ")
+                for label, (code, errors) in outcomes.items():
+                    print("\n".join([f"  {label} exited {code}", *errors]))
+                failed = True
             differing, compared = diff_trees(outs["parent"], outs["change"])
             runs = len(list(outs["parent"].rglob("summary.json")))
             for name in differing:
                 print(f"{plan}: {name} differs")
             failed = failed or bool(differing)
             status = f"{len(differing)} differ" if differing else "all identical"
-            print(f"{plan}: {runs} run(s), {compared} files, {status}")
+            errors = len(outcomes["parent"][1])
+            print(f"{plan}: {runs} run(s), {compared} files, {errors} error line(s), {status}")
     print("DIFFERENT" if failed else "IDENTICAL")
     return 1 if failed else 0
 

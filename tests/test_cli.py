@@ -1,4 +1,5 @@
 import json
+import shutil
 from concurrent.futures import Future
 from dataclasses import fields
 from pathlib import Path
@@ -34,6 +35,19 @@ def report_as_directory(arm):
     report = arm.parent / "report.csv"
     report.unlink()
     report.mkdir()
+
+
+def keep_report_rows(arm, rows):
+    """Rewrite report.csv as its header and ``rows(arm_rows)``."""
+    report = arm.parent / "report.csv"
+    header, *arm_rows = report.read_text().splitlines()
+    report.write_text("\n".join([header, *rows(arm_rows)]) + "\n")
+
+
+def rename_arm(arm, name):
+    """Copy the arm's runs to ``name`` and relabel its report row, as if a plan ran it."""
+    shutil.copytree(arm, arm.parent / name)
+    keep_report_rows(arm, lambda rows: [row.replace(arm.name, name, 1) for row in rows])
 
 
 @pytest.fixture
@@ -340,10 +354,13 @@ class TestRunPlan:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
-    def test_failed_run_reports_arm_and_seed(self, tmp_path, capsys):
-        # an Adam step of 1e300 overflows the weights within the first task
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["in-process", "pool"])
+    def test_failed_run_reports_arm_and_seed(self, tmp_path, capsys, jobs):
+        # an Adam step of 1e300 overflows the weights within the first task; at
+        # --jobs 2 the exception crosses the process boundary of a real pool
         out = tmp_path / "out"
-        code = main(FAST_FLAGS + ["--lr", "1e300", "--arms", "full,plain_er", "--out", str(out)])
+        code = main(FAST_FLAGS + ["--lr", "1e300", "--arms", "full,plain_er", "--jobs", jobs,
+                                  "--out", str(out)])
         assert code == 1
         errors = capsys.readouterr().err.splitlines()
         errors = [line for line in errors if line.startswith("error:")]
@@ -402,10 +419,24 @@ class TestVerify:
                 lambda arm: (arm.parent / "report.csv").write_bytes(b"arm\xff\n"),
                 "report.csv: not UTF-8 text at byte 3",
             ),
+            (lambda arm: shutil.copytree(arm / "1", arm / "01"), "01 is not a seed directory"),
+            (lambda arm: shutil.copytree(arm / "1", arm / "+1"), "+1 is not a seed directory"),
+            (
+                lambda arm: keep_report_rows(arm, lambda rows: rows + rows[-1:]),
+                "got rows for ['full', 'full']",
+            ),
+            (lambda arm: keep_report_rows(arm, lambda rows: []), "report.csv: expected one row"),
+            (lambda arm: rename_arm(arm, "bogus"), "got rows for ['bogus']"),
+            (
+                lambda arm: keep_report_rows(arm, lambda rows: [row[len("full"):] for row in rows]),
+                "got rows for ['']",
+            ),
         ],
         ids=["missing-summary", "non-integer-directory", "truncated-summary", "missing-metric",
              "non-object-summary", "non-numeric-metric", "non-utf8-summary",
-             "report-is-directory", "non-utf8-report"],
+             "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
+             "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
+             "empty-arm-row"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from entrocl.streams import (
     StreamConfig,
     _read_examples_csv,
     batches,
-    load_csv_stream,
-    load_idx_stream,
     load_source,
     make_stream,
     make_synthetic_stream,
@@ -239,7 +238,7 @@ class TestIdx:
                            idx_images=str(image_path), idx_labels=str(label_path))
         with pytest.raises(FormatError, match="label count 3 does not match image count 4"
                            ) as failure:
-            load_idx_stream(image_path, label_path, cfg)
+            make_stream(cfg)
         assert str(label_path) in str(failure.value)
         assert str(image_path) in str(failure.value)
 
@@ -250,7 +249,7 @@ class TestIdx:
         image_path, label_path = write_idx_pair(tmp_path, images, labels)
         cfg = StreamConfig(source="idx", num_tasks=2, classes_per_task=2, seed=3,
                            idx_images=str(image_path), idx_labels=str(label_path))
-        tasks = load_idx_stream(image_path, label_path, cfg)
+        tasks = make_stream(cfg)
         assert [t.class_ids for t in tasks] == [(0, 1), (2, 3)]
         for task in tasks:
             # 10 per class, 80/20 split
@@ -275,7 +274,7 @@ class TestIdx:
                 order = split_rng.permutation(len(idx))
                 n_train = int(round(0.8 * len(idx)))
                 per_class.append((inputs[idx[order[:n_train]]], inputs[idx[order[n_train:]]]))
-            tasks = load_idx_stream(image_path, label_path, cfg)
+            tasks = make_stream(cfg)
             assert_same_bytes(tasks, per_class_reference(per_class, 2))
 
     def test_class_without_test_rows(self, tmp_path):
@@ -286,7 +285,7 @@ class TestIdx:
         cfg = StreamConfig(source="idx", num_tasks=2, classes_per_task=2,
                            idx_images=str(image_path), idx_labels=str(label_path))
         with pytest.raises(ConfigError, match=r"labels\.idx \(test split\): .*missing \[3\]"):
-            load_idx_stream(image_path, label_path, cfg)
+            make_stream(cfg)
 
 
 def write_examples_csv(path, inputs, labels):
@@ -294,6 +293,11 @@ def write_examples_csv(path, inputs, labels):
     for label, row in zip(labels.tolist(), inputs.tolist()):
         lines.append(f"{label}," + ",".join(map(repr, row)))
     path.write_text("\n".join(lines) + "\n")
+
+
+def csv_stream(directory, cfg):
+    """The stream ``make_stream`` builds from train.csv/test.csv in ``directory``."""
+    return make_stream(replace(cfg, source="csv", csv_path=str(directory)))
 
 
 class TestCsvRoundTrip:
@@ -307,7 +311,7 @@ class TestCsvRoundTrip:
             write_examples_csv(tmp_path / name, inputs, labels)
             pools.append((inputs, labels))
         per_class = [tuple(x[y == c] for x, y in pools) for c in range(6)]
-        tasks = load_csv_stream(tmp_path, small_cfg())
+        tasks = csv_stream(tmp_path, small_cfg())
         assert_same_bytes(tasks, per_class_reference(per_class, 2))
 
     @pytest.mark.parametrize("dropped", [[2, 3], [3]], ids=["task-2", "class-3"])
@@ -318,7 +322,7 @@ class TestCsvRoundTrip:
         kept = [line for line in lines[1:] if int(line.split(",")[0]) not in dropped]
         path.write_text("\n".join(lines[:1] + kept) + "\n")
         with pytest.raises(ConfigError, match=rf"test\.csv: .*missing {re.escape(str(dropped))}"):
-            load_csv_stream(tmp_path, small_cfg())
+            csv_stream(tmp_path, small_cfg())
 
     def test_save_load_identical(self, tmp_path):
         tasks = make_synthetic_stream(small_cfg())
@@ -326,7 +330,7 @@ class TestCsvRoundTrip:
         cfg = small_cfg()
         cfg.source = "csv"
         cfg.csv_path = str(tmp_path / "stream")
-        reloaded = load_csv_stream(tmp_path / "stream", cfg)
+        reloaded = make_stream(cfg)
         assert len(reloaded) == len(tasks)
         for a, b in zip(tasks, reloaded):
             assert a.task_id == b.task_id
@@ -341,7 +345,7 @@ class TestCsvRoundTrip:
         save_stream_csv(tasks, tmp_path / "stream")
         cfg = small_cfg(num_tasks=2)
         with pytest.raises(ConfigError):
-            load_csv_stream(tmp_path / "stream", cfg)
+            csv_stream(tmp_path / "stream", cfg)
 
     @pytest.mark.parametrize(
         "column, value",
@@ -357,13 +361,13 @@ class TestCsvRoundTrip:
         lines[3] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=r"train\.csv:4: "):
-            load_csv_stream(tmp_path / "stream", small_cfg())
+            csv_stream(tmp_path / "stream", small_cfg())
 
     def test_header_without_features(self, tmp_path):
         for name in ("train.csv", "test.csv"):
             (tmp_path / name).write_text("label\n0\n1\n2\n3\n")
         with pytest.raises(FormatError, match=r"train\.csv:1: header has no feature columns"):
-            load_csv_stream(tmp_path, small_cfg(num_tasks=2))
+            csv_stream(tmp_path, small_cfg(num_tasks=2))
 
     def test_feature_count_differs_between_splits(self, tmp_path):
         save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path / "stream")
@@ -371,7 +375,7 @@ class TestCsvRoundTrip:
         save_stream_csv(wider, tmp_path / "wider")
         (tmp_path / "wider" / "test.csv").replace(tmp_path / "stream" / "test.csv")
         with pytest.raises(FormatError, match=r"test\.csv:1: header has 5 features, train\.csv has 4"):
-            load_csv_stream(tmp_path / "stream", small_cfg())
+            csv_stream(tmp_path / "stream", small_cfg())
 
     def test_bytes_that_are_not_utf8_name_path_and_line(self, tmp_path):
         save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path)
@@ -380,7 +384,7 @@ class TestCsvRoundTrip:
         lines[2] = lines[2].replace(b",", b",\xff", 1)
         path.write_bytes(b"\n".join(lines))
         with pytest.raises(FormatError, match=r"train\.csv:3: "):
-            load_csv_stream(tmp_path, small_cfg())
+            csv_stream(tmp_path, small_cfg())
 
     def test_parse_holds_about_one_copy_of_the_data(self, tmp_path):
         # a Python float per feature would hold about 5x the arrays' bytes
