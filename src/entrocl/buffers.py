@@ -8,8 +8,10 @@ from .model import layer_accuracies
 class ReplayBuffer:
     """Fixed-capacity uniform sample of the example stream (reservoir policy).
 
-    After n >= capacity insertions each seen item is resident with probability
-    capacity / n. Items are (input vector, label, task id) triples.
+    After n >= capacity offers each offered item is resident with probability
+    capacity / n. The buffer only decides residency: ``items[slot]`` is the
+    item that holds a slot, and the caller keeps whatever data goes with it
+    in its own slot-indexed arrays.
     """
 
     def __init__(self, capacity, rng):
@@ -21,28 +23,44 @@ class ReplayBuffer:
         self.rng = rng
 
     def extend(self, items):
-        """Bulk insert; draws all replacement slots in one vectorized call."""
+        """Offer items in order; return the int64 slot each one holds after the call.
+
+        Free slots fill first; each later offer then draws its slot from
+        ``[0, offers so far]`` in one vectorized call, and a draw below
+        ``capacity`` replaces that slot's item. An offer that was dropped, or
+        whose slot a later offer of the same call took, gets ``capacity``.
+        """
         items = list(items)
-        take = min(self.capacity - len(self.items), len(items))
-        self.items += items[:take]
+        start, capacity, resident = len(self.items), self.capacity, self.items
+        take = min(capacity - start, len(items))
+        resident += items[:take]
         self.seen_count += take
-        rest = items[take:]
-        if rest:
-            counts = self.seen_count + np.arange(len(rest))
-            slots = self.rng.integers(0, counts + 1)
-            for j, item in zip(slots, rest):
-                if j < self.capacity:
-                    self.items[j] = item
-            self.seen_count += len(rest)
+        late = len(items) - take
+        if not late:
+            return np.arange(start, start + take)
+        counts = self.seen_count + np.arange(late)
+        drawn = self.rng.integers(0, counts + 1)
+        self.seen_count += late
+        where = np.concatenate((np.arange(start, start + take), drawn)) if take else drawn
+        holder = {}  # slot -> the late offer of this call that took it last
+        for k, j in enumerate(drawn.tolist(), take):
+            if j < capacity:
+                # the offer of this call that held the slot loses it: a late
+                # one, or else the one that filled it (slots from ``start`` on)
+                prev = holder.get(j, j - start)
+                if prev >= 0:
+                    where[prev] = capacity
+                holder[j] = k
+                resident[j] = items[k]
+        np.minimum(where, capacity, out=where)
+        return where
 
     def sample(self, size, rng):
-        """Uniform sample without replacement; the whole buffer if size exceeds it."""
+        """Distinct resident slots drawn uniformly; all of them if size exceeds the fill."""
         n = len(self.items)
         if size <= 0 or n == 0:
-            return []
-        take = min(int(size), n)
-        idx = rng.choice(n, size=take, replace=False)
-        return [self.items[i] for i in idx]
+            return np.empty(0, dtype=np.int64)
+        return rng.choice(n, size=min(int(size), n), replace=False)
 
 
 class ValidationBuffer:

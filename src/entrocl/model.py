@@ -116,7 +116,9 @@ class LayeredNet:
         logits = np.empty((self.num_layers, len(x), self.num_classes))
         h = x
         for (w, b), (hw, hb), z in zip(self.blocks, self.heads, logits):
-            h = np.tanh(h @ w + b)
+            h = h @ w  # tanh(h @ w + b), built in this one array
+            h += b
+            np.tanh(h, out=h)
             np.matmul(h, hw, out=z)
             z += hb
             activations.append(h)

@@ -29,7 +29,9 @@ def softmax(logits):
         raise DimensionError(f"softmax expects a rank-2 or rank-3 input, got shape {v.shape}")
     if v.shape[-1] < 1:
         raise DimensionError("softmax row dimension is empty")
-    e = v - v.max(axis=-1, keepdims=True)
+    # a max is exact in any order, and one elementwise max over the K
+    # columns of a transposed copy is faster than a reduction per short row
+    e = v - v.T.copy().max(axis=0).T[..., None]
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -86,9 +88,18 @@ def backward(objective):
     d_ce[:, rows, labels] = np.where(
         picked > PROB_EPS, -1.0 / (batch * np.maximum(picked, PROB_EPS)), 0.0
     )
-    d_h = -(objective.logp + (p > PROB_EPS)) / batch
-    g_p = coef * d_h + alpha * d_ce
-    g_z = p * (g_p - (g_p * p).sum(axis=2, keepdims=True))
+    # g_p = coef * d_h + alpha * d_ce with d_h = -(logp + (p > PROB_EPS)) / batch,
+    # then g_z = p * (g_p - sum_k g_p * p): the same operations on the same
+    # operands, each written into a temporary it no longer needs
+    # (-(a) / n and a / -n have the same bits)
+    g_p = np.add(objective.logp, p > PROB_EPS)
+    g_p /= -batch
+    g_p *= coef
+    d_ce *= alpha
+    g_p += d_ce
+    dot = np.multiply(g_p, p, out=d_ce).sum(axis=2, keepdims=True)
+    g_p -= dot
+    g_z = np.multiply(p, g_p, out=g_p)
 
     grad = np.empty_like(net.flat)
     g_next = None  # adjoint of this block's output from the block above it
@@ -102,7 +113,9 @@ def backward(objective):
         if g_next is not None:
             g_h += g_next
 
-        g_a = g_h * (1.0 - h * h)
+        g_a = np.multiply(h, h)
+        np.subtract(1.0, g_a, out=g_a)
+        g_a *= g_h  # g_h * (1 - h*h)
         below = record.activations[layer - 1] if layer else record.x
         np.matmul(below.T, g_a, out=block_w)
         np.sum(g_a, axis=0, out=block_b)

@@ -155,6 +155,8 @@ class RunState:
     net: LayeredNet
     moments: AdamState
     buffer: ReplayBuffer
+    replay_x: np.ndarray  # (capacity, D) input of the example in each buffer slot
+    replay_y: np.ndarray  # (capacity,) its label
     vbuf: ValidationBuffer
     rng: np.random.Generator
     modulators: ModulatorState
@@ -171,6 +173,8 @@ def init_state(cfg, input_dim, num_classes):
         net=net,
         moments=AdamState(net.flat),
         buffer=ReplayBuffer(cfg.buffer_capacity, np.random.default_rng(buffer_seq)),
+        replay_x=np.zeros((cfg.buffer_capacity, input_dim)),
+        replay_y=np.zeros(cfg.buffer_capacity, dtype=np.int64),
         vbuf=ValidationBuffer(cfg.val_quota),
         rng=np.random.default_rng(train_seq),
         modulators=ModulatorState(
@@ -205,48 +209,54 @@ def run_task(state, task):
 
     # one row per batch that ``batches`` yields
     rows = np.zeros(-(-task.train_size // cfg.batch_size), telemetry_dtype(num_layers))
-    for i, (batch_x, batch_y) in enumerate(batches(task, cfg.batch_size, state.rng)):
-        replay = state.buffer.sample(cfg.buffer_batch_size, state.rng)
-        if replay:
-            rx = np.stack([item[0] for item in replay])
-            ry = np.asarray([item[1] for item in replay], dtype=np.int64)
-            x = np.concatenate([batch_x, rx], axis=0)
-            y = np.concatenate([batch_y, ry])
-        else:
-            x, y = batch_x, batch_y
+    # a diverging step overflows before the finite check below reports it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, (batch_x, batch_y) in enumerate(batches(task, cfg.batch_size, state.rng)):
+            slots = state.buffer.sample(cfg.buffer_batch_size, state.rng)
+            if len(slots):
+                x = np.concatenate([batch_x, state.replay_x[slots]], axis=0)
+                y = np.concatenate([batch_y, state.replay_y[slots]])
+            else:
+                x, y = batch_x, batch_y
 
-        objective = composite_loss(
-            state.net.forward(x),
-            y,
-            alpha=state.modulators.alpha,
-            beta=cfg.beta,
-            entropy_sign=cfg.entropy_sign,
-            gamma=gamma_override,
-        )
-        grad = T.backward(objective)
-        if not (np.isfinite(objective.total) and np.isfinite(grad).all()):
-            layer = _first_nonfinite_layer(state.net, grad, objective)
-            raise FloatingPointError(
-                f"step {len(state.telemetry) + i + 1} of task {task.task_id} diverged: objective "
-                f"{objective.total!r}, first non-finite layer {layer}"
+            objective = composite_loss(
+                state.net.forward(x),
+                y,
+                alpha=state.modulators.alpha,
+                beta=cfg.beta,
+                entropy_sign=cfg.entropy_sign,
+                gamma=gamma_override,
             )
-        if cfg.optimizer == "adam":
-            adam_step(state.net.flat, grad, state.moments, cfg.learning_rate, cfg.weight_decay)
-        else:
-            sgd_step(state.net.flat, grad, cfg.learning_rate, cfg.weight_decay)
+            grad = T.backward(objective)
+            if not (np.isfinite(objective.total) and np.isfinite(grad).all()):
+                layer = _first_nonfinite_layer(state.net, grad, objective)
+                raise FloatingPointError(
+                    f"step {len(state.telemetry) + i + 1} of task {task.task_id} diverged: "
+                    f"objective {objective.total!r}, first non-finite layer {layer}"
+                )
+            if cfg.optimizer == "adam":
+                adam_step(state.net.flat, grad, state.moments, cfg.learning_rate, cfg.weight_decay)
+            else:
+                sgd_step(state.net.flat, grad, cfg.learning_rate, cfg.weight_decay)
 
-        state.buffer.extend(
-            [(bx, int(by), task.task_id) for bx, by in zip(batch_x, batch_y)]
-        )
-        stats = objective.entropy
-        rows[i] = (
-            task.task_id,
-            stats.per_layer,
-            stats.z,
-            objective.gamma,
-            objective.alpha,
-            objective.layer_losses,
-        )
+            # offer each example by its position in the run's stream, as a list
+            # so that ``items`` keeps the very int objects offered (the traced
+            # benchmark counts accepted offers by identity); the rows of the
+            # offers that took a slot are copied into that slot
+            seen = state.buffer.seen_count
+            where = state.buffer.extend(list(range(seen, seen + len(batch_y))))
+            kept = where < cfg.buffer_capacity
+            state.replay_x[where[kept]] = batch_x[kept]
+            state.replay_y[where[kept]] = batch_y[kept]
+            stats = objective.entropy
+            rows[i] = (
+                task.task_id,
+                stats.per_layer,
+                stats.z,
+                objective.gamma,
+                objective.alpha,
+                objective.layer_losses,
+            )
 
     state.telemetry = np.concatenate([state.telemetry, rows])
     state.vbuf.update(task.train_x, task.train_y, task.task_id, state.rng)

@@ -47,6 +47,15 @@ def mean_entropy(probs):
     return float(T.head_losses(p[None], np.zeros(len(p), dtype=np.int64))[1][0])
 
 
+def plain_softmax(logits):
+    """Softmax as written with a per-row max reduction: the reference that
+    ``tensor.softmax`` must match bit for bit."""
+    e = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
 def analytic_gradients(net, x, y, alpha, beta, gamma):
     objective = composite_loss(net.forward(x), y, alpha=alpha, beta=beta, gamma=gamma)
     return dict(net.views(T.backward(objective)))

@@ -5,12 +5,14 @@
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 24 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
-with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4`` and
-the benchmark's wide-eval shape; ``--stream csv`` on a seeded CSV stream whose
-rows come in shuffled class order, as the four arms on seeds 0 and 1 at
-``--jobs 2`` (the process pool) and on seeds 0 and 1 at ``--jobs 1`` (in
-process); and ``--stream idx`` on a seeded IDX image/label pair, on seeds 0
+hold 26 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
+with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``, the
+benchmark's wide-eval shape, ``--buffer-capacity 5`` (each 10-example offer
+fills or overwrites the reservoir in one call, drawing repeated slots) and
+``--buffer-batch-size 0`` (every replay sample is empty); ``--stream csv`` on
+a seeded CSV stream whose rows come in shuffled class order, as the four arms
+on seeds 0 and 1 at ``--jobs 2`` (the process pool) and on seeds 0 and 1 at
+``--jobs 1`` (in process); and ``--stream idx`` on a seeded IDX image/label pair, on seeds 0
 and 1, whose per-class split follows the seed. Both streams are written once
 for both checkouts. Every one of these plans must exit 0. Two more plans fail
 on purpose: ``--lr 1e300`` on ``full`` and ``plain_er`` over seeds 0 and 1
@@ -49,6 +51,8 @@ PLANS = {
     "reward": ("--entropy-sign", "reward"),
     "widths": ("--widths", "8,16,4"),
     "wide-eval": WIDE_EVAL,
+    "capacity-5": ("--buffer-capacity", "5"),
+    "no-replay": ("--buffer-batch-size", "0"),
     "csv": ("--stream", "csv", "--csv-path", CSV_STREAM, "--arms", ALL_ARMS,
             "--seeds", "0,1", "--jobs", "2"),
     "csv-serial": ("--stream", "csv", "--csv-path", CSV_STREAM, "--seeds", "0,1", "--jobs", "1"),

@@ -9,7 +9,7 @@ first in a benchmark run.
 import importlib.util
 from pathlib import Path
 
-from entrocl import cli
+from entrocl import buffers, cli
 from entrocl.streams import StreamConfig
 from entrocl.training import RunConfig
 
@@ -38,6 +38,40 @@ def test_every_target_resolves():
     spans = load_spans()
     for name, owner, attr, _, _ in spans.TARGETS:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_traced_accept_count_matches_the_returned_slots(tmp_path, monkeypatch):
+    # spans counts an accepted offer by the identity of the item it finds in
+    # ReplayBuffer.items; a wrapper installed under the tracer counts the late
+    # offers whose returned slot is below capacity, which must agree
+    late_kept = []
+    extend = buffers.ReplayBuffer.extend
+
+    def counting_extend(buf, items):
+        free = max(0, buf.capacity - buf.seen_count)
+        where = extend(buf, items)
+        late_kept.append(int((where[free:] < buf.capacity).sum()))
+        return where
+
+    monkeypatch.setattr(buffers.ReplayBuffer, "extend", counting_extend)
+    spans = load_spans()
+    tracer = spans.Tracer(tmp_path / "spill")
+    tracer.install()
+    try:
+        cli.execute_run(
+            "full",
+            0,
+            RunConfig(widths=(8, 8), buffer_capacity=40),
+            # 400 offers: Python caches the ints up to 256, so only positions
+            # past it can tell a kept item from an equal fresh one
+            StreamConfig(num_tasks=2, train_per_class=100, test_per_class=10),
+            tmp_path / "run",
+        )
+    finally:
+        tracer.uninstall()
+    counts = spans.run_counts(tracer.spans)
+    assert counts["extend_accepted"] == sum(late_kept)
+    assert 0 < counts["extend_accepted"] < counts["extend_offered"]
 
 
 def test_traced_run_calls_every_target_where_the_accounting_expects(tmp_path):

@@ -83,6 +83,51 @@ class TestReservoir:
         freq = counts / trials
         assert np.all(np.abs(freq - capacity / n) < 0.03)
 
+    def test_extend_returns_the_slot_each_resident_offer_holds(self):
+        buf = ReplayBuffer(7, np.random.default_rng(11))
+        for size in (3, 6, 10, 0, 10):
+            offered = [object() for _ in range(size)]
+            where = buf.extend(offered)
+            assert where.dtype == np.int64 and where.shape == (size,)
+            for k, slot in enumerate(where.tolist()):
+                if slot < buf.capacity:
+                    assert buf.items[slot] is offered[k]
+                else:
+                    assert all(item is not offered[k] for item in buf.items)
+
+    def test_call_crossing_capacity_fills_then_draws(self):
+        # two free slots: "a" and "b" fill them; every later offer draws slot 0
+        buf = ReplayBuffer(3, _ForcedRng(0))
+        assert buf.extend(["x"]).tolist() == [0]
+        where = buf.extend(["a", "b", "c", "d"])
+        assert buf.items == ["d", "a", "b"]
+        assert where.tolist() == [1, 2, 3, 0]
+
+    def test_repeated_slot_keeps_the_later_offer(self):
+        # the call fills slot 0 with "a", then "b" and "c" both draw slot 0
+        buf = ReplayBuffer(1, _ForcedRng(0))
+        where = buf.extend(["a", "b", "c"])
+        assert buf.items == ["c"]
+        assert where.tolist() == [1, 1, 0]
+
+    def test_dropped_offers_get_capacity(self):
+        buf = ReplayBuffer(2, _ForcedRng(5))
+        buf.extend(["a", "b"])
+        assert buf.extend(["c", "d"]).tolist() == [2, 2]
+        assert buf.items == ["a", "b"]
+
+    def test_sample_returns_distinct_resident_slots(self):
+        rng = np.random.default_rng(2)
+        buf = ReplayBuffer(20, np.random.default_rng(0))
+        for fill in (1, 5, 20, 40):
+            buf.extend(range(buf.seen_count, fill))
+            for size in (1, 3, 20, 64):
+                slots = buf.sample(size, rng)
+                assert slots.dtype == np.int64
+                assert len(slots) == min(size, len(buf.items))
+                assert len(set(slots.tolist())) == len(slots)
+                assert ((0 <= slots) & (slots < len(buf.items))).all()
+
     def test_sample_whole_buffer_when_size_large(self):
         buf = ReplayBuffer(10, np.random.default_rng(0))
         buf.extend(range(4))
@@ -92,18 +137,20 @@ class TestReservoir:
     def test_sample_zero_is_empty(self):
         buf = ReplayBuffer(10, np.random.default_rng(0))
         buf.extend(range(4))
-        assert buf.sample(0, np.random.default_rng(1)) == []
+        slots = buf.sample(0, np.random.default_rng(1))
+        assert slots.dtype == np.int64 and slots.shape == (0,)
 
     def test_sample_deterministic_given_state(self):
         buf = ReplayBuffer(10, np.random.default_rng(0))
         buf.extend(range(10))
         a = buf.sample(4, np.random.default_rng(7))
         b = buf.sample(4, np.random.default_rng(7))
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     def test_empty_buffer_samples_empty(self):
         buf = ReplayBuffer(10, np.random.default_rng(0))
-        assert buf.sample(5, np.random.default_rng(1)) == []
+        slots = buf.sample(5, np.random.default_rng(1))
+        assert slots.dtype == np.int64 and slots.shape == (0,)
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):

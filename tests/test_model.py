@@ -15,6 +15,7 @@ from entrocl import (
 )
 from entrocl import tensor as T
 from entrocl.training import AdamState, adam_step
+from conftest import plain_softmax
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,6 +58,26 @@ class TestForward:
         record = net.forward(np.asarray(payload["input"]))
         objective = composite_loss(record, payload["labels"], alpha=(1.0, 1.0), beta=0.005)
         assert objective.total == pytest.approx(payload["loss_total"], abs=1e-12)
+
+    def test_in_place_blocks_match_the_plain_expressions_bitwise(self):
+        rng = np.random.default_rng(7)
+        for trial in range(30):
+            widths = tuple(rng.integers(1, 70, size=rng.integers(2, 5)).tolist())
+            input_dim, num_classes = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+            net = LayeredNet(input_dim, widths, num_classes)
+            scale = 10.0 ** rng.uniform(-2, 1)  # from near-linear tanh to saturated
+            net.flat[:] = scale * rng.standard_normal(net.flat.size)
+            x = rng.standard_normal((int(rng.integers(0, 80)), input_dim))
+            record = net.forward(x)
+            # the forward pass written with whole-expression temporaries
+            h, logits = x, np.empty_like(record.logits)
+            for layer, ((w, b), (hw, hb)) in enumerate(zip(net.blocks, net.heads)):
+                h = np.tanh(h @ w + b)
+                np.matmul(h, hw, out=logits[layer])
+                logits[layer] += hb
+                assert record.activations[layer].tobytes() == h.tobytes()
+            assert record.logits.tobytes() == logits.tobytes()
+            assert record.probs.tobytes() == plain_softmax(logits).tobytes()
 
 
 def predict(net, x, layer):

@@ -8,7 +8,14 @@ from hypothesis.extra import numpy as hnp
 
 from entrocl import DimensionError, LayeredNet, composite_loss
 from entrocl import tensor as T
-from conftest import analytic_gradients, cross_entropy, loss_fn, mean_entropy, relative_error
+from conftest import (
+    analytic_gradients,
+    cross_entropy,
+    loss_fn,
+    mean_entropy,
+    plain_softmax,
+    relative_error,
+)
 
 
 class TestSoftmax:
@@ -38,6 +45,28 @@ class TestSoftmax:
     def test_empty_batch_allowed(self):
         p = T.softmax(np.zeros((0, 4)))
         assert p.shape == (0, 4)
+
+    def test_transposed_max_matches_the_row_reduction_bitwise(self):
+        rng = np.random.default_rng(5)
+        specials = (np.inf, -np.inf, np.nan, 0.0, -0.0)
+        for trial in range(60):
+            rank = 2 + trial % 2
+            shape = tuple(rng.integers(1, 30, size=rank).tolist())
+            if trial % 5 == 0:
+                shape = shape[:-1] + (1,)  # one class: every row is exp(0) / 1
+            logits = 10.0 ** rng.uniform(-1, 3) * rng.standard_normal(shape)
+            # some rows get a special value, some are all one special value
+            rows = logits.reshape(-1, shape[-1])
+            for r in rng.choice(len(rows), size=len(rows) // 3, replace=False):
+                value = specials[rng.integers(len(specials))]
+                if rng.random() < 0.5:
+                    rows[r, rng.integers(shape[-1])] = value
+                else:
+                    rows[r] = value
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = T.softmax(logits), plain_softmax(logits.copy())
+            assert got.shape == logits.shape
+            assert got.tobytes() == want.tobytes()
 
     @given(
         hnp.arrays(
@@ -159,6 +188,26 @@ class TestBackward:
         for name in fd:
             assert relative_error(analytic[name], fd[name]).max() < 1e-4
 
+    @pytest.mark.parametrize("coefficients", ["penalize", "reward", "zero-gamma"])
+    def test_in_place_sweep_matches_the_plain_expressions_bitwise(self, coefficients):
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            widths = tuple(rng.integers(1, 40, size=rng.integers(2, 5)).tolist())
+            num_classes, batch = int(rng.integers(2, 12)), int(rng.integers(1, 80))
+            net = LayeredNet.init(6, widths, num_classes, seed=trial)
+            if trial % 4 == 0:
+                net.heads[-1][1][0] = -60.0  # class 0 of the deepest head below PROB_EPS
+            x = 3.0 * rng.standard_normal((batch, 6))
+            y = rng.integers(0, num_classes, size=batch)
+            alpha = tuple(np.exp(rng.uniform(-1, 1, size=len(widths))).tolist())
+            gamma = (0.0,) * len(widths) if coefficients == "zero-gamma" else None
+            sign = "reward" if coefficients == "reward" else "penalize"
+            objective = composite_loss(net.forward(x), y, alpha, beta=0.05, entropy_sign=sign,
+                                       gamma=gamma)
+            if trial % 4 == 0:
+                assert (objective.record.probs[-1][:, 0] < T.PROB_EPS).all()
+            assert T.backward(objective).tobytes() == plain_backward(objective).tobytes()
+
     def test_replay_determinism(self):
         def run():
             rng = np.random.default_rng(99)
@@ -172,6 +221,43 @@ class TestBackward:
         loss_b, grad_b = run()
         assert loss_a == loss_b
         assert grad_a.tobytes() == grad_b.tobytes()
+
+
+def plain_backward(objective):
+    """``tensor.backward`` written with whole-expression temporaries: the
+    reference its in-place sweep must match bit for bit."""
+    record, labels = objective.record, objective.labels
+    net, p = record.net, record.probs
+    batch = len(labels)
+    rows = np.arange(batch)
+    coef = np.asarray(objective.entropy_coef).reshape(-1, 1, 1)
+    alpha = np.asarray(objective.alpha).reshape(-1, 1, 1)
+    picked = p[:, rows, labels]
+    d_ce = np.zeros_like(p)
+    d_ce[:, rows, labels] = np.where(
+        picked > T.PROB_EPS, -1.0 / (batch * np.maximum(picked, T.PROB_EPS)), 0.0
+    )
+    d_h = -(objective.logp + (p > T.PROB_EPS)) / batch
+    g_p = coef * d_h + alpha * d_ce
+    g_z = p * (g_p - (g_p * p).sum(axis=2, keepdims=True))
+    grad = np.empty_like(net.flat)
+    g_next = None
+    for layer in reversed(range(net.num_layers)):
+        h, gz = record.activations[layer], g_z[layer]
+        (w, _), (hw, _) = net.blocks[layer], net.heads[layer]
+        block_w, block_b, head_w, head_b = net.layer_views(grad, layer)
+        np.matmul(h.T, gz, out=head_w)
+        np.sum(gz, axis=0, out=head_b)
+        g_h = gz @ hw.T
+        if g_next is not None:
+            g_h += g_next
+        g_a = g_h * (1.0 - h * h)
+        below = record.activations[layer - 1] if layer else record.x
+        np.matmul(below.T, g_a, out=block_w)
+        np.sum(g_a, axis=0, out=block_b)
+        if layer:
+            g_next = g_a @ w.T
+    return grad
 
 
 class TestFiniteDifference:

@@ -183,6 +183,30 @@ class TestRunTask:
         assert state.telemetry["task"].tolist() == [1] * math.ceil(tasks[0].train_size / 10)
         assert all(np.isfinite(state.telemetry[name]).all() for name in TELEMETRY_FIELDS)
 
+    @pytest.mark.parametrize("capacity", [5, 50])
+    def test_replay_rows_hold_each_resident_offer(self, monkeypatch, capacity):
+        # the buffer holds stream positions; position k is the k-th row that
+        # ``batches`` yielded, and the run must keep that row in the slot
+        yielded, batches = [], training.batches
+
+        def recording_batches(*args):
+            for batch in batches(*args):
+                yielded.append(batch)
+                yield batch
+
+        monkeypatch.setattr(training, "batches", recording_batches)
+        state = init_state(tiny_config(0, buffer_capacity=capacity), 8, 6)
+        for task in tiny_stream(0):
+            run_task(state, task)
+        offered_x = np.concatenate([x for x, _ in yielded])
+        offered_y = np.concatenate([y for _, y in yielded])
+        assert state.buffer.seen_count == len(offered_y)
+        assert len(state.buffer.items) == capacity
+        assert len(set(state.buffer.items)) == capacity
+        for slot, position in enumerate(state.buffer.items):
+            assert state.replay_x[slot].tobytes() == offered_x[position].tobytes()
+            assert state.replay_y[slot] == offered_y[position]
+
     def test_multi_head_replay_learns_separable_toy(self):
         # plain multi-head ER (both switches off, beta zeroed)
         final = []
