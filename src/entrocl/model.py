@@ -40,8 +40,9 @@ def parameter_layout(input_dim, widths, num_classes):
 @dataclass
 class ForwardRecord:
     """Arrays from one forward pass of ``net`` on ``x``: the list of block
-    activations, and the heads' logits and probabilities, each one ``(L, B, K)``
-    stack whose ``[l]`` (or l-th iterate) is head l's ``(B, K)`` array."""
+    activations (empty when the forward did not keep them), and the heads'
+    logits and probabilities, each one ``(L, B, K)`` stack whose ``[l]`` (or
+    l-th iterate) is head l's ``(B, K)`` array."""
 
     net: "LayeredNet"
     x: np.ndarray
@@ -51,7 +52,7 @@ class ForwardRecord:
 
     @property
     def num_layers(self):
-        return len(self.activations)
+        return len(self.logits)
 
 
 class LayeredNet:
@@ -106,7 +107,13 @@ class LayeredNet:
         weight, block bias, head weight and head bias."""
         return [vec[part].reshape(shape) for _, part, shape in self._layer_slots[layer]]
 
-    def forward(self, x):
+    def forward(self, x, keep_activations=True):
+        """Every head's logits and probabilities on the rows of ``x``.
+
+        The record keeps each block's activation for ``tensor.backward``; a
+        forward that is only scored passes ``keep_activations=False``, so it
+        holds at most two activations at a time and records none.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(
@@ -121,13 +128,14 @@ class LayeredNet:
             np.tanh(h, out=h)
             np.matmul(h, hw, out=z)
             z += hb
-            activations.append(h)
+            if keep_activations:
+                activations.append(h)
         return ForwardRecord(self, x, activations, logits, T.softmax(logits))
 
 
 def layer_accuracies(net, x, y):
     """Fraction of rows each head classifies correctly, one entry per layer."""
-    record = net.forward(x)
+    record = net.forward(x, keep_activations=False)
     return [float((p.argmax(axis=1) == y).mean()) for p in record.probs]
 
 

@@ -95,8 +95,10 @@ def load_source(cfg):
     """Read a file-backed stream's files: what every seed's stream is built from.
 
     For CSV this is the train and test pools, each an (inputs, int64 labels)
-    pair, with their paths; for IDX the images, the labels and the label file's
-    path. The synthetic source draws its data from the seed, so it has none.
+    pair sorted by label, and their paths; every run of a plan slices its tasks
+    from these pools, so they are read-only. For IDX it is the images, the
+    labels and the label file's path. The synthetic source draws its data from
+    the seed, so it has none.
     """
     cfg.validate()
     if cfg.source == "idx":
@@ -142,19 +144,18 @@ def make_synthetic_stream(cfg):
     pools = [(np.empty((num_classes * n, cfg.input_dim)), labels.repeat(n)) for n in counts]
     for c in range(num_classes):
         for (inputs, _), n in zip(pools, counts):
-            inputs[c * n : (c + 1) * n] = means[c] + cfg.noise_scale * rng.standard_normal(
-                (n, cfg.input_dim)
-            )
+            rows = rng.standard_normal(out=inputs[c * n : (c + 1) * n])
+            rows *= cfg.noise_scale
+            rows += means[c]
     return _assemble_tasks(*pools, cfg)
 
 
 def _assemble_tasks(train, test, cfg, names=("train split", "test split")):
     """Cut a train and a test pool, each an (inputs, int64 labels) pair with
-    global labels, into tasks of consecutive classes.
+    global labels in ascending order, into tasks of consecutive classes.
 
-    Each pool must hold every class 0..C-1 and no other label. A stable sort by
-    label keeps the pool's row order within each class, and every task gets
-    fresh copies of its rows.
+    Each pool must hold every class 0..C-1 and no other label. Every task's
+    arrays are contiguous slices of the pools, views that copy no row.
     """
     classes = np.arange(cfg.num_classes)
     edges = np.arange(0, cfg.num_classes + 1, cfg.classes_per_task)
@@ -168,11 +169,8 @@ def _assemble_tasks(train, test, cfg, names=("train split", "test split")):
                 f"0..{cfg.num_classes - 1} in both splits; missing {missing.tolist()}, "
                 f"unexpected {extra.tolist()}"
             )
-        order = np.argsort(labels, kind="stable")
-        bounds = np.searchsorted(labels[order], edges)
-        splits.append(
-            [(inputs[order[lo:hi]], labels[order[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
-        )
+        bounds = np.searchsorted(labels, edges)
+        splits.append([(inputs[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     return [
         TaskSpec(t + 1, tuple(range(lo, hi)), *train_part, *test_part)
         for t, (lo, hi, train_part, test_part) in enumerate(zip(edges, edges[1:], *splits))
@@ -259,8 +257,9 @@ def _split_idx(source, cfg):
 def save_stream_csv(tasks, directory):
     """Write a stream as train.csv/test.csv (header label,f0,f1,...).
 
-    Floats are written with repr, and the csv source keeps each class's rows in
-    file order, so the stream reloads into identical TaskSpecs.
+    Floats are written with the repr of each row's ``tolist`` Python floats,
+    and the csv source keeps each class's rows in file order, so the stream
+    reloads into identical TaskSpecs.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -273,13 +272,10 @@ def save_stream_csv(tasks, directory):
         with open(directory / name, "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             for x_block, y_block in zip(xs, ys):
-                for row, label in zip(x_block, y_block):
-                    fh.write(
-                        str(int(label))
-                        + ","
-                        + ",".join(repr(float(v)) for v in row)
-                        + "\n"
-                    )
+                # a row's tolist at a time: the block's would hold a Python
+                # float per feature, and the heap it grew stays with the process
+                for row, label in zip(x_block, y_block.tolist()):
+                    fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
 def _read_examples_csv(path):
@@ -327,4 +323,16 @@ def _read_csv_pools(directory):
             f"{paths[1]}:1: header has {test[0].shape[1]} features, "
             f"train.csv has {train[0].shape[1]}"
         )
-    return train, test, paths
+    return _shared_label_order(*train), _shared_label_order(*test), paths
+
+
+def _shared_label_order(inputs, labels):
+    """A pool stable-sorted by label, so each class keeps its rows in file
+    order, and read-only, since every run of a plan shares it. A file already
+    in label order is not copied: the copy would stay in the plan's process and
+    in every worker it forks."""
+    if np.any(labels[1:] < labels[:-1]):
+        order = np.argsort(labels, kind="stable")
+        inputs, labels = inputs[order], labels[order]
+    inputs.flags.writeable = labels.flags.writeable = False
+    return inputs, labels

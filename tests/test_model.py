@@ -79,6 +79,20 @@ class TestForward:
             assert record.logits.tobytes() == logits.tobytes()
             assert record.probs.tobytes() == plain_softmax(logits).tobytes()
 
+    def test_forward_without_activations_keeps_every_other_bit(self):
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            widths = tuple(rng.integers(1, 70, size=rng.integers(2, 5)).tolist())
+            input_dim, num_classes = int(rng.integers(1, 40)), int(rng.integers(2, 12))
+            net = LayeredNet(input_dim, widths, num_classes)
+            net.flat[:] = 10.0 ** rng.uniform(-2, 1) * rng.standard_normal(net.flat.size)
+            x = rng.standard_normal((int(rng.integers(0, 80)), input_dim))
+            full, lean = net.forward(x), net.forward(x, keep_activations=False)
+            assert lean.logits.tobytes() == full.logits.tobytes()
+            assert lean.probs.tobytes() == full.probs.tobytes()
+            assert lean.activations == []
+            assert lean.num_layers == full.num_layers == len(widths)
+
 
 def predict(net, x, layer):
     """Argmax classes from one head; ties resolve to the lowest index."""

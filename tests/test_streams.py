@@ -340,6 +340,18 @@ class TestCsvRoundTrip:
             assert np.array_equal(a.test_x, b.test_x)
             assert np.array_equal(a.test_y, b.test_y)
 
+    def test_save_writes_the_repr_of_each_numpy_scalar(self, tmp_path):
+        tasks = make_synthetic_stream(small_cfg())
+        tasks[0].train_x[:3, 0] = (-0.0, 1e-300, 0.1)
+        save_stream_csv(tasks, tmp_path)
+        for name, split in (("train.csv", 0), ("test.csv", 2)):
+            lines = ["label," + ",".join(f"f{i}" for i in range(4))]
+            for task in tasks:
+                x, y = task_arrays([task])[0][split : split + 2]
+                for row, label in zip(x, y):
+                    lines.append(str(int(label)) + "," + ",".join(repr(float(v)) for v in row))
+            assert (tmp_path / name).read_text() == "\n".join(lines) + "\n"
+
     def test_class_count_mismatch(self, tmp_path):
         tasks = make_synthetic_stream(small_cfg())
         save_stream_csv(tasks, tmp_path / "stream")
@@ -426,3 +438,122 @@ class TestLoadSource:
             assert_same_bytes(tasks, task_arrays(make_stream(small_cfg(seed=seed, **paths))))
             splits.append(tasks[0].train_x.tobytes())
         assert splits[0] != splits[1]  # the split still follows the seed
+
+
+def whole_expression_pools(cfg):
+    """The train and test pools drawn with one whole-expression temporary per class."""
+    rng = np.random.default_rng(cfg.seed)
+    means = (cfg.separation / np.sqrt(cfg.input_dim)) * rng.standard_normal(
+        (cfg.num_classes, cfg.input_dim)
+    )
+    counts = (cfg.train_per_class, cfg.test_per_class)
+    labels = np.arange(cfg.num_classes, dtype=np.int64)
+    pools = [(np.empty((cfg.num_classes * n, cfg.input_dim)), labels.repeat(n)) for n in counts]
+    for c in range(cfg.num_classes):
+        for (inputs, _), n in zip(pools, counts):
+            inputs[c * n : (c + 1) * n] = means[c] + cfg.noise_scale * rng.standard_normal(
+                (n, cfg.input_dim)
+            )
+    return pools
+
+
+def sorted_copy_assembly(pools, cfg):
+    """Each task's arrays as fresh copies, by a stable argsort of each pool's
+    labels and a fancy index of its rows."""
+    edges = np.arange(0, cfg.num_classes + 1, cfg.classes_per_task)
+    splits = []
+    for inputs, labels in pools:
+        order = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[order], edges)
+        splits.append(
+            [(inputs[order[lo:hi]], labels[order[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+        )
+    return [[*train, *test] for train, test in zip(*splits)]
+
+
+def memory_owner(array):
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def synthetic_case(tmp_path):
+    cfg = small_cfg(input_dim=5, seed=3)
+    return cfg, whole_expression_pools(cfg)
+
+
+def csv_case(tmp_path, shuffled):
+    # the files' rows come class by class, or in a seeded shuffle
+    rng = np.random.default_rng(6)
+    for name, per_class in (("train.csv", 9), ("test.csv", 4)):
+        labels = np.arange(6).repeat(per_class)
+        if shuffled:
+            labels = rng.permutation(labels)
+        write_examples_csv(tmp_path / name, rng.standard_normal((len(labels), 3)), labels)
+    pools = [_read_examples_csv(tmp_path / name) for name in ("train.csv", "test.csv")]
+    return small_cfg(source="csv", csv_path=str(tmp_path)), pools
+
+
+def idx_case(tmp_path):
+    rng = np.random.default_rng(10)
+    labels = np.arange(60) % 6
+    images = rng.integers(0, 256, size=(60, 2, 2))
+    image_path, label_path = write_idx_pair(tmp_path, images, labels)
+    cfg = small_cfg(source="idx", idx_images=str(image_path), idx_labels=str(label_path))
+    # each class's seeded 80/20 split, class by class
+    inputs = images.reshape(60, 4).astype(np.float64) / 255.0
+    split_rng, rows = np.random.default_rng(cfg.seed), ([], [])
+    for c in range(6):
+        idx = np.flatnonzero(labels == c)
+        idx = idx[split_rng.permutation(len(idx))]
+        rows[0].extend(idx[:8].tolist())
+        rows[1].extend(idx[8:].tolist())
+    return cfg, [(inputs[r], labels[r].astype(np.int64)) for r in rows]
+
+
+STREAM_CASES = {
+    "synthetic": synthetic_case,
+    "csv-class-ordered": lambda tmp_path: csv_case(tmp_path, shuffled=False),
+    "csv-shuffled": lambda tmp_path: csv_case(tmp_path, shuffled=True),
+    "idx": idx_case,
+}
+
+
+class TestTasksAreViews:
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_tasks_are_slices_of_one_pool(self, tmp_path, case):
+        cfg, _ = STREAM_CASES[case](tmp_path)
+        tasks = make_stream(cfg)
+        for arrays in zip(*task_arrays(tasks)):  # each split's inputs, then labels
+            pool = memory_owner(arrays[0])
+            assert pool.size == sum(a.size for a in arrays)
+            for a in arrays:
+                assert memory_owner(a) is pool and np.shares_memory(a, pool)
+
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_tasks_match_a_sorted_copy_of_the_pools(self, tmp_path, case):
+        cfg, pools = STREAM_CASES[case](tmp_path)
+        assert_same_bytes(make_stream(cfg), sorted_copy_assembly(pools, cfg))
+
+    def test_shuffled_csv_pools_are_sorted_once_per_plan(self, tmp_path):
+        cfg, _ = csv_case(tmp_path, shuffled=True)
+        source = load_source(cfg)
+        for seed in (0, 1):
+            for task in make_stream(replace(cfg, seed=seed), source):
+                assert np.shares_memory(task.train_x, source[0][0])
+                assert np.shares_memory(task.test_y, source[1][1])
+
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["class-ordered", "shuffled"])
+    def test_csv_tasks_are_read_only(self, tmp_path, shuffled):
+        cfg, _ = csv_case(tmp_path, shuffled)
+        task = make_stream(cfg)[1]
+        for array in task_arrays([task])[0]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_in_place_draw_matches_the_whole_expression(self):
+        for cfg in (small_cfg(), small_cfg(input_dim=7, noise_scale=0.3, separation=5.0, seed=2),
+                    small_cfg(noise_scale=0.0)):
+            pools = [a for pool in whole_expression_pools(cfg) for a in pool]
+            for got, want in zip(zip(*task_arrays(make_synthetic_stream(cfg))), pools):
+                assert np.concatenate(got).tobytes() == want.tobytes()
