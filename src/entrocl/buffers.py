@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .model import layer_accuracies
+from .model import correct_counts
 
 
 class ReplayBuffer:
@@ -101,20 +101,12 @@ class ValidationBuffer:
         idx.sort()
         self.per_task[int(task_id)] = (inputs[idx].copy(), labels[idx].copy())
 
-    def pooled(self):
-        """All stored examples across tasks as one (inputs, labels) pair."""
-        if not self.per_task:
-            raise ValueError("validation buffer is empty")
-        xs, ys = [], []
-        for task_id in sorted(self.per_task):
-            x, y = self.per_task[task_id]
-            xs.append(x)
-            ys.append(y)
-        return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
-
 
 def evaluate_layer_accuracies(net, vbuf):
     """Fraction of stored validation examples each head classifies correctly,
-    pooled across tasks."""
-    inputs, labels = vbuf.pooled()
-    return layer_accuracies(net, inputs, labels)
+    pooled across tasks: every task's correct counts over all stored rows."""
+    if not vbuf.per_task:
+        raise ValueError("validation buffer is empty")
+    stored = vbuf.per_task.values()
+    correct = sum(correct_counts(net, x, y) for x, y in stored)
+    return (correct / sum(len(y) for _, y in stored)).tolist()

@@ -280,15 +280,20 @@ def run_plan(plan):
 
 
 def _read_summaries(arm_dir):
-    """The summary.json of every seed directory under one arm, in seed order."""
+    """The summary.json of every seed directory under one arm, in seed order;
+    each directory must hold every artifact of a run."""
     seeds = {}
     for path in arm_dir.iterdir():
         # only a seed's decimal form, so that 01 cannot stand in for seed 1
         if not path.name.isdecimal() or str(int(path.name)) != path.name:
             raise ValueError(f"{path} is not a seed directory")
-        seeds[int(path.name)] = path / "summary.json"
+        seeds[int(path.name)] = path
     rows = []
-    for _, path in sorted(seeds.items()):
+    for _, run_dir in sorted(seeds.items()):
+        for name in training.RUN_ARTIFACTS:
+            if not (run_dir / name).is_file():
+                raise ValueError(f"{run_dir / name}: run artifact is missing")
+        path = run_dir / "summary.json"
         try:
             summary = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:  # bad JSON or bad UTF-8, named with the file

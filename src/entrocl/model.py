@@ -133,10 +133,27 @@ class LayeredNet:
         return ForwardRecord(self, x, activations, logits, T.softmax(logits))
 
 
+# Scoring forwards a split in blocks of this many rows, a shorter last block
+# joining the one before it, so it holds under twice this many rows however
+# large the split. BLAS picks its kernel by the matrix sizes (gemv for one row,
+# a small-matrix kernel for a few hundred); a block this large takes the
+# kernel a whole split would.
+EVAL_BLOCK = 512
+
+
+def correct_counts(net, x, y):
+    """How many rows of ``x`` each head classifies as ``y``: an int64 (L,) array."""
+    counts = np.zeros(net.num_layers, dtype=np.int64)
+    starts = range(0, len(x) - EVAL_BLOCK + 1, EVAL_BLOCK) or [0]
+    for lo, hi in zip(starts, [*starts[1:], len(x)]):
+        probs = net.forward(x[lo:hi], keep_activations=False).probs
+        counts += (probs.argmax(axis=2) == y[lo:hi]).sum(axis=1)
+    return counts
+
+
 def layer_accuracies(net, x, y):
     """Fraction of rows each head classifies correctly, one entry per layer."""
-    record = net.forward(x, keep_activations=False)
-    return [float((p.argmax(axis=1) == y).mean()) for p in record.probs]
+    return (correct_counts(net, x, y) / len(y)).tolist()
 
 
 def _checkpoint_header(input_dim, widths, num_classes):

@@ -96,9 +96,9 @@ def load_source(cfg):
 
     For CSV this is the train and test pools, each an (inputs, int64 labels)
     pair sorted by label, and their paths; every run of a plan slices its tasks
-    from these pools, so they are read-only. For IDX it is the images, the
-    labels and the label file's path. The synthetic source draws its data from
-    the seed, so it has none.
+    from these pools, so they are read-only. For IDX it is the uint8 images,
+    the labels and the label file's path. The synthetic source draws its data
+    from the seed, so it has none.
     """
     cfg.validate()
     if cfg.source == "idx":
@@ -213,13 +213,18 @@ def _read_idx(path, magic, kind):
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def parse_idx_images(path):
-    """Parse an IDX image file into a (count, rows*cols) float matrix in [0, 1]."""
+def _read_idx_pixels(path):
+    """An IDX image file's uint8 pixels, one (rows*cols,) row per image."""
     pixels = _read_idx(path, IDX_IMAGE_MAGIC, "image")
     count, rows, cols = pixels.shape
     if rows * cols == 0:
         raise FormatError(f"{path}: IDX images of {rows}x{cols} pixels hold no features", offset=8)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return pixels.reshape(count, rows * cols)
+
+
+def parse_idx_images(path):
+    """Parse an IDX image file into a (count, rows*cols) float matrix in [0, 1]."""
+    return _read_idx_pixels(path) / 255.0
 
 
 def parse_idx_labels(path):
@@ -227,7 +232,7 @@ def parse_idx_labels(path):
 
 
 def _read_idx_pair(images_path, labels_path):
-    images = parse_idx_images(images_path)
+    images = _read_idx_pixels(images_path)
     labels = parse_idx_labels(labels_path)
     if len(images) != len(labels):
         raise FormatError(
@@ -240,7 +245,8 @@ def _read_idx_pair(images_path, labels_path):
 
 def _split_idx(source, cfg):
     """A seeded 80/20 split of each class, in class order, gives the train and
-    test pools."""
+    test pools. Only the gathered rows are scaled (``uint8 / 255.0`` is
+    float64), so the plan keeps one uint8 copy of the images."""
     images, labels, labels_path = source
     rng = np.random.default_rng(cfg.seed)
     rows = ([], [])
@@ -251,7 +257,7 @@ def _split_idx(source, cfg):
         rows[0].extend(idx[:n_train].tolist())
         rows[1].extend(idx[n_train:].tolist())
     names = (f"{labels_path} (train split)", f"{labels_path} (test split)")
-    return _assemble_tasks(*((images[r], labels[r]) for r in rows), cfg, names)
+    return _assemble_tasks(*((images[r] / 255.0, labels[r]) for r in rows), cfg, names)
 
 
 def save_stream_csv(tasks, directory):

@@ -257,6 +257,12 @@ def run_task(state, task):
                 objective.alpha,
                 objective.layer_losses,
             )
+    # a step checks the gradient it takes, not the update it makes
+    if bad := np.count_nonzero(~np.isfinite(state.net.flat)):
+        raise FloatingPointError(
+            f"task {task.task_id} left {bad} of {state.net.flat.size} parameters "
+            "non-finite after its last step"
+        )
 
     state.telemetry = np.concatenate([state.telemetry, rows])
     state.vbuf.update(task.train_x, task.train_y, task.task_id, state.rng)
@@ -333,6 +339,11 @@ def write_telemetry_csv(fh, telemetry):
     for step, (task, *fields) in enumerate(zip(tasks, *columns), start=1):
         for layer, values in enumerate(zip(*fields)):
             fh.write(f"{step},{task},{layer}," + ",".join(map(repr, values)) + "\n")
+
+
+# the files write_run_artifacts writes into a run's directory
+RUN_ARTIFACTS = ("manifest.json", "accuracy_matrix.csv", "per_layer_accuracy.csv",
+                 "telemetry.csv", "summary.json")
 
 
 def write_run_artifacts(out_dir, cfg, result, manifest_extra=None):

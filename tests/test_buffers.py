@@ -229,6 +229,26 @@ class TestEvaluateLayerAccuracies:
         for acc in evaluate_layer_accuracies(net, vbuf):
             assert abs(acc - 0.5) < 0.02
 
+    @pytest.mark.parametrize("quota", [20, 64, 300])
+    def test_task_counts_give_the_pooled_score(self, quota):
+        # scoring each task's stored rows and dividing the summed counts once
+        # equals one forward over the tasks' rows concatenated in task order
+        from entrocl.streams import StreamConfig, make_synthetic_stream
+
+        tasks = make_synthetic_stream(
+            StreamConfig(seed=3, num_tasks=4, train_per_class=200, test_per_class=1)
+        )
+        net = LayeredNet.init(32, (64, 64, 64), 10, seed=8)
+        vbuf = ValidationBuffer(quota)
+        rng = np.random.default_rng(21)
+        for task in tasks:
+            vbuf.update(task.train_x, task.train_y, task.task_id, rng)
+            stored = [vbuf.per_task[t] for t in sorted(vbuf.per_task)]
+            x = np.concatenate([x for x, _ in stored])
+            y = np.concatenate([y for _, y in stored])
+            pooled = [float((p.argmax(axis=1) == y).mean()) for p in net.forward(x).probs]
+            assert evaluate_layer_accuracies(net, vbuf) == pooled
+
     def test_empty_vbuf_rejected(self):
         net = LayeredNet.init(4, (4, 4), 2, seed=0)
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 import shutil
 from concurrent.futures import Future
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,10 @@ def edit_summary(path, **values):
     summary = json.loads(path.read_text())
     summary.update(values)
     path.write_text(json.dumps(summary))
+
+
+def remove_artifact(name, arm):
+    (arm / "1" / name).unlink()
 
 
 def report_as_directory(arm):
@@ -396,7 +401,15 @@ class TestVerify:
     @pytest.mark.parametrize(
         "damage, named",
         [
-            (lambda arm: (arm / "1" / "summary.json").unlink(), "summary.json"),
+            (
+                lambda arm: (arm / "1" / "summary.json").unlink(),
+                "summary.json: run artifact is missing",
+            ),
+            *(
+                (partial(remove_artifact, name), f"{name}: run artifact is missing")
+                for name in ("manifest.json", "accuracy_matrix.csv",
+                             "per_layer_accuracy.csv", "telemetry.csv")
+            ),
             (lambda arm: (arm / "notes").mkdir(), "notes is not a seed directory"),
             (lambda arm: (arm / "0" / "summary.json").write_text("{"), "is not valid JSON"),
             (
@@ -433,7 +446,8 @@ class TestVerify:
                 "got rows for ['']",
             ),
         ],
-        ids=["missing-summary", "non-integer-directory", "truncated-summary", "missing-metric",
+        ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
+             "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
              "non-object-summary", "non-numeric-metric", "non-utf8-summary",
              "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
              "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",

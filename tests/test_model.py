@@ -14,6 +14,7 @@ from entrocl import (
     save_checkpoint,
 )
 from entrocl import tensor as T
+from entrocl.model import EVAL_BLOCK, correct_counts, layer_accuracies
 from entrocl.training import AdamState, adam_step
 from conftest import plain_softmax
 
@@ -92,6 +93,78 @@ class TestForward:
             assert lean.probs.tobytes() == full.probs.tobytes()
             assert lean.activations == []
             assert lean.num_layers == full.num_layers == len(widths)
+
+
+B = EVAL_BLOCK
+# exact multiples of a block, one row either side, and remainders under 64
+SPLIT_ROWS = sorted({1, 2, 63, 64, 65, B - 1, B, B + 1, B + 63, 2 * B - 1, 2 * B, 2 * B + 1,
+                     2 * B + 63, 5 * B // 2, 5 * B // 2 + 65})
+
+
+def blockwise(net, x, y, monkeypatch):
+    """``correct_counts(net, x, y)`` and the record of each forward it made."""
+    records, forward = [], LayeredNet.forward
+
+    def recording_forward(self, rows, keep_activations=True):
+        records.append(forward(self, rows, keep_activations))
+        return records[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LayeredNet, "forward", recording_forward)
+        counts = correct_counts(net, x, y)
+    return counts, records
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize("widths", [(8, 16, 4), (64,) * 4, (256,) * 4],
+                             ids=["8-16-4", "64x4", "256x4"])
+    def test_blocks_keep_the_whole_forward_bits(self, monkeypatch, widths):
+        rng = np.random.default_rng(11)
+        net = LayeredNet.init(32, widths, 10, seed=4)
+        x = rng.standard_normal((max(SPLIT_ROWS), 32))
+        y = rng.integers(0, 10, len(x))
+        for n in SPLIT_ROWS:
+            counts, records = blockwise(net, x[:n], y[:n], monkeypatch)
+            sizes = [len(record.x) for record in records]
+            assert sum(sizes) == n
+            # a split shorter than two blocks is one forward, as before blocks
+            if n < 2 * B:
+                assert sizes == [n]
+            else:
+                assert all(B <= size < 2 * B for size in sizes), sizes
+            whole = net.forward(x[:n], keep_activations=False).probs
+            lo = 0
+            for record in records:
+                part = whole[:, lo : lo + len(record.x)]
+                assert record.activations == []
+                assert record.probs.tobytes() == part.tobytes(), (n, lo)
+                assert record.probs.argmax(axis=2).tobytes() == part.argmax(axis=2).tobytes()
+                lo += len(record.x)
+            hits = whole.argmax(axis=2) == y[:n]
+            assert counts.dtype == np.int64
+            assert counts.tolist() == hits.sum(axis=1).tolist()
+            assert layer_accuracies(net, x[:n], y[:n]) == [float(h.mean()) for h in hits]
+
+    def test_counts_hold_where_the_blas_kernel_changes(self, monkeypatch):
+        # A 64-wide head's (rows, 64) @ (64, 10) product takes OpenBLAS's
+        # small-matrix kernel up to about 1e6 multiply-adds (1562 rows) and
+        # its blocked kernel past that, so a long split's blocks and its
+        # whole forward may differ in the last bits; the counts may not.
+        rng = np.random.default_rng(12)
+        net = LayeredNet.init(32, (64,) * 4, 10, seed=5)
+        x = rng.standard_normal((4 * B + 100, 32))
+        y = rng.integers(0, 10, len(x))
+        counts, records = blockwise(net, x, y, monkeypatch)
+        whole = net.forward(x, keep_activations=False).probs
+        blocks = np.concatenate([record.probs for record in records], axis=1)
+        assert np.abs(blocks - whole).max() <= 1e-14
+        assert counts.tolist() == (whole.argmax(axis=2) == y).sum(axis=1).tolist()
+
+    def test_empty_and_misshapen_splits(self):
+        net = LayeredNet.init(4, (6, 6), 3, seed=1)
+        with pytest.raises(DimensionError):
+            layer_accuracies(net, np.zeros((2 * B + 1, 5)), np.zeros(2 * B + 1, dtype=np.int64))
+        assert correct_counts(net, np.zeros((0, 4)), np.zeros(0, dtype=np.int64)).tolist() == [0, 0]
 
 
 def predict(net, x, layer):

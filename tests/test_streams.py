@@ -228,6 +228,31 @@ class TestIdx:
             parse_idx_images(path)
         assert failure.value.offset == 8
 
+    def test_plan_holds_one_uint8_copy_of_the_images(self, tmp_path):
+        # the plan keeps the file's pixels; each run scales only the rows it gathers
+        rng = np.random.default_rng(6)
+        images = rng.integers(0, 256, size=(4000, 28, 28))
+        image_path, label_path = write_idx_pair(tmp_path, images, np.arange(4000) % 10)
+        cfg = StreamConfig(source="idx", num_tasks=5, classes_per_task=2,
+                           idx_images=str(image_path), idx_labels=str(label_path))
+        pixel_bytes, float_bytes = images.size, 8 * images.size
+        tracemalloc.start()
+        try:
+            source = load_source(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tasks = make_stream(cfg, source)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the images as uint8, and the labels as int64
+        assert held <= 1.1 * pixel_bytes + 8 * 4000 + 4096
+        # a run's pools are one float64 copy of the images; scaling them
+        # adds a gathered uint8 split, not a second float64 one
+        assert current - held <= 1.1 * float_bytes
+        assert peak - held <= 1.25 * float_bytes
+        assert sum(t.train_size + len(t.test_y) for t in tasks) == 4000
+
     def test_label_count_mismatch(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(4, 2, 2))

@@ -183,6 +183,31 @@ class TestRunTask:
         assert state.telemetry["task"].tolist() == [1] * math.ceil(tasks[0].train_size / 10)
         assert all(np.isfinite(state.telemetry[name]).all() for name in TELEMETRY_FIELDS)
 
+    def test_last_update_that_overflows_fails_its_task(self):
+        # one step per task: task 1's update takes the parameters near 1e300,
+        # and task 2's overflows them; no later step's check would see it
+        tasks = tiny_stream(0, num_tasks=2, train_per_class=5)
+        state = init_state(tiny_config(0, learning_rate=1e300), 8, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run_task(state, tasks[0])
+            assert np.isfinite(state.net.flat).all()
+            with pytest.raises(
+                FloatingPointError,
+                match=r"^task 2 left \d+ of \d+ parameters non-finite after its last step$",
+            ):
+                run_task(state, tasks[1])
+        # the failed task adds no telemetry and no validation rows
+        assert state.telemetry["task"].tolist() == [1]
+        assert list(state.vbuf.per_task) == [1]
+
+    def test_run_whose_last_update_overflows_fails(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"^task 2 left"):
+                run_sequence(
+                    tiny_stream(0, num_tasks=2, train_per_class=5),
+                    tiny_config(0, learning_rate=1e300),
+                )
+
     @pytest.mark.parametrize("capacity", [5, 50])
     def test_replay_rows_hold_each_resident_offer(self, monkeypatch, capacity):
         # the buffer holds stream positions; position k is the k-th row that
