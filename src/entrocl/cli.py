@@ -2,7 +2,8 @@
 
 ``entrocl`` runs every (arm, seed) pair of a plan, writes per-run artifacts
 under ``out/<arm>/<seed>/`` and an aggregate ``report.csv``; ``entrocl
-verify --out DIR`` recomputes the aggregate from the per-run summaries and
+verify --out DIR`` checks each run's manifest against its directories and the
+plan's other runs, recomputes the aggregate from the per-run summaries and
 checks it against the written report.
 """
 
@@ -217,6 +218,23 @@ def execute_run(arm, seed, run_config, stream_config, out_dir, source=None):
     return result.summary
 
 
+# A pool worker's copy of the plan's source, set once when the worker starts so
+# that no job carries the stream data. Only _pool_run reads it: an in-process
+# run gets its source as an argument and never sees a slot left by a pool.
+_worker_source = None
+
+
+def _set_worker_source(source):
+    global _worker_source
+    _worker_source = source
+
+
+def _pool_run(*job):
+    """A pool worker's entry. It calls ``execute_run`` through the module
+    attribute, so a wrapper installed there before the pool started runs too."""
+    return execute_run(*job, _worker_source)
+
+
 def write_report(fh, arms, summaries):
     """Per-arm mean and population std of the summary metrics."""
     header = ["arm", "n_seeds"]
@@ -251,18 +269,22 @@ def run_plan(plan):
         return 1
 
     jobs = [
-        (arm, seed, plan.run_config, plan.stream_config, str(out / arm / str(seed)), source)
+        (arm, seed, plan.run_config, plan.stream_config, str(out / arm / str(seed)))
         for arm in plan.arms
         for seed in plan.seeds
     ]
 
     failures = []
     summaries = {arm: [] for arm in plan.arms}
-    # a fork pool starts all its workers at the first submit, so size it to the runs
+    # a fork pool starts all its workers at the first submit, so size it to the runs;
+    # each worker takes the source once, as its initializer's argument (read in
+    # place under fork, pickled once per worker otherwise), and the jobs omit it
     workers = min(plan.jobs, len(jobs))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        calls = [pool.submit(execute_run, *job).result if pool else partial(execute_run, *job)
-                 for job in jobs]
+    executor = (ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_source,
+                                    initargs=(source,)) if workers > 1 else nullcontext())
+    with executor as pool:
+        calls = [pool.submit(_pool_run, *job).result if pool
+                 else partial(execute_run, *job, source) for job in jobs]
         for job, call in zip(jobs, calls):
             try:
                 summaries[job[0]].append(call())
@@ -279,32 +301,85 @@ def run_plan(plan):
     return 1 if failures else 0
 
 
-def _read_summaries(arm_dir):
-    """The summary.json of every seed directory under one arm, in seed order;
-    each directory must hold every artifact of a run."""
-    seeds = {}
-    for path in arm_dir.iterdir():
-        # only a seed's decimal form, so that 01 cannot stand in for seed 1
-        if not path.name.isdecimal() or str(int(path.name)) != path.name:
-            raise ValueError(f"{path} is not a seed directory")
-        seeds[int(path.name)] = path
-    rows = []
-    for _, run_dir in sorted(seeds.items()):
-        for name in training.RUN_ARTIFACTS:
-            if not (run_dir / name).is_file():
-                raise ValueError(f"{run_dir / name}: run artifact is missing")
-        path = run_dir / "summary.json"
-        try:
-            summary = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:  # bad JSON or bad UTF-8, named with the file
-            raise ValueError(f"{path} is not valid JSON: {exc}") from None
-        if not isinstance(summary, dict):
-            raise ValueError(f"{path}: summary is not a JSON object")
-        for name in REPORT_METRICS:
-            if type(summary.get(name)) not in (int, float):
-                raise ValueError(f"{path}: {name} is missing or not a number")
-        rows.append(summary)
-    return rows
+def _read_json_object(path, what):
+    try:
+        value = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8, named with the file
+        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {what} is not a JSON object")
+    return value
+
+
+def _read_summary(path):
+    summary = _read_json_object(path, "summary")
+    for name in REPORT_METRICS:
+        value = summary.get(name)
+        if type(value) not in (int, float):
+            raise ValueError(f"{path}: {name} is missing or not a number")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an int beyond float64
+            raise ValueError(f"{path}: {name} is not a finite float64 number")
+    return summary
+
+
+def _read_manifest(path, arm, seed):
+    """The plan settings a run's manifest records: JSON text by dotted key, None
+    for each switch of the arm, seeds left out. The seeds must be the
+    directory's and the switches the arm's."""
+    manifest = _read_json_object(path, "manifest")
+    if manifest.get("arm") != arm:
+        raise ValueError(f"{path}: arm is {manifest.get('arm')!r}, not the directory's {arm!r}")
+    run_config, stream_config = manifest.get("run_config"), manifest.get("stream_config")
+    if not (isinstance(run_config, dict) and isinstance(stream_config, dict)):
+        raise ValueError(f"{path}: run_config and stream_config must be JSON objects")
+    for key, value in (("seed", manifest.get("seed")), ("run_config.seed", run_config.get("seed")),
+                       ("stream_config.seed", stream_config.get("seed"))):
+        if type(value) is not int or value != seed:
+            raise ValueError(f"{path}: {key} is {value!r}, not the directory's {seed}")
+    # compared as JSON text, so that 1 cannot stand in for true or 1.0
+    switches = {key: run_config.get(key) for key in ARMS[arm]}
+    if json.dumps(switches, sort_keys=True) != json.dumps(ARMS[arm], sort_keys=True):
+        raise ValueError(f"{path}: run switches {switches} are not arm {arm}'s {ARMS[arm]}")
+    settings = {f"run_config.{key}": None if key in ARMS[arm] else json.dumps(value)
+                for key, value in run_config.items()}
+    settings.update((f"stream_config.{key}", json.dumps(value))
+                    for key, value in stream_config.items())
+    del settings["run_config.seed"], settings["stream_config.seed"]
+    return settings
+
+
+def _read_runs(out, arms):
+    """Each arm's summaries in seed order. Every seed directory must hold every
+    artifact of a run, and a manifest that matches its directories and records
+    the same plan settings as every other run of the report, each arm's own
+    switches apart."""
+    summaries, plan, first = {}, {}, None
+    for arm in arms:
+        seeds = {}
+        for path in (out / arm).iterdir():
+            # only a seed's decimal form, so that 01 cannot stand in for seed 1
+            if not path.name.isdecimal() or str(int(path.name)) != path.name:
+                raise ValueError(f"{path} is not a seed directory")
+            seeds[int(path.name)] = path
+        summaries[arm] = []
+        for seed, run_dir in sorted(seeds.items()):
+            for name in training.RUN_ARTIFACTS:
+                if not (run_dir / name).is_file():
+                    raise ValueError(f"{run_dir / name}: run artifact is missing")
+            path = run_dir / "manifest.json"
+            settings = _read_manifest(path, arm, seed)
+            first = first or (path, settings.keys())
+            if settings.keys() != first[1]:
+                raise ValueError(f"{path}: settings {sorted(settings.keys() ^ first[1])} "
+                                 f"are not in both it and {first[0]}")
+            for key, value in settings.items():
+                known, where = plan.get(key, (None, None))
+                if known is None:
+                    plan[key] = (value, path)
+                elif value is not None and value != known:
+                    raise ValueError(f"{path}: {key} is {value}, not {known} as in {where}")
+            summaries[arm].append(_read_summary(run_dir / "summary.json"))
+    return summaries
 
 
 def verify_report(out_dir):
@@ -318,7 +393,7 @@ def verify_report(out_dir):
         if not arms or len(set(arms)) < len(arms) or not set(arms) <= set(ARM_NAMES):
             raise ValueError(f"{report_path}: expected one row per arm of {ARM_NAMES}, "
                              f"got rows for {arms}")
-        summaries = {arm: _read_summaries(out / arm) for arm in arms}
+        summaries = _read_runs(out, arms)
     except UnicodeDecodeError as exc:
         print(f"error: {report_path}: not UTF-8 text at byte {exc.start}", file=sys.stderr)
         return 1

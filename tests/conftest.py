@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,20 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def write_idx_pair(folder, images, labels):
+    """``images`` and ``labels`` as a big-endian IDX image file and label file."""
+    images = np.asarray(images, dtype=np.uint8)
+    labels = np.asarray(labels, dtype=np.uint8)
+    n, rows, cols = images.shape
+    image_path = folder / "images.idx"
+    label_path = folder / "labels.idx"
+    image_path.write_bytes(
+        struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes()
+    )
+    label_path.write_bytes(struct.pack(">II", 0x00000801, n) + labels.tobytes())
+    return image_path, label_path
 
 
 def relative_error(a, b, floor=1e-6):

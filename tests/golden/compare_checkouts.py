@@ -5,7 +5,7 @@
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 28 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
+hold 32 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
 with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``, the
 benchmark's wide-eval shape, ``--buffer-capacity 5`` (each 10-example offer
 fills or overwrites the reservoir in one call, drawing repeated slots) and
@@ -15,7 +15,8 @@ block of rows; ``--stream csv`` on
 a seeded CSV stream whose rows come in shuffled class order, as the four arms
 on seeds 0 and 1 at ``--jobs 2`` (the process pool) and on seeds 0 and 1 at
 ``--jobs 1`` (in process); and ``--stream idx`` on a seeded IDX image/label pair, on seeds 0
-and 1, whose per-class split follows the seed. Both streams are written once
+and 1 in process and as ``full`` and ``plain_er`` on seeds 0 and 1 at ``--jobs
+2`` (the pool), whose per-class split follows the seed. Both streams are written once
 for both checkouts. Every one of these plans must exit 0. Two more plans fail
 on purpose: ``--lr 1e300`` on ``full`` and ``plain_er`` over seeds 0 and 1
 makes all 8 runs diverge, at ``--jobs 2`` and at ``--jobs 1``. They must
@@ -61,6 +62,8 @@ PLANS = {
     "csv-serial": ("--stream", "csv", "--csv-path", CSV_STREAM, "--seeds", "0,1", "--jobs", "1"),
     "idx": ("--stream", "idx", "--idx-images", IDX_IMAGES, "--idx-labels", IDX_LABELS,
             "--seeds", "0,1"),
+    "idx-pool": ("--stream", "idx", "--idx-images", IDX_IMAGES, "--idx-labels", IDX_LABELS,
+                 "--arms", "full,plain_er", "--seeds", "0,1", "--jobs", "2"),
     "diverge": DIVERGE + ("--jobs", "2"),
     "diverge-serial": DIVERGE + ("--jobs", "1"),
 }

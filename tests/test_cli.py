@@ -1,12 +1,16 @@
 import json
+import pickle
 import shutil
 from concurrent.futures import Future
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from entrocl import ConfigError, RunConfig, cli, streams
 from entrocl.cli import (
     ARM_NAMES,
@@ -26,10 +30,18 @@ from entrocl.streams import STREAM_SOURCES, StreamConfig, make_synthetic_stream,
 from entrocl.training import OPTIMIZERS
 
 
-def edit_summary(path, **values):
-    summary = json.loads(path.read_text())
-    summary.update(values)
-    path.write_text(json.dumps(summary))
+def edit_json(path, section=None, **values):
+    """Set ``values`` in a JSON object file, or in its object ``section``."""
+    data = json.loads(path.read_text())
+    (data[section] if section else data).update(values)
+    path.write_text(json.dumps(data))
+
+
+def drop_run_setting(arm, key):
+    path = arm / "1" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["run_config"][key]
+    path.write_text(json.dumps(manifest))
 
 
 def remove_artifact(name, arm):
@@ -56,15 +68,19 @@ def rename_arm(arm, name):
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the process pool with a fake that runs each job inline when it is
-    submitted; returns the list of pool sizes asked for. A fork pool starts every
-    worker at the first submit, so the fake records the size instead of forking."""
-    sizes = []
+def pool_record(monkeypatch):
+    """Replace the process pool with a fake that runs its initializer once, as a
+    worker would, and each job inline when it is submitted. Returns the pool
+    sizes asked for and the pickled size of each submitted call. A fork pool
+    starts every worker at the first submit, so the fake records the size
+    instead of forking; the slot the initializer sets is cleared after the test."""
+    record = SimpleNamespace(sizes=[], call_bytes=[])
 
     class InlineExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            record.sizes.append(max_workers)
+            if initializer:
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -73,20 +89,55 @@ def inline_pool(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            # the pool pickles each call to send it to a worker
+            record.call_bytes.append(len(pickle.dumps((fn, args))))
             future = Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
-    return sizes
+    monkeypatch.setattr(cli, "_worker_source", None)
+    return record
 
 
-def csv_plan_flags(folder):
+@pytest.fixture
+def inline_pool(pool_record):
+    """The pool sizes a plan asks for, its jobs run inline."""
+    return pool_record.sizes
+
+
+def csv_plan_flags(folder, train_per_class=20, input_dim=4):
     """Flags of a CSV-stream plan over a small stream written to ``folder``."""
-    stream = StreamConfig(num_tasks=2, train_per_class=20, test_per_class=5, input_dim=4)
+    stream = StreamConfig(num_tasks=2, train_per_class=train_per_class, test_per_class=5,
+                          input_dim=input_dim)
     save_stream_csv(make_synthetic_stream(stream), folder)
     return ["--stream", "csv", "--csv-path", str(folder), "--num-tasks", "2",
             "--widths", "8,8", "--buffer-capacity", "20"]
+
+
+def idx_plan_flags(folder):
+    """Flags of an IDX-stream plan over 4 classes of 4x4 images written to ``folder``."""
+    folder.mkdir()
+    rng = np.random.default_rng(3)
+    labels = rng.permutation(np.repeat(np.arange(4), 30))
+    images = np.clip(40 * labels[:, None, None] + 30 * rng.standard_normal((120, 4, 4)), 0, 255)
+    image_path, label_path = write_idx_pair(folder, images, labels)
+    return ["--stream", "idx", "--idx-images", str(image_path), "--idx-labels", str(label_path),
+            "--num-tasks", "2", "--widths", "8,8", "--buffer-capacity", "20"]
+
+
+def run_files(out):
+    """Every file of a plan's output by relative path: its bytes, or for
+    summary.json its JSON less the wall-clock ``runtime_seconds``."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "summary.json":
+                data = json.loads(data)
+                data.pop("runtime_seconds")
+            files[str(path.relative_to(out))] = data
+    return files
 
 
 FAST_FLAGS = [
@@ -289,12 +340,43 @@ class TestRunPlan:
         code = main(FAST_FLAGS + ["--out", str(blocker / "nested")])
         assert code == 1
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
+    @pytest.mark.parametrize(
+        "stream_flags",
+        [lambda folder: FAST_FLAGS, csv_plan_flags, idx_plan_flags],
+        ids=["synthetic", "csv", "idx"],
+    )
+    def test_parallel_jobs_match_serial(self, tmp_path, stream_flags):
+        # a real pool: the workers take the plan's source from their initializer
         out_a, out_b = tmp_path / "serial", tmp_path / "parallel"
-        args = FAST_FLAGS + ["--seeds", "0,1", "--arms", "full"]
+        args = stream_flags(tmp_path / "stream") + ["--seeds", "0,1", "--arms", "full,plain_er"]
         assert main(args + ["--out", str(out_a), "--jobs", "1"]) == 0
         assert main(args + ["--out", str(out_b), "--jobs", "2"]) == 0
-        assert (out_a / "report.csv").read_bytes() == (out_b / "report.csv").read_bytes()
+        serial = run_files(out_a)
+        assert len(serial) == 1 + 4 * 5
+        assert run_files(out_b) == serial
+
+    def test_pool_jobs_do_not_carry_the_stream(self, tmp_path, pool_record):
+        # the source reaches each worker once, through the pool's initializer
+        flags = csv_plan_flags(tmp_path / "stream", train_per_class=1000, input_dim=64)
+        source = streams.load_source(parse_args(flags).stream_config)
+        assert len(pickle.dumps(source)) > 1 << 20
+        out = tmp_path / "out"
+        assert main(flags + ["--arms", "full,plain_er", "--seeds", "0,1", "--jobs", "2",
+                             "--batch-size", "100", "--out", str(out)]) == 0
+        assert pool_record.sizes == [2]
+        assert len(pool_record.call_bytes) == 4
+        assert max(pool_record.call_bytes) < 64 << 10
+        assert verify_report(out) == 0
+
+    def test_in_process_run_ignores_the_worker_slot(self, tmp_path, monkeypatch):
+        # a slot set in this process must not stand in for the run's own files
+        plan = parse_args(csv_plan_flags(tmp_path / "stream", train_per_class=30))
+        stale = parse_args(csv_plan_flags(tmp_path / "stale")).stream_config
+        monkeypatch.setattr(cli, "_worker_source", streams.load_source(stale))
+        run = partial(cli.execute_run, "full", 0, plan.run_config, plan.stream_config)
+        run(tmp_path / "slot")
+        run(tmp_path / "given", streams.load_source(plan.stream_config))
+        assert run_files(tmp_path / "slot") == run_files(tmp_path / "given")
 
     @pytest.mark.parametrize(
         "jobs, seeds, pool_sizes",
@@ -421,12 +503,53 @@ class TestVerify:
                 "summary.json: summary is not a JSON object",
             ),
             (
-                lambda arm: edit_summary(arm / "1" / "summary.json", acc_final="high"),
+                lambda arm: edit_json(arm / "1" / "summary.json", acc_final="high"),
                 "summary.json: acc_final is missing or not a number",
             ),
             (
                 lambda arm: (arm / "1" / "summary.json").write_bytes(b"\xff{}"),
                 "summary.json is not valid JSON",
+            ),
+            (
+                lambda arm: (arm / "0" / "summary.json").write_text(
+                    '{"acc_final": 1' + "0" * 400
+                    + ', "bwt": 0, "average_forgetting": 0, "entropy_spread_final": 0}'
+                ),
+                "0/summary.json: acc_final is not a finite float64 number",
+            ),
+            (
+                lambda arm: (arm / "1" / "manifest.json").write_text("[]"),
+                "1/manifest.json: manifest is not a JSON object",
+            ),
+            (
+                lambda arm: edit_json(arm / "1" / "manifest.json", seed=0),
+                "1/manifest.json: seed is 0, not the directory's 1",
+            ),
+            (
+                lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config", seed=0),
+                "1/manifest.json: stream_config.seed is 0, not the directory's 1",
+            ),
+            (
+                lambda arm: rename_arm(arm, "plain_er"),
+                "plain_er/0/manifest.json: arm is 'full', not the directory's 'plain_er'",
+            ),
+            (
+                lambda arm: edit_json(arm / "0" / "manifest.json", "run_config",
+                                      enable_adaptive_training=False),
+                "0/manifest.json: run switches",
+            ),
+            (
+                lambda arm: edit_json(arm / "0" / "manifest.json", "run_config", beta=0.5),
+                "1/manifest.json: run_config.beta is 0.005, not 0.5 as in",
+            ),
+            (
+                lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config",
+                                      noise_scale=2.0),
+                "1/manifest.json: stream_config.noise_scale is 2.0, not 1.0 as in",
+            ),
+            (
+                partial(drop_run_setting, key="learning_rate"),
+                "1/manifest.json: settings ['run_config.learning_rate'] are not in both",
             ),
             (report_as_directory, "Is a directory"),
             (
@@ -449,6 +572,9 @@ class TestVerify:
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
              "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
              "non-object-summary", "non-numeric-metric", "non-utf8-summary",
+             "metric-beyond-float64", "non-object-manifest", "manifest-seed",
+             "manifest-stream-seed", "manifest-arm", "manifest-switches", "manifest-run-config",
+             "manifest-stream-config", "manifest-missing-setting",
              "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
              "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
              "empty-arm-row"],

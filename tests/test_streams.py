@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from entrocl import ConfigError, FormatError
 from entrocl.streams import (
     StreamConfig,
@@ -123,19 +124,6 @@ class TestBatches:
         task = make_synthetic_stream(small_cfg())[0]
         with pytest.raises(ValueError):
             list(batches(task, 0, np.random.default_rng(0)))
-
-
-def write_idx_pair(tmp_path, images, labels):
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    image_path = tmp_path / "images.idx"
-    label_path = tmp_path / "labels.idx"
-    image_path.write_bytes(
-        struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes()
-    )
-    label_path.write_bytes(struct.pack(">II", 0x00000801, n) + labels.tobytes())
-    return image_path, label_path
 
 
 # each IDX file kind: its parser, its magic and the dimensions of a small valid file
