@@ -23,7 +23,7 @@ from . import training
 from .errors import ConfigError, FormatError
 from .modulation import ENTROPY_SIGNS
 from .streams import STREAM_SOURCES, StreamConfig, load_source, make_stream
-from .training import OPTIMIZERS, RunConfig
+from .training import RunConfig
 
 # The switches each ablation arm sets on the base config; plain ER also drops beta.
 ARMS = {
@@ -60,9 +60,8 @@ RUN_FLAGS = (
     ("--val-quota", "val_quota", "validation examples stored per task"),
     ("--entropy-sign", "entropy_sign", "add or subtract the entropy term in the loss"),
     ("--widths", "widths", "comma-separated block widths"),
-    ("--optimizer", "optimizer", "parameter update rule"),
 )
-FIELD_CHOICES = {"source": STREAM_SOURCES, "entropy_sign": ENTROPY_SIGNS, "optimizer": OPTIMIZERS}
+FIELD_CHOICES = {"source": STREAM_SOURCES, "entropy_sign": ENTROPY_SIGNS}
 
 REPORT_METRICS = ("acc_final", "bwt", "average_forgetting", "entropy_spread_final")
 
@@ -324,8 +323,9 @@ def _read_summary(path):
 
 def _read_manifest(path, arm, seed):
     """The plan settings a run's manifest records: JSON text by dotted key, None
-    for each switch of the arm, seeds left out. The seeds must be the
-    directory's and the switches the arm's."""
+    for each switch of the arm, seeds left out, and each top-level key but the
+    arm, the seed and the two configs (the version, say) by its own name. The
+    seeds must be the directory's and the switches the arm's."""
     manifest = _read_json_object(path, "manifest")
     if manifest.get("arm") != arm:
         raise ValueError(f"{path}: arm is {manifest.get('arm')!r}, not the directory's {arm!r}")
@@ -340,8 +340,10 @@ def _read_manifest(path, arm, seed):
     switches = {key: run_config.get(key) for key in ARMS[arm]}
     if json.dumps(switches, sort_keys=True) != json.dumps(ARMS[arm], sort_keys=True):
         raise ValueError(f"{path}: run switches {switches} are not arm {arm}'s {ARMS[arm]}")
-    settings = {f"run_config.{key}": None if key in ARMS[arm] else json.dumps(value)
-                for key, value in run_config.items()}
+    settings = {key: json.dumps(value) for key, value in manifest.items()
+                if key not in ("arm", "seed", "run_config", "stream_config")}
+    settings.update((f"run_config.{key}", None if key in ARMS[arm] else json.dumps(value))
+                    for key, value in run_config.items())
     settings.update((f"stream_config.{key}", json.dumps(value))
                     for key, value in stream_config.items())
     del settings["run_config.seed"], settings["stream_config.seed"]
@@ -361,6 +363,8 @@ def _read_runs(out, arms):
             if not path.name.isdecimal() or str(int(path.name)) != path.name:
                 raise ValueError(f"{path} is not a seed directory")
             seeds[int(path.name)] = path
+        if not seeds:
+            raise ValueError(f"{out / arm}: no seed directories")
         summaries[arm] = []
         for seed, run_dir in sorted(seeds.items()):
             for name in training.RUN_ARTIFACTS:

@@ -102,9 +102,16 @@ def load_source(cfg):
     """
     cfg.validate()
     if cfg.source == "idx":
-        return _read_idx_pair(cfg.idx_images, cfg.idx_labels)
+        source = _read_idx_pair(cfg.idx_images, cfg.idx_labels)
+        # every class with an example has one in the train split, so the label
+        # file holds the train split's class set
+        _check_classes(source[1], cfg, f"{source[2]} (train split)")
+        return source
     if cfg.source == "csv":
-        return _read_csv_pools(cfg.csv_path)
+        train, test, paths = source = _read_csv_pools(cfg.csv_path)
+        for (_, labels), path in zip((train, test), paths):
+            _check_classes(labels, cfg, path)
+        return source
     return None
 
 
@@ -157,24 +164,30 @@ def _assemble_tasks(train, test, cfg, names=("train split", "test split")):
     Each pool must hold every class 0..C-1 and no other label. Every task's
     arrays are contiguous slices of the pools, views that copy no row.
     """
-    classes = np.arange(cfg.num_classes)
     edges = np.arange(0, cfg.num_classes + 1, cfg.classes_per_task)
     splits = []
     for (inputs, labels), name in zip((train, test), names):
-        found = np.unique(labels)
-        if not np.array_equal(found, classes):
-            missing, extra = np.setdiff1d(classes, found), np.setdiff1d(found, classes)
-            raise ConfigError(
-                f"{name}: {cfg.num_tasks} tasks of {cfg.classes_per_task} need every class "
-                f"0..{cfg.num_classes - 1} in both splits; missing {missing.tolist()}, "
-                f"unexpected {extra.tolist()}"
-            )
+        _check_classes(labels, cfg, name)
         bounds = np.searchsorted(labels, edges)
         splits.append([(inputs[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     return [
         TaskSpec(t + 1, tuple(range(lo, hi)), *train_part, *test_part)
         for t, (lo, hi, train_part, test_part) in enumerate(zip(edges, edges[1:], *splits))
     ]
+
+
+def _check_classes(labels, cfg, name):
+    """Fail unless the labels of the pool ``name`` are exactly the classes 0..C-1
+    of ``cfg``'s stream."""
+    classes = np.arange(cfg.num_classes)
+    found = np.unique(labels)
+    if not np.array_equal(found, classes):
+        missing, extra = np.setdiff1d(classes, found), np.setdiff1d(found, classes)
+        raise ConfigError(
+            f"{name}: {cfg.num_tasks} tasks of {cfg.classes_per_task} need every class "
+            f"0..{cfg.num_classes - 1} in both splits; missing {missing.tolist()}, "
+            f"unexpected {extra.tolist()}"
+        )
 
 
 def batches(task, batch_size, rng):

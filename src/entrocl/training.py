@@ -34,8 +34,6 @@ from .streams import batches
 
 SPREAD_WINDOW = 50
 
-OPTIMIZERS = ("adam", "sgd")
-
 # The per-layer columns of telemetry.csv, in order. A run's telemetry is one
 # record array with a row per step: the task id and each of these as an (L,)
 # float64 field.
@@ -62,7 +60,6 @@ class RunConfig:
     entropy_sign: str = "penalize"
     seed: int = 0
     widths: tuple = (64, 64, 64, 64)
-    optimizer: str = "adam"
 
     def validate(self):
         require_finite(self)
@@ -88,8 +85,6 @@ class RunConfig:
             raise ConfigError("need at least 2 layer widths")
         if any(w < 1 for w in self.widths):
             raise ConfigError(f"widths must be positive, got {self.widths}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
@@ -138,15 +133,8 @@ def adam_step(flat, grad, moments, lr, wd, beta1=0.9, beta2=0.999, eps=1e-8):
         np.divide(m, m_scale, out=step)
         step *= lr
         step /= denom
-        if wd:
-            p *= 1.0 - lr * wd
+        p *= 1.0 - lr * wd
         p -= step
-
-
-def sgd_step(flat, grad, lr, wd):
-    if wd:
-        flat *= 1.0 - lr * wd
-    flat -= lr * grad
 
 
 @dataclass
@@ -213,11 +201,8 @@ def run_task(state, task):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, (batch_x, batch_y) in enumerate(batches(task, cfg.batch_size, state.rng)):
             slots = state.buffer.sample(cfg.buffer_batch_size, state.rng)
-            if len(slots):
-                x = np.concatenate([batch_x, state.replay_x[slots]], axis=0)
-                y = np.concatenate([batch_y, state.replay_y[slots]])
-            else:
-                x, y = batch_x, batch_y
+            x = np.concatenate([batch_x, state.replay_x[slots]], axis=0)
+            y = np.concatenate([batch_y, state.replay_y[slots]])
 
             objective = composite_loss(
                 state.net.forward(x),
@@ -234,10 +219,7 @@ def run_task(state, task):
                     f"step {len(state.telemetry) + i + 1} of task {task.task_id} diverged: "
                     f"objective {objective.total!r}, first non-finite layer {layer}"
                 )
-            if cfg.optimizer == "adam":
-                adam_step(state.net.flat, grad, state.moments, cfg.learning_rate, cfg.weight_decay)
-            else:
-                sgd_step(state.net.flat, grad, cfg.learning_rate, cfg.weight_decay)
+            adam_step(state.net.flat, grad, state.moments, cfg.learning_rate, cfg.weight_decay)
 
             # offer each example by its position in the run's stream, as a list
             # so that ``items`` keeps the very int objects offered (the traced

@@ -5,8 +5,8 @@
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 32 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
-with ``--optimizer sgd``, ``--entropy-sign reward``, ``--widths 8,16,4``, the
+hold 31 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
+with ``--entropy-sign reward``, ``--widths 8,16,4``, the
 benchmark's wide-eval shape, ``--buffer-capacity 5`` (each 10-example offer
 fills or overwrites the reservoir in one call, drawing repeated slots) and
 ``--buffer-batch-size 0`` (every replay sample is empty); ``--test-per-class
@@ -50,7 +50,6 @@ IDX_IMAGES, IDX_LABELS = "images.idx", "labels.idx"
 DIVERGE = ("--lr", "1e300", "--arms", "full,plain_er", "--seeds", "0,1")  # every run fails
 PLANS = {
     "arms": ("--arms", ALL_ARMS, "--seeds", "0,1", "--jobs", "2"),
-    "sgd": ("--optimizer", "sgd"),
     "reward": ("--entropy-sign", "reward"),
     "widths": ("--widths", "8,16,4"),
     "wide-eval": WIDE_EVAL,

@@ -27,7 +27,6 @@ from entrocl.cli import (
 )
 from entrocl.modulation import ENTROPY_SIGNS
 from entrocl.streams import STREAM_SOURCES, StreamConfig, make_synthetic_stream, save_stream_csv
-from entrocl.training import OPTIMIZERS
 
 
 def edit_json(path, section=None, **values):
@@ -172,11 +171,7 @@ class TestParsing:
             assert sorted(flagged) == sorted({f.name for f in fields(cls)} - per_run)
         choices = {action.option_strings[0]: action.choices
                    for action in build_parser()._actions if action.choices}
-        assert choices == {
-            "--stream": STREAM_SOURCES,
-            "--entropy-sign": ENTROPY_SIGNS,
-            "--optimizer": OPTIMIZERS,
-        }
+        assert choices == {"--stream": STREAM_SOURCES, "--entropy-sign": ENTROPY_SIGNS}
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -275,10 +270,19 @@ class TestParsing:
         assert err.startswith("error: ") and named in err
         assert not (tmp_path / "out").exists()
 
+    def test_optimizer_flag_is_unknown(self, tmp_path, capsys):
+        # Adam is the only update rule, so there is no rule to choose
+        with pytest.raises(SystemExit) as exc:
+            main(["--optimizer", "sgd", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --optimizer sgd" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_config_file_unknown_key(self, tmp_path):
         # config and help are argparse dests, but no setting a file can carry
         config = tmp_path / "run.json"
-        for values in ({"betta": 1.0}, {"config": "other.json"}, {"help": 1}):
+        for values in ({"betta": 1.0}, {"config": "other.json"}, {"help": 1},
+                       {"optimizer": "adam"}):
             config.write_text(json.dumps(values))
             with pytest.raises(ConfigError, match=f"unknown config key '{next(iter(values))}'"):
                 parse_args(["--config", str(config)])
@@ -415,7 +419,7 @@ class TestRunPlan:
         assert verify_report(out) == 0
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("fault", ["missing-train", "bad-line"])
+    @pytest.mark.parametrize("fault", ["missing-train", "bad-line", "class-mismatch"])
     def test_file_fault_fails_the_plan_once(self, tmp_path, capsys, fault, jobs):
         folder = tmp_path / "stream"
         flags = csv_plan_flags(folder)
@@ -423,6 +427,10 @@ class TestRunPlan:
         if fault == "missing-train":
             train.unlink()
             named = str(train)
+        elif fault == "class-mismatch":
+            # the files hold 4 classes, the plan asks for 6
+            flags += ["--num-tasks", "3"]
+            named = f"{train}: 3 tasks of 2 need every class 0..5 in both splits"
         else:
             lines = train.read_text().splitlines()
             cells = lines[2].split(",")
@@ -551,6 +559,18 @@ class TestVerify:
                 partial(drop_run_setting, key="learning_rate"),
                 "1/manifest.json: settings ['run_config.learning_rate'] are not in both",
             ),
+            (
+                lambda arm: edit_json(arm / "1" / "manifest.json", version="9.9.9"),
+                '1/manifest.json: version is "9.9.9", not',
+            ),
+            (
+                lambda arm: edit_json(arm / "1" / "manifest.json", extra=1),
+                "1/manifest.json: settings ['extra'] are not in both",
+            ),
+            (
+                lambda arm: [shutil.rmtree(arm / seed) for seed in ("0", "1")],
+                "full: no seed directories",
+            ),
             (report_as_directory, "Is a directory"),
             (
                 lambda arm: (arm.parent / "report.csv").write_bytes(b"arm\xff\n"),
@@ -574,7 +594,8 @@ class TestVerify:
              "non-object-summary", "non-numeric-metric", "non-utf8-summary",
              "metric-beyond-float64", "non-object-manifest", "manifest-seed",
              "manifest-stream-seed", "manifest-arm", "manifest-switches", "manifest-run-config",
-             "manifest-stream-config", "manifest-missing-setting",
+             "manifest-stream-config", "manifest-missing-setting", "manifest-version",
+             "manifest-extra-key", "no-seed-directories",
              "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
              "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
              "empty-arm-row"],

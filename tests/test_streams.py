@@ -452,6 +452,16 @@ class TestLoadSource:
             splits.append(tasks[0].train_x.tobytes())
         assert splits[0] != splits[1]  # the split still follows the seed
 
+    def test_files_whose_classes_do_not_fit_fail_when_read(self, tmp_path):
+        # 4 classes on file, 6 in the config: the check runs once, before any seed
+        save_stream_csv(make_synthetic_stream(small_cfg(num_tasks=2)), tmp_path)
+        with pytest.raises(ConfigError, match=r"train\.csv: 3 tasks of 2 .*missing \[4, 5\]"):
+            load_source(small_cfg(num_tasks=3, source="csv", csv_path=str(tmp_path)))
+        image_path, label_path = write_idx_pair(tmp_path, np.zeros((8, 2, 2)), np.arange(8) % 4)
+        paths = dict(source="idx", idx_images=str(image_path), idx_labels=str(label_path))
+        with pytest.raises(ConfigError, match=r"labels\.idx \(train split\): .*missing \[4, 5\]"):
+            load_source(small_cfg(num_tasks=3, **paths))
+
 
 def whole_expression_pools(cfg):
     """The train and test pools drawn with one whole-expression temporary per class."""

@@ -17,7 +17,6 @@ from entrocl.training import (
     init_state,
     run_sequence,
     run_task,
-    sgd_step,
     write_run_artifacts,
     write_telemetry_csv,
 )
@@ -102,11 +101,6 @@ class TestAdam:
             assert flat.tobytes() == p.tobytes()
         assert moments.m.tobytes() == m.tobytes()
         assert moments.v.tobytes() == v.tobytes()
-
-    def test_sgd_step(self):
-        flat = np.asarray([1.0])
-        sgd_step(flat, np.asarray([0.5]), lr=0.1, wd=0.0)
-        assert float(flat[0]) == pytest.approx(0.95)
 
 
 class TestRunTask:
