@@ -70,9 +70,11 @@ def entropy_deviation(per_layer_entropies):
 def cross_layer_entropy_spread(per_step_entropies, window=50):
     """Population std across layers, averaged over the last ``window`` steps.
 
-    ``per_step_entropies`` is a (steps, layers) array; a window larger than
-    the available steps falls back to all of them.
+    ``per_step_entropies`` is a (steps, layers) array; a window of 0, or one
+    larger than the available steps, takes all of them.
     """
+    if window < 0:
+        raise ValueError(f"window must be nonnegative, got {window}")
     ent = np.asarray(per_step_entropies, dtype=np.float64)
     if ent.ndim != 2 or ent.shape[0] < 1:
         raise ValueError("need a nonempty (steps, layers) entropy array")

@@ -57,7 +57,9 @@ class ForwardRecord:
 
 class LayeredNet:
     def __init__(self, input_dim, widths, num_classes):
-        """An all-zero net: allocate the flat vector and bind the per-layer views into it."""
+        """An all-zero net: allocate the flat vector and the gradient vector
+        ``grad`` that ``tensor.backward`` fills, and bind the per-layer views
+        into each (``grad_layers[l]`` is layer l's four gradient views)."""
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2:
             raise ValueError("a layered net needs at least 2 blocks")
@@ -77,6 +79,8 @@ class LayeredNet:
         layers = [self.layer_views(self.flat, l) for l in range(len(widths))]
         self.blocks = [(w, b) for w, b, _, _ in layers]
         self.heads = [(hw, hb) for _, _, hw, hb in layers]
+        self.grad = np.zeros(end)
+        self.grad_layers = [self.layer_views(self.grad, l) for l in range(len(widths))]
 
     @property
     def num_layers(self):

@@ -57,8 +57,9 @@ class Objective:
     """One batch's composite objective: its value, what ``tensor.backward``
     needs to differentiate it, and what the step logs. ``alpha`` weighs each
     layer's cross entropy ``layer_losses`` and ``entropy_coef``
-    (``sign * gamma``) its mean entropy ``entropy.per_layer``; ``logp`` is
-    ``tensor.head_losses``'s ``(L, B, K)`` log of the floored probabilities."""
+    (``sign * gamma``) its mean entropy ``entropy.per_layer``; ``heads`` is
+    what ``tensor.head_losses`` gave, whose per-batch arrays ``backward``
+    reuses."""
 
     total: float
     record: object  # model.ForwardRecord
@@ -68,7 +69,7 @@ class Objective:
     gamma: tuple
     layer_losses: tuple
     entropy: EntropyStats
-    logp: np.ndarray
+    heads: T.HeadLosses
 
     @property
     def tape(self):
@@ -145,8 +146,8 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
         )
 
     labels = np.asarray(labels, dtype=np.int64)
-    ce, entropies, logp = T.head_losses(record.probs, labels)
-    layer_losses, stats = tuple(ce.tolist()), entropy_summary(entropies.tolist())
+    heads = T.head_losses(record.probs, labels)
+    layer_losses, stats = tuple(heads.ce.tolist()), entropy_summary(heads.entropy.tolist())
     if gamma is None:
         gamma = gamma_from_entropies(stats, beta)
     else:
@@ -163,4 +164,4 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
     for l in range(1, num_layers):
         total = total + layer_losses[l] * alpha[l]
         total = total + stats.per_layer[l] * entropy_coef[l]
-    return Objective(total, record, labels, alpha, entropy_coef, gamma, layer_losses, stats, logp)
+    return Objective(total, record, labels, alpha, entropy_coef, gamma, layer_losses, stats, heads)

@@ -10,6 +10,8 @@ Probabilities are floored at PROB_EPS inside the log-consuming reductions
 keep summing to one exactly.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DimensionError
@@ -31,20 +33,36 @@ def softmax(logits):
         raise DimensionError("softmax row dimension is empty")
     # a max is exact in any order, and one elementwise max over the K
     # columns of a transposed copy is faster than a reduction per short row
-    e = v - v.T.copy().max(axis=0).T[..., None]
+    e = v - np.maximum.reduce(v.T.copy(), axis=0).T[..., None]
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
+
+
+class HeadLosses(NamedTuple):
+    """What ``head_losses`` gives: the ``(L,)`` cross entropies ``ce`` and
+    mean entropies ``entropy``, and the per-batch arrays ``backward`` reuses:
+    ``logp = ln(max(p, PROB_EPS))``, the ``(L, B, K)`` mask ``above`` of
+    ``p > PROB_EPS``, the row indices ``rows`` and the ``(L, B)``
+    true-class probabilities floored at PROB_EPS, ``picked``."""
+
+    ce: np.ndarray
+    entropy: np.ndarray
+    logp: np.ndarray
+    above: np.ndarray
+    rows: np.ndarray
+    picked: np.ndarray
 
 
 def head_losses(probs, labels):
     """Per-head cross entropy and mean entropy of an ``(L, B, K)`` stack.
 
-    Returns ``(ce, entropy, logp)``: the ``(L,)`` mean negative log probability
-    of the true class, the ``(L,)`` mean over rows of ``-sum_i p_i ln p_i`` in
-    nats, and ``logp = ln(max(p, PROB_EPS))``, which ``backward`` reuses. One-hot
-    rows give exactly zero entropy; entries at the floor get no gradient from
-    ``backward`` (the floored value is constant there).
+    Returns a ``HeadLosses``: ``ce`` is the mean negative log probability of
+    the true class, ``entropy`` the mean over rows of ``-sum_i p_i ln p_i``
+    in nats. One-hot rows give exactly zero entropy; entries at the floor get
+    no gradient from ``backward`` (the floored value is constant there).
+    A mean is ``np.add.reduce(...) / batch``, the division ``ndarray.mean``
+    makes after the same reduction.
     """
     p = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -53,62 +71,67 @@ def head_losses(probs, labels):
     _, batch, num_classes = p.shape
     if batch < 1:
         raise ValueError("cross entropy and entropy of an empty batch are undefined")
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise ValueError(f"label out of range [0, {num_classes}): {labels.min()}..{labels.max()}")
+    lo, hi = np.minimum.reduce(labels), np.maximum.reduce(labels)
+    if lo < 0 or hi >= num_classes:
+        raise ValueError(f"label out of range [0, {num_classes}): {lo}..{hi}")
+    rows = np.arange(batch)
+    # the fancy index comes back F-ordered, and a sum over its strided rows
+    # would run sequentially instead of pairwise, changing the bits; the log
+    # is elementwise, so picking before it gives the entries of logp
+    picked = np.maximum(np.ascontiguousarray(p[:, rows, labels]), PROB_EPS)
     logp = np.log(np.maximum(p, PROB_EPS))
-    # the fancy index comes back F-ordered, and a mean over its strided rows
-    # would sum sequentially instead of pairwise, changing the bits
-    picked = np.ascontiguousarray(logp[:, np.arange(batch), labels])
-    ce = -picked.mean(axis=1)
-    entropy = -(p * logp).sum(axis=2).mean(axis=1)
-    return ce, entropy, logp
+    # -(a / n) and a / -n have the same bits
+    ce = np.add.reduce(np.log(picked), axis=1) / -batch
+    entropy = np.add.reduce(np.add.reduce(p * logp, axis=2), axis=1) / -batch
+    return HeadLosses(ce, entropy, logp, p > PROB_EPS, rows, picked)
 
 
 def backward(objective):
     """Gradient of ``objective.total`` as a vector laid out like ``net.flat``.
 
     ``objective`` is what ``modulation.composite_loss`` returns: its forward
-    record, labels, the heads' ``logp`` and the per-layer coefficients
-    ``alpha`` (of CE) and ``entropy_coef`` (``sign * gamma``, of H). The
-    heads' adjoints are computed on their whole ``(L, B, K)`` stack, then the
-    sweep runs from the deepest block back to the input. Each adjoint sum has
-    exactly two terms: a block's output feeds its head and the next block,
-    and a head's probabilities feed its CE and its entropy. Addition of two
-    terms is commutative, so the result does not depend on their order.
+    record, labels, ``heads`` (what ``head_losses`` gave) and the per-layer
+    coefficients ``alpha`` (of CE) and ``entropy_coef`` (``sign * gamma``, of
+    H). The heads' adjoints are computed on their whole ``(L, B, K)`` stack,
+    then the sweep runs from the deepest block back to the input. Each
+    adjoint sum has exactly two terms: a block's output feeds its head and the
+    next block, and a head's probabilities feed its CE and its entropy.
+    Addition of two terms is commutative, so the result does not depend on
+    their order.
+
+    The gradient is written into the net's own ``net.grad`` through its bound
+    ``net.grad_layers`` views, and that vector is returned: the next
+    ``backward`` on the same net overwrites it, so a caller that keeps a
+    gradient past it keeps a copy.
     """
-    record, labels = objective.record, objective.labels
-    net, p = record.net, record.probs
+    record, labels, heads = objective.record, objective.labels, objective.heads
+    net, p, rows, picked = record.net, record.probs, heads.rows, heads.picked
     batch = len(labels)
-    rows = np.arange(batch)
     coef = np.asarray(objective.entropy_coef).reshape(-1, 1, 1)
     alpha = np.asarray(objective.alpha).reshape(-1, 1, 1)
 
-    picked = p[:, rows, labels]
-    d_ce = np.zeros_like(p)
-    d_ce[:, rows, labels] = np.where(
-        picked > PROB_EPS, -1.0 / (batch * np.maximum(picked, PROB_EPS)), 0.0
-    )
+    # picked is floored at PROB_EPS, so it exceeds the floor where p does
+    d_ce = np.zeros(p.shape)
+    d_ce[:, rows, labels] = np.where(picked > PROB_EPS, -1.0 / (batch * picked), 0.0)
     # g_p = coef * d_h + alpha * d_ce with d_h = -(logp + (p > PROB_EPS)) / batch,
     # then g_z = p * (g_p - sum_k g_p * p): the same operations on the same
     # operands, each written into a temporary it no longer needs
-    # (-(a) / n and a / -n have the same bits)
-    g_p = np.add(objective.logp, p > PROB_EPS)
+    g_p = np.add(heads.logp, heads.above)
     g_p /= -batch
     g_p *= coef
     d_ce *= alpha
     g_p += d_ce
-    dot = np.multiply(g_p, p, out=d_ce).sum(axis=2, keepdims=True)
+    dot = np.add.reduce(np.multiply(g_p, p, out=d_ce), axis=2, keepdims=True)
     g_p -= dot
     g_z = np.multiply(p, g_p, out=g_p)
 
-    grad = np.empty_like(net.flat)
     g_next = None  # adjoint of this block's output from the block above it
     for layer in reversed(range(net.num_layers)):
         h, gz = record.activations[layer], g_z[layer]
         (w, _), (hw, _) = net.blocks[layer], net.heads[layer]
-        block_w, block_b, head_w, head_b = net.layer_views(grad, layer)
+        block_w, block_b, head_w, head_b = net.grad_layers[layer]
         np.matmul(h.T, gz, out=head_w)
-        np.sum(gz, axis=0, out=head_b)
+        np.add.reduce(gz, axis=0, out=head_b)
         g_h = gz @ hw.T
         if g_next is not None:
             g_h += g_next
@@ -118,10 +141,10 @@ def backward(objective):
         g_a *= g_h  # g_h * (1 - h*h)
         below = record.activations[layer - 1] if layer else record.x
         np.matmul(below.T, g_a, out=block_w)
-        np.sum(g_a, axis=0, out=block_b)
+        np.add.reduce(g_a, axis=0, out=block_b)
         if layer:
             g_next = g_a @ w.T
-    return grad
+    return net.grad
 
 
 def finite_difference_gradient(f, params, step=1e-5, entries=None):

@@ -10,6 +10,7 @@ run is a pure function of (config, stream).
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -178,9 +179,9 @@ def run_task(state, task):
     if task.train_size == 0:
         raise ConfigError(f"task {task.task_id} has no training examples")
     if task.task_id <= state.task_index:
+        after = f" after {state.task_index}" if state.task_index else ""
         raise ConfigError(
-            f"task ids must be strictly increasing, got {task.task_id} after "
-            f"{state.task_index}"
+            f"task ids must be positive and strictly increasing, got {task.task_id}{after}"
         )
     state.task_index = task.task_id
     num_layers = state.net.num_layers
@@ -213,8 +214,8 @@ def run_task(state, task):
                 gamma=gamma_override,
             )
             grad = T.backward(objective)
-            if not (np.isfinite(objective.total) and np.isfinite(grad).all()):
-                layer = _first_nonfinite_layer(state.net, grad, objective)
+            if not (math.isfinite(objective.total) and np.isfinite(grad).all()):
+                layer = _first_nonfinite_layer(state.net, objective)
                 raise FloatingPointError(
                     f"step {len(state.telemetry) + i + 1} of task {task.task_id} diverged: "
                     f"objective {objective.total!r}, first non-finite layer {layer}"
@@ -251,11 +252,12 @@ def run_task(state, task):
     return state
 
 
-def _first_nonfinite_layer(net, grad, objective):
-    """The shallowest layer whose loss, entropy or block/head gradient is not finite."""
+def _first_nonfinite_layer(net, objective):
+    """The shallowest layer whose loss, entropy or block/head gradient (in
+    ``net.grad``, where ``backward`` wrote it) is not finite."""
     for layer in range(net.num_layers):
-        parts = net.layer_views(grad, layer)
-        parts.append([objective.layer_losses[layer], objective.entropy.per_layer[layer]])
+        parts = [*net.grad_layers[layer],
+                 [objective.layer_losses[layer], objective.entropy.per_layer[layer]]]
         if not all(np.isfinite(part).all() for part in parts):
             return layer
     return None
@@ -278,8 +280,8 @@ def run_sequence(tasks, cfg):
         if task.train_size == 0:
             raise ConfigError(f"task {task.task_id} has no training examples")
     ids = [task.task_id for task in tasks]
-    if ids != sorted(ids) or len(set(ids)) != len(ids):
-        raise ConfigError(f"task ids must be strictly increasing, got {ids}")
+    if ids[0] < 1 or any(a >= b for a, b in zip(ids, ids[1:])):
+        raise ConfigError(f"task ids must be positive and strictly increasing, got {ids}")
 
     input_dim = tasks[0].train_x.shape[1]
     num_classes = max(max(task.class_ids) for task in tasks) + 1

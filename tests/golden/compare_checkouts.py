@@ -5,13 +5,17 @@
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 31 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
+hold 33 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
 with ``--entropy-sign reward``, ``--widths 8,16,4``, the
 benchmark's wide-eval shape, ``--buffer-capacity 5`` (each 10-example offer
 fills or overwrites the reservoir in one call, drawing repeated slots) and
 ``--buffer-batch-size 0`` (every replay sample is empty); ``--test-per-class
 700`` on seeds 0 and 1, whose 1400-row test splits are scored in more than one
-block of rows; ``--stream csv`` on
+block of rows; ``--test-per-class 800`` on seeds 0 and 1, whose 1600-row test
+splits lie past the size (about 1562 rows for a 64-wide, 10-class head) where a
+whole-split forward would take OpenBLAS's blocked kernel instead of its
+small-matrix one, so scoring bits that followed the split size would show
+there; ``--stream csv`` on
 a seeded CSV stream whose rows come in shuffled class order, as the four arms
 on seeds 0 and 1 at ``--jobs 2`` (the process pool) and on seeds 0 and 1 at
 ``--jobs 1`` (in process); and ``--stream idx`` on a seeded IDX image/label pair, on seeds 0
@@ -56,6 +60,7 @@ PLANS = {
     "capacity-5": ("--buffer-capacity", "5"),
     "no-replay": ("--buffer-batch-size", "0"),
     "multi-block": ("--test-per-class", "700", "--seeds", "0,1"),
+    "blas-switch": ("--test-per-class", "800", "--seeds", "0,1"),
     "csv": ("--stream", "csv", "--csv-path", CSV_STREAM, "--arms", ALL_ARMS,
             "--seeds", "0,1", "--jobs", "2"),
     "csv-serial": ("--stream", "csv", "--csv-path", CSV_STREAM, "--seeds", "0,1", "--jobs", "1"),

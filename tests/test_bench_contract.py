@@ -96,3 +96,6 @@ def test_traced_run_calls_every_target_where_the_accounting_expects(tmp_path):
         if name in STEP_AND_BOUNDARY:
             assert recorded[parent][0] == "training.run_task", name
     assert spans.run_counts(recorded)["extend_offered"] > 0
+    # tensor.tape_nodes_per_step counts len(objective.tape) at every backward:
+    # the input and each of the L = 2 layers' activation and probabilities
+    assert {span[4] for span in recorded if span[0] == "tensor.backward"} == {2 * 2 + 1}

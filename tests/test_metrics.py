@@ -125,6 +125,16 @@ class TestEntropySpread:
         with pytest.raises(ValueError):
             cross_layer_entropy_spread(np.zeros((0, 4)))
 
+    def test_negative_window_rejected(self):
+        # a negative window once sliced from the front: -3 averaged ent[3:]
+        ent = np.vstack([np.tile([0.0, 2.0], (3, 1)), np.tile([1.0, 1.0], (5, 1))])
+        with pytest.raises(ValueError, match="window must be nonnegative, got -3"):
+            cross_layer_entropy_spread(ent, window=-3)
+
+    def test_zero_window_takes_every_step(self):
+        ent = np.vstack([np.tile([0.0, 2.0], (3, 1)), np.tile([1.0, 1.0], (5, 1))])
+        assert cross_layer_entropy_spread(ent, window=0) == pytest.approx(3 / 8)
+
 
 class TestMatrixCsv:
     def test_grid_layout(self):

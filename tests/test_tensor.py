@@ -118,7 +118,7 @@ class TestHeadLosses:
             labels = rng.integers(0, num_classes, size=batch)
             labels[0] = 0
             probs = T.softmax(logits)
-            ce, entropy, logp = T.head_losses(probs, labels)
+            ce, entropy, logp, *_ = T.head_losses(probs, labels)
             assert ce.shape == entropy.shape == (num_layers,)
             for layer, z in enumerate(logits):
                 p = T.softmax(z)
@@ -130,6 +130,33 @@ class TestHeadLosses:
                 assert ce[layer].tobytes() == ce_alone.tobytes(), (batch, layer)
                 assert entropy[layer].tobytes() == h_alone.tobytes(), (batch, layer)
                 assert logp[layer].tobytes() == np.log(np.maximum(p, T.PROB_EPS)).tobytes()
+
+    @pytest.mark.parametrize(
+        "num_layers,batch,num_classes",
+        [(1, 1, 2), (4, 1, 10), (3, 9, 2), (2, 8, 3), (4, 74, 10), (5, 129, 7)],
+    )
+    def test_direct_reductions_match_the_method_expressions_bitwise(
+        self, num_layers, batch, num_classes
+    ):
+        # np.add.reduce(...) / -batch in place of -(...).mean() and .sum()
+        rng = np.random.default_rng(97 * batch + num_classes)
+        logits = 8.0 * rng.standard_normal((num_layers, batch, num_classes))
+        logits[0, 0, 0] = -80.0  # a probability below PROB_EPS, on a true class
+        labels = rng.integers(0, num_classes, size=batch)
+        labels[0] = 0
+        p = T.softmax(logits)
+        assert p.tobytes() == plain_softmax(logits).tobytes()
+        heads = T.head_losses(p, labels)
+        rows = np.arange(batch)
+        logp = np.log(np.maximum(p, T.PROB_EPS))
+        ce = -np.ascontiguousarray(logp[:, rows, labels]).mean(axis=1)
+        entropy = -(p * logp).sum(axis=2).mean(axis=1)
+        assert heads.ce.tobytes() == ce.tobytes()
+        assert heads.entropy.tobytes() == entropy.tobytes()
+        assert heads.logp.tobytes() == logp.tobytes()
+        assert heads.above.tobytes() == (p > T.PROB_EPS).tobytes()
+        assert heads.rows.tobytes() == rows.tobytes()
+        assert heads.picked.tobytes() == np.maximum(p[:, rows, labels], T.PROB_EPS).tobytes()
 
     def test_shapes_must_align(self):
         with pytest.raises(DimensionError):
@@ -208,6 +235,23 @@ class TestBackward:
                 assert (objective.record.probs[-1][:, 0] < T.PROB_EPS).all()
             assert T.backward(objective).tobytes() == plain_backward(objective).tobytes()
 
+    def test_reused_gradient_vector_carries_nothing_between_calls(self):
+        # backward writes into the net's own grad; each call on the same net
+        # must equal the reference computed fresh, whatever the last call left
+        rng = np.random.default_rng(21)
+        net = LayeredNet.init(6, (9, 5, 7), 4, seed=3)
+        net.heads[0][1][0] = -60.0  # class 0 of the first head below PROB_EPS
+        settings = [("penalize", None), ("reward", None), ("penalize", (0.0,) * 3)]
+        for sign, gamma in settings * 2:
+            x = 3.0 * rng.standard_normal((int(rng.integers(1, 20)), 6))
+            y = rng.integers(0, 4, size=len(x))
+            alpha = tuple(np.exp(rng.uniform(-1, 1, size=3)).tolist())
+            objective = composite_loss(net.forward(x), y, alpha, beta=0.05, entropy_sign=sign,
+                                       gamma=gamma)
+            grad = T.backward(objective)
+            assert grad is net.grad
+            assert grad.tobytes() == plain_backward(objective).tobytes()
+
     def test_replay_determinism(self):
         def run():
             rng = np.random.default_rng(99)
@@ -237,7 +281,7 @@ def plain_backward(objective):
     d_ce[:, rows, labels] = np.where(
         picked > T.PROB_EPS, -1.0 / (batch * np.maximum(picked, T.PROB_EPS)), 0.0
     )
-    d_h = -(objective.logp + (p > T.PROB_EPS)) / batch
+    d_h = -(objective.heads.logp + (p > T.PROB_EPS)) / batch
     g_p = coef * d_h + alpha * d_ce
     g_z = p * (g_p - (g_p * p).sum(axis=2, keepdims=True))
     grad = np.empty_like(net.flat)

@@ -1,5 +1,7 @@
 import io
 import math
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -135,8 +137,10 @@ class TestRunTask:
         tasks = tiny_stream(0)
         cfg = tiny_config(0)
         state = init_state(cfg, 8, 6)
+        with pytest.raises(ConfigError, match=r"positive and strictly increasing, got 0$"):
+            run_task(state, replace(tasks[0], task_id=0))
         run_task(state, tasks[0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"strictly increasing, got 1 after 1$"):
             run_task(state, tasks[0])
 
     def test_invalid_config_is_rejected_before_any_work(self):
@@ -293,6 +297,17 @@ class TestRunSequence:
     def test_needs_two_tasks(self):
         tasks = tiny_stream(0)[:1]
         with pytest.raises(ConfigError):
+            run_sequence(tasks, tiny_config(0))
+
+    @pytest.mark.parametrize("ids", [(0, 1, 2), (-1, 0, 1), (1, 1, 2), (2, 1, 3)])
+    def test_task_ids_must_be_positive_and_strictly_increasing(self, ids):
+        # a first id of 0 once passed this check and failed in run_task with
+        # "task ids must be strictly increasing, got 0 after 0"
+        tasks = [replace(task, task_id=i) for task, i in zip(tiny_stream(0), ids)]
+        with pytest.raises(
+            ConfigError,
+            match=re.escape(f"task ids must be positive and strictly increasing, got {list(ids)}"),
+        ):
             run_sequence(tasks, tiny_config(0))
 
     def test_zero_example_task_rejected(self):
