@@ -11,7 +11,6 @@ import argparse
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
@@ -250,6 +249,12 @@ def write_report(fh, arms, summaries):
 
 
 def run_plan(plan):
+    # a fork pool starts all its workers at the first submit, so size it to the
+    # runs; a plan run in process never loads the pool code
+    workers = min(plan.jobs, len(plan.arms) * len(plan.seeds))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
     # a file-backed stream is read once for every run, and a bad file fails the plan here
     try:
         source = load_source(plan.stream_config)
@@ -275,10 +280,8 @@ def run_plan(plan):
 
     failures = []
     summaries = {arm: [] for arm in plan.arms}
-    # a fork pool starts all its workers at the first submit, so size it to the runs;
     # each worker takes the source once, as its initializer's argument (read in
     # place under fork, pickled once per worker otherwise), and the jobs omit it
-    workers = min(plan.jobs, len(jobs))
     executor = (ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_source,
                                     initargs=(source,)) if workers > 1 else nullcontext())
     with executor as pool:
@@ -398,6 +401,10 @@ def verify_report(out_dir):
             raise ValueError(f"{report_path}: expected one row per arm of {ARM_NAMES}, "
                              f"got rows for {arms}")
         summaries = _read_runs(out, arms)
+        # an arm directory the report leaves out, say one left by an earlier plan
+        for arm in ARM_NAMES:
+            if arm not in arms and (out / arm).exists():
+                raise ValueError(f"{out / arm}: arm directory has no row in {report_path}")
     except UnicodeDecodeError as exc:
         print(f"error: {report_path}: not UTF-8 text at byte {exc.start}", file=sys.stderr)
         return 1

@@ -32,6 +32,18 @@ class TaskSpec:
     test_y: np.ndarray
 
     def __post_init__(self):
+        for split, inputs, labels in (("train", self.train_x, self.train_y),
+                                      ("test", self.test_x, self.test_y)):
+            if np.ndim(inputs) != 2:
+                raise ConfigError(f"task {self.task_id}: {split} inputs must be 2-D, "
+                                  f"got shape {np.shape(inputs)}")
+            if len(inputs) != len(labels):
+                raise ConfigError(f"task {self.task_id}: {split} split has {len(inputs)} "
+                                  f"inputs but {len(labels)} labels")
+        train_width, test_width = np.shape(self.train_x)[1], np.shape(self.test_x)[1]
+        if train_width != test_width:
+            raise ConfigError(f"task {self.task_id}: train inputs are {train_width} wide, "
+                              f"test inputs {test_width}")
         seen = set(np.unique(self.train_y)) | set(np.unique(self.test_y))
         if not seen <= set(self.class_ids):
             raise ConfigError(

@@ -147,7 +147,7 @@ class RunState:
     replay_x: np.ndarray  # (capacity, D) input of the example in each buffer slot
     replay_y: np.ndarray  # (capacity,) its label
     vbuf: ValidationBuffer
-    rng: np.random.Generator
+    rng: "np.random.Generator"  # a string, so numpy.random loads at the first default_rng
     modulators: ModulatorState
     telemetry: np.ndarray  # every step of every completed task, see TELEMETRY_FIELDS
     task_index: int = 0
@@ -276,14 +276,19 @@ def run_sequence(tasks, cfg):
     """Run the whole stream and evaluate after every task; returns a RunResult."""
     if len(tasks) < 2:
         raise ConfigError("a sequence needs at least 2 tasks")
+    input_dim = tasks[0].train_x.shape[1]
     for task in tasks:
         if task.train_size == 0:
             raise ConfigError(f"task {task.task_id} has no training examples")
+        if len(task.test_y) == 0:
+            raise ConfigError(f"task {task.task_id} has no test examples")
+        if task.train_x.shape[1] != input_dim:
+            raise ConfigError(f"task {task.task_id} has {task.train_x.shape[1]}-wide inputs, "
+                              f"but task {tasks[0].task_id}'s are {input_dim}-wide")
     ids = [task.task_id for task in tasks]
     if ids[0] < 1 or any(a >= b for a, b in zip(ids, ids[1:])):
         raise ConfigError(f"task ids must be positive and strictly increasing, got {ids}")
 
-    input_dim = tasks[0].train_x.shape[1]
     num_classes = max(max(task.class_ids) for task in tasks) + 1
     state = init_state(cfg, input_dim, num_classes)
     accuracy = np.full((state.net.num_layers, len(tasks), len(tasks)), np.nan)

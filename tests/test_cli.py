@@ -1,7 +1,10 @@
+import concurrent.futures
 import json
+import os
 import pickle
 import shutil
-from concurrent.futures import Future
+import subprocess
+import sys
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -90,11 +93,11 @@ def pool_record(monkeypatch):
         def submit(self, fn, *args):
             # the pool pickles each call to send it to a worker
             record.call_bytes.append(len(pickle.dumps((fn, args))))
-            future = Future()
+            future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(cli, "_worker_source", None)
     return record
 
@@ -394,6 +397,24 @@ class TestRunPlan:
         assert inline_pool == pool_sizes
         assert verify_report(out) == 0
 
+    def test_pool_and_random_load_only_when_used(self, tmp_path):
+        # in a fresh interpreter: parsing a plan, as --help, verify and config
+        # errors do, loads neither, and a plan run in process loads no pool code
+        root = Path(__file__).resolve().parents[1]
+        script = "\n".join([
+            "import sys",
+            "from entrocl import cli",
+            "lazy = ('concurrent.futures', 'multiprocessing', 'numpy.random')",
+            "cli.parse_args([])",
+            "print([name for name in lazy if name in sys.modules])",
+            f"assert cli.main({FAST_FLAGS + ['--out', str(tmp_path / 'out')]!r}) == 0",
+            "print([name for name in lazy if name in sys.modules])",
+        ])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "['numpy.random']"]
+
     def test_too_short_widths_rejected_at_parse_time(self, tmp_path):
         code = main(["--widths", "8", "--out", str(tmp_path / "out")])
         assert code == 2
@@ -588,6 +609,11 @@ class TestVerify:
                 lambda arm: keep_report_rows(arm, lambda rows: [row[len("full"):] for row in rows]),
                 "got rows for ['']",
             ),
+            (
+                # as if left by an earlier plan with more arms
+                lambda arm: shutil.copytree(arm, arm.parent / "no_entropy_scaling"),
+                "out/no_entropy_scaling: arm directory has no row in",
+            ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
              "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
@@ -598,7 +624,7 @@ class TestVerify:
              "manifest-extra-key", "no-seed-directories",
              "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
              "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
-             "empty-arm-row"],
+             "empty-arm-row", "arm-directory-without-row"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

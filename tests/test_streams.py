@@ -96,6 +96,30 @@ class TestSyntheticStream:
             make_stream(small_cfg(**overrides))
 
 
+class TestTaskSpec:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # run_sequence once trained on the 40 rows that had labels
+            (lambda task: dict(train_y=task.train_y[:40]),
+             "task 1: train split has 50 inputs but 40 labels"),
+            (lambda task: dict(test_y=task.test_y[:0]), "task 1: test split has 10 inputs but 0 labels"),
+            (lambda task: dict(train_x=task.train_x.ravel()),
+             "task 1: train inputs must be 2-D, got shape (200,)"),
+            (lambda task: dict(test_x=task.test_x[:, :, None]),
+             "task 1: test inputs must be 2-D, got shape (10, 4, 1)"),
+            (lambda task: dict(test_x=task.test_x[:, :3]),
+             "task 1: train inputs are 4 wide, test inputs 3"),
+        ],
+        ids=["train-labels-short", "test-labels-missing", "flat-train-inputs",
+             "3-d-test-inputs", "widths-differ"],
+    )
+    def test_inconsistent_arrays_rejected(self, change, message):
+        task = make_synthetic_stream(small_cfg())[0]
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replace(task, **change(task))
+
+
 class TestBatches:
     def test_chunk_sizes(self):
         task = make_synthetic_stream(small_cfg())[0]  # 50 train examples

@@ -323,6 +323,27 @@ class TestRunSequence:
         with pytest.raises(ConfigError):
             run_sequence(tasks + [empty], tiny_config(0))
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda task: dict(test_x=task.test_x[:0], test_y=task.test_y[:0]),
+             "task 2 has no test examples"),
+            (lambda task: dict(train_x=task.train_x[:, :5], test_x=task.test_x[:, :5]),
+             "task 2 has 5-wide inputs, but task 1's are 8-wide"),
+        ],
+        ids=["no-test-examples", "other-width"],
+    )
+    def test_task_rejected_before_training(self, monkeypatch, change, message):
+        # both used to train: the first failed after every task with "accuracy
+        # matrix is incomplete", the second in numpy's concatenate at task 2
+        tasks = tiny_stream(0)
+        tasks[1] = replace(tasks[1], **change(tasks[1]))
+        trained = []
+        monkeypatch.setattr(training, "run_task", lambda state, task: trained.append(task))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_sequence(tasks, tiny_config(0))
+        assert trained == []
+
     def test_bitwise_determinism(self):
         def run_once():
             tasks = tiny_stream(5)
