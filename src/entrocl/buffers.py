@@ -107,6 +107,6 @@ def evaluate_layer_accuracies(net, vbuf):
     pooled across tasks: every task's correct counts over all stored rows."""
     if not vbuf.per_task:
         raise ValueError("validation buffer is empty")
-    stored = vbuf.per_task.values()
-    correct = sum(correct_counts(net, x, y) for x, y in stored)
+    stored = list(vbuf.per_task.values())
+    correct = correct_counts(net, stored).sum(axis=0)
     return (correct / sum(len(y) for _, y in stored)).tolist()

@@ -3,8 +3,9 @@
 ``entrocl`` runs every (arm, seed) pair of a plan, writes per-run artifacts
 under ``out/<arm>/<seed>/`` and an aggregate ``report.csv``; ``entrocl
 verify --out DIR`` checks each run's manifest against its directories and the
-plan's other runs, recomputes the aggregate from the per-run summaries and
-checks it against the written report.
+plan's other runs and its accuracy matrix against its deepest layer's
+accuracies, recomputes the aggregate from the per-run summaries and checks it
+against the written report.
 """
 
 import argparse
@@ -20,6 +21,8 @@ import numpy as np
 
 from . import training
 from .errors import ConfigError, FormatError
+from .metrics import read_accuracy_csv
+from .model import scoring_threads
 from .modulation import ENTROPY_SIGNS
 from .streams import STREAM_SOURCES, StreamConfig, load_source, make_stream
 from .training import RunConfig
@@ -204,33 +207,36 @@ def parse_args(argv):
     )
 
 
-def execute_run(arm, seed, run_config, stream_config, out_dir, source=None):
+def execute_run(arm, seed, run_config, stream_config, out_dir, source=None, threads=None):
     """One (arm, seed) run; module-level so worker processes can import it.
-    ``source`` is the plan's stream files as ``load_source`` read them."""
+    ``source`` is the plan's stream files as ``load_source`` read them, and
+    ``threads`` the run's scoring threads (see ``training.run_sequence``)."""
     cfg = replace(apply_arm(run_config, arm), seed=seed)
     stream_cfg = replace(stream_config, seed=seed)
-    result = training.run_sequence(make_stream(stream_cfg, source), cfg)
+    result = training.run_sequence(make_stream(stream_cfg, source), cfg, threads)
     training.write_run_artifacts(
         out_dir, cfg, result, {"arm": arm, "stream_config": stream_cfg.to_dict()}
     )
     return result.summary
 
 
-# A pool worker's copy of the plan's source, set once when the worker starts so
-# that no job carries the stream data. Only _pool_run reads it: an in-process
-# run gets its source as an argument and never sees a slot left by a pool.
+# A pool worker's copy of the plan's source and its scoring threads, set once
+# when the worker starts so that no job carries the stream data. Only _pool_run
+# reads them: an in-process run gets both as arguments and never sees a slot
+# left by a pool.
 _worker_source = None
+_worker_threads = 1
 
 
-def _set_worker_source(source):
-    global _worker_source
-    _worker_source = source
+def _start_worker(source, threads):
+    global _worker_source, _worker_threads
+    _worker_source, _worker_threads = source, threads
 
 
 def _pool_run(*job):
     """A pool worker's entry. It calls ``execute_run`` through the module
     attribute, so a wrapper installed there before the pool started runs too."""
-    return execute_run(*job, _worker_source)
+    return execute_run(*job, _worker_source, _worker_threads)
 
 
 def write_report(fh, arms, summaries):
@@ -281,12 +287,14 @@ def run_plan(plan):
     failures = []
     summaries = {arm: [] for arm in plan.arms}
     # each worker takes the source once, as its initializer's argument (read in
-    # place under fork, pickled once per worker otherwise), and the jobs omit it
-    executor = (ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_source,
-                                    initargs=(source,)) if workers > 1 else nullcontext())
+    # place under fork, pickled once per worker otherwise), and the jobs omit it;
+    # the workers share the cores, so their scoring threads follow their number
+    threads = scoring_threads(workers)
+    executor = (ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                    initargs=(source, threads)) if workers > 1 else nullcontext())
     with executor as pool:
         calls = [pool.submit(_pool_run, *job).result if pool
-                 else partial(execute_run, *job, source) for job in jobs]
+                 else partial(execute_run, *job, source, threads) for job in jobs]
         for job, call in zip(jobs, calls):
             try:
                 summaries[job[0]].append(call())
@@ -353,6 +361,21 @@ def _read_manifest(path, arm, seed):
     return settings
 
 
+def _check_deepest_layer(run_dir):
+    """The deepest layer of a run's per_layer_accuracy.csv must equal its
+    accuracy_matrix.csv, cell for cell."""
+    matrix_path, layers_path = run_dir / "accuracy_matrix.csv", run_dir / "per_layer_accuracy.csv"
+    matrix, layers = read_accuracy_csv(matrix_path), training.read_per_layer_csv(layers_path)
+    if layers.shape[1:] != matrix.shape:
+        raise ValueError(f"{layers_path}: {layers.shape[1]} task boundaries, "
+                         f"but {matrix_path} has {len(matrix)}")
+    differ = np.argwhere(np.tri(len(matrix), dtype=bool) & (layers[-1] != matrix))
+    if len(differ):
+        t, s = differ[0].tolist()
+        raise ValueError(f"{matrix_path}:{t + 2}: task {s + 1} is {float(matrix[t, s])!r}, but "
+                         f"layer {len(layers) - 1} of {layers_path} has {float(layers[-1, t, s])!r}")
+
+
 def _read_runs(out, arms):
     """Each arm's summaries in seed order. Every seed directory must hold every
     artifact of a run, and a manifest that matches its directories and records
@@ -386,6 +409,7 @@ def _read_runs(out, arms):
                 elif value is not None and value != known:
                     raise ValueError(f"{path}: {key} is {value}, not {known} as in {where}")
             summaries[arm].append(_read_summary(run_dir / "summary.json"))
+            _check_deepest_layer(run_dir)
     return summaries
 
 

@@ -11,6 +11,8 @@ mean, and the cross-layer entropy spread near the end of a run.
 
 import numpy as np
 
+from .errors import FormatError
+
 
 def _complete(grid):
     """``grid`` as a float64 (T, T) array, checked full on and below the diagonal, NaN above."""
@@ -30,6 +32,52 @@ def write_accuracy_csv(fh, grid):
     fh.write("task," + ",".join(str(s) for s in range(1, len(grid) + 1)) + "\n")
     for t, row in enumerate(grid.tolist(), start=1):
         fh.write(f"{t}," + ",".join(repr(a) if s < t else "" for s, a in enumerate(row)) + "\n")
+
+
+def read_csv_lines(path):
+    """(line number, comma-split fields) of every line of a CSV file entrocl
+    wrote, header first. A line that does not end in a newline, as the last
+    line of a truncated file, raises FormatError naming ``path:line``."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        *lines, last = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
+    if last:
+        raise FormatError(f"{path}:{len(lines) + 1}: line does not end in a newline")
+    return [(number, line.split(",")) for number, line in enumerate(lines, start=1)]
+
+
+def parse_accuracy(text, where):
+    """One accuracy cell as a float in [0, 1]; FormatError naming ``where`` otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise FormatError(f"{where}: {text!r} is not a number") from None
+    if not 0.0 <= value <= 1.0:
+        raise FormatError(f"{where}: accuracy {text} is not in [0, 1]")
+    return value
+
+
+def read_accuracy_csv(path):
+    """The (T, T) grid an accuracy_matrix.csv holds, NaN above the diagonal.
+    The file must be laid out as ``write_accuracy_csv`` writes it; the first
+    line that is not raises FormatError naming ``path:line``."""
+    lines = read_csv_lines(path)
+    header = lines[0][1] if lines else []
+    size = len(header) - 1
+    if size < 1 or header != ["task", *map(str, range(1, size + 1))]:
+        raise FormatError(f"{path}:1: header is not task,1,...,T")
+    if len(lines) != size + 1:
+        raise FormatError(f"{path}:{min(len(lines), size + 1) + 1}: "
+                          f"{size} tasks need {size} rows, not {len(lines) - 1}")
+    grid = np.full((size, size), np.nan)
+    for t, (number, fields) in enumerate(lines[1:], start=1):
+        if len(fields) != size + 1 or fields[0] != str(t) or any(fields[t + 1 :]):
+            raise FormatError(f"{path}:{number}: row {t} must hold {t} of {size} cells")
+        grid[t - 1, :t] = [parse_accuracy(cell, f"{path}:{number}") for cell in fields[1 : t + 1]]
+    return grid
 
 
 def final_average_accuracy(grid):

@@ -11,6 +11,8 @@ the per-layer arrays are views into it, laid out by ``parameter_layout``.
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,20 +146,86 @@ class LayeredNet:
 # kernel a whole split would.
 EVAL_BLOCK = 512
 
+# The variables the bundled OpenBLAS takes its thread count from, in the order
+# it reads them: the first that holds a positive integer wins.
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-def correct_counts(net, x, y):
-    """How many rows of ``x`` each head classifies as ``y``: an int64 (L,) array."""
-    counts = np.zeros(net.num_layers, dtype=np.int64)
-    starts = range(0, len(x) - EVAL_BLOCK + 1, EVAL_BLOCK) or [0]
-    for lo, hi in zip(starts, [*starts[1:], len(x)]):
-        probs = net.forward(x[lo:hi], keep_activations=False).probs
-        counts += (probs.argmax(axis=2) == y[lo:hi]).sum(axis=1)
-    return counts
+
+def scoring_threads(workers=1):
+    """How many threads ``correct_counts`` should score on in each of
+    ``workers`` processes: 2 when the usable cores number at least
+    ``2 * BLAS threads * workers``, else 1. With no BLAS thread variable set,
+    BLAS takes every core, so there is none to spare."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    for name in BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "")
+        if value.isdecimal() and int(value) > 0:
+            return 2 if cores >= 2 * int(value) * workers else 1
+    return 1
+
+
+def correct_counts(net, splits, threads=1):
+    """How many rows of each ``(x, y)`` split each head classifies as ``y``:
+    an int64 (S, L) array, row s for split s.
+
+    Every split is forwarded in blocks of ``EVAL_BLOCK`` rows. With
+    ``threads=2`` and at least two blocks in all, one helper thread scores the
+    shortest blocks until it holds at least half the rows, leaving the calling
+    thread at least one block, while the calling thread scores the rest; the
+    call joins the helper before it returns or raises, and raises the helper's
+    exception as its own. The counts are integer sums of the same per-block
+    forwards either way, so they do not depend on which thread scored a block.
+    """
+    blocks = []  # (split, first row, end row)
+    for s, (x, y) in enumerate(splits):
+        if len(x) != len(y):
+            raise DimensionError(f"split {s} has {len(x)} rows but {len(y)} labels")
+        starts = range(0, len(x) - EVAL_BLOCK + 1, EVAL_BLOCK) or [0]
+        blocks += [(s, lo, hi) for lo, hi in zip(starts, [*starts[1:], len(x)])]
+
+    def score(part):
+        counts = np.zeros((len(splits), net.num_layers), dtype=np.int64)
+        for s, lo, hi in part:
+            x, y = splits[s]
+            probs = net.forward(x[lo:hi], keep_activations=False).probs
+            counts[s] += (probs.argmax(axis=2) == y[lo:hi]).sum(axis=1)
+        return counts
+
+    if threads < 2 or len(blocks) < 2:
+        return score(blocks)
+    # the helper allocates from a malloc arena of its own, whose peak stays in
+    # the process's RSS; the shortest blocks keep that peak small
+    by_rows = sorted(blocks, key=lambda block: block[2] - block[1])
+    total, taken, rows = sum(hi - lo for _, lo, hi in blocks), 0, 0
+    while taken < len(by_rows) - 1 and 2 * rows < total:
+        rows += by_rows[taken][2] - by_rows[taken][1]
+        taken += 1
+
+    helper_out = []
+
+    def help_score():
+        try:
+            helper_out.append(score(by_rows[:taken]))
+        except BaseException as exc:  # raised in the caller, after the join
+            helper_out.append(exc)
+
+    helper = threading.Thread(target=help_score, name="entrocl-scoring")
+    helper.start()
+    try:
+        counts = score(by_rows[taken:])
+    finally:
+        helper.join()
+    if isinstance(helper_out[0], BaseException):
+        raise helper_out[0]
+    return counts + helper_out[0]
 
 
 def layer_accuracies(net, x, y):
     """Fraction of rows each head classifies correctly, one entry per layer."""
-    return (correct_counts(net, x, y) / len(y)).tolist()
+    return (correct_counts(net, [(x, y)])[0] / len(y)).tolist()
 
 
 def _checkpoint_header(input_dim, widths, num_classes):

@@ -9,6 +9,7 @@ Everything stochastic draws from generators derived from the run seed, so a
 run is a pure function of (config, stream).
 """
 
+import itertools
 import json
 import math
 import time
@@ -20,16 +21,18 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .buffers import ReplayBuffer, ValidationBuffer, evaluate_layer_accuracies
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, FormatError, require_finite
 from .metrics import (
     average_forgetting,
     backward_transfer,
     cross_layer_entropy_spread,
     entropy_deviation,
     final_average_accuracy,
+    parse_accuracy,
+    read_csv_lines,
     write_accuracy_csv,
 )
-from .model import LayeredNet, layer_accuracies
+from .model import LayeredNet, correct_counts, scoring_threads
 from .modulation import ENTROPY_SIGNS, ModulatorState, alpha_from_accuracies, composite_loss
 from .streams import batches
 
@@ -272,8 +275,13 @@ class RunResult:
     summary: dict
 
 
-def run_sequence(tasks, cfg):
-    """Run the whole stream and evaluate after every task; returns a RunResult."""
+def run_sequence(tasks, cfg, threads=None):
+    """Run the whole stream and evaluate after every task; returns a RunResult.
+
+    Each task boundary scores every seen task's test split in one
+    ``correct_counts`` call on ``threads`` threads, by default
+    ``scoring_threads()``'s choice for a process that runs alone.
+    """
     if len(tasks) < 2:
         raise ConfigError("a sequence needs at least 2 tasks")
     input_dim = tasks[0].train_x.shape[1]
@@ -293,11 +301,14 @@ def run_sequence(tasks, cfg):
     state = init_state(cfg, input_dim, num_classes)
     accuracy = np.full((state.net.num_layers, len(tasks), len(tasks)), np.nan)
 
+    threads = scoring_threads() if threads is None else threads
+    test_rows = np.array([len(task.test_y) for task in tasks])[:, None]
     started = time.perf_counter()
     for t, task in enumerate(tasks):
         run_task(state, task)
-        for s, seen in enumerate(tasks[: t + 1]):
-            accuracy[:, t, s] = layer_accuracies(state.net, seen.test_x, seen.test_y)
+        splits = [(seen.test_x, seen.test_y) for seen in tasks[: t + 1]]
+        counts = correct_counts(state.net, splits, threads)
+        accuracy[:, t, : t + 1] = (counts / test_rows[: t + 1]).T
 
     summary = build_summary(accuracy[-1], state.telemetry, time.perf_counter() - started)
     return RunResult(accuracy, state.telemetry, summary)
@@ -330,6 +341,48 @@ def write_telemetry_csv(fh, telemetry):
             fh.write(f"{step},{task},{layer}," + ",".join(map(repr, values)) + "\n")
 
 
+PER_LAYER_HEADER = ["after_task", "eval_task", "layer", "accuracy"]
+
+
+def write_per_layer_csv(fh, accuracy):
+    """One line per task boundary t, seen task s <= t and layer, in that
+    order: the layer's head's accuracy on task s after task t."""
+    fh.write(",".join(PER_LAYER_HEADER) + "\n")
+    for t, row in enumerate(accuracy.transpose(1, 2, 0).tolist(), start=1):
+        for s, layers in enumerate(row[:t], start=1):
+            for layer, acc in enumerate(layers):
+                fh.write(f"{t},{s},{layer},{acc!r}\n")
+
+
+def read_per_layer_csv(path):
+    """The (L, T, T) accuracies a per_layer_accuracy.csv holds, NaN above
+    each diagonal. Its lines must run as ``write_per_layer_csv`` writes them,
+    the layers counted from those of boundary 1; the first line that does not
+    raises FormatError naming ``path:line``."""
+    lines = read_csv_lines(path)
+    if not lines or lines[0][1] != PER_LAYER_HEADER:
+        raise FormatError(f"{path}:1: header is not {','.join(PER_LAYER_HEADER)}")
+    rows = lines[1:]
+    layers = sum(1 for _ in itertools.takewhile(lambda row: row[1][:2] == ["1", "1"], rows))
+    if not layers:
+        raise FormatError(f"{path}:2: no line for boundary 1, task 1")
+    keys = ((t, s, layer) for t in itertools.count(1)
+            for s in range(1, t + 1) for layer in range(layers))
+    cells = {}
+    for (number, fields), key in zip(rows, keys):
+        if fields[:3] != list(map(str, key)) or len(fields) != 4:
+            raise FormatError(f"{path}:{number}: expected after_task,eval_task,layer "
+                              f"{','.join(map(str, key))}, then the accuracy")
+        cells[key] = parse_accuracy(fields[3], f"{path}:{number}")
+    t, s, layer = next(keys)
+    if (s, layer) != (1, 0):
+        raise FormatError(f"{path}:{len(lines) + 1}: file ends inside boundary {t}")
+    accuracy = np.full((layers, t - 1, t - 1), np.nan)
+    for (t, s, layer), value in cells.items():
+        accuracy[layer, t - 1, s - 1] = value
+    return accuracy
+
+
 # the files write_run_artifacts writes into a run's directory
 RUN_ARTIFACTS = ("manifest.json", "accuracy_matrix.csv", "per_layer_accuracy.csv",
                  "telemetry.csv", "summary.json")
@@ -353,11 +406,7 @@ def write_run_artifacts(out_dir, cfg, result, manifest_extra=None):
     with open(out_dir / "accuracy_matrix.csv", "w", encoding="utf-8") as fh:
         write_accuracy_csv(fh, result.accuracy[-1])
     with open(out_dir / "per_layer_accuracy.csv", "w", encoding="utf-8") as fh:
-        fh.write("after_task,eval_task,layer,accuracy\n")
-        for t, row in enumerate(result.accuracy.transpose(1, 2, 0).tolist(), start=1):
-            for s, layers in enumerate(row[:t], start=1):
-                for layer, acc in enumerate(layers):
-                    fh.write(f"{t},{s},{layer},{acc!r}\n")
+        write_per_layer_csv(fh, result.accuracy)
     with open(out_dir / "telemetry.csv", "w", encoding="utf-8") as fh:
         write_telemetry_csv(fh, result.telemetry)
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
-from entrocl import ConfigError, RunConfig, cli, streams
+from entrocl import ConfigError, RunConfig, cli, streams, training
 from entrocl.cli import (
     ARM_NAMES,
     ARMS,
@@ -28,6 +28,7 @@ from entrocl.cli import (
     run_plan,
     verify_report,
 )
+from entrocl.model import BLAS_THREAD_VARIABLES
 from entrocl.modulation import ENTROPY_SIGNS
 from entrocl.streams import STREAM_SOURCES, StreamConfig, make_synthetic_stream, save_stream_csv
 
@@ -48,6 +49,14 @@ def drop_run_setting(arm, key):
 
 def remove_artifact(name, arm):
     (arm / "1" / name).unlink()
+
+
+def edit_matrix_cell(arm):
+    """Set task 1's cell of run 1's matrix row after task 2 to a valid accuracy."""
+    path = arm / "1" / "accuracy_matrix.csv"
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    lines[2][1] = "0.123456789"
+    path.write_text("".join(",".join(line) + "\n" for line in lines))
 
 
 def report_as_directory(arm):
@@ -99,6 +108,7 @@ def pool_record(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(cli, "_worker_source", None)
+    monkeypatch.setattr(cli, "_worker_threads", 1)
     return record
 
 
@@ -375,6 +385,50 @@ class TestRunPlan:
         assert max(pool_record.call_bytes) < 64 << 10
         assert verify_report(out) == 0
 
+    @pytest.mark.parametrize("jobs, threads", [("1", 2), ("2", 1)], ids=["in-process", "pool"])
+    def test_plan_hands_each_run_its_scoring_threads(self, tmp_path, monkeypatch, pool_record,
+                                                      jobs, threads):
+        # one BLAS thread on two pinned cores: a plan run in process splits its
+        # scoring, and two pool workers sharing the cores keep one thread each
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        handed, run_sequence = [], training.run_sequence
+        monkeypatch.setattr(training, "run_sequence", lambda tasks, cfg, threads=None:
+                            handed.append(threads) or run_sequence(tasks, cfg, threads))
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + ["--seeds", "0,1", "--jobs", jobs, "--out", str(out)]) == 0
+        assert handed == [threads] * 2
+        assert len(pool_record.call_bytes) == (2 if jobs == "2" else 0)
+        assert max(pool_record.call_bytes, default=0) < 1 << 10
+        assert verify_report(out) == 0
+
+    def test_pool_forks_cleanly_after_split_scoring(self, tmp_path):
+        # in one fresh interpreter: a plan in process whose scoring is forced
+        # onto a helper thread, then a real pool, which forks that process
+        root = Path(__file__).resolve().parents[1]
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        flags = FAST_FLAGS + ["--seeds", "0,1", "--arms", "full,plain_er"]
+        script = "\n".join([
+            "import threading",
+            "from entrocl import cli, model",
+            "helped, forward = [], model.LayeredNet.forward",
+            "def recording_forward(self, *args, **kwargs):",
+            "    helped.append(threading.current_thread() is not threading.main_thread())",
+            "    return forward(self, *args, **kwargs)",
+            "model.LayeredNet.forward = recording_forward",
+            "cli.scoring_threads = lambda workers: 2",
+            f"assert cli.main({flags + ['--out', str(serial)]!r}) == 0",
+            "assert any(helped) and threading.active_count() == 1",
+            f"assert cli.main({flags + ['--jobs', '2', '--out', str(pooled)]!r}) == 0",
+            f"assert cli.main(['verify', '--out', {str(pooled)!r}]) == 0",
+        ])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")), timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert run_files(pooled) == run_files(serial)
+
     def test_in_process_run_ignores_the_worker_slot(self, tmp_path, monkeypatch):
         # a slot set in this process must not stand in for the run's own files
         plan = parse_args(csv_plan_flags(tmp_path / "stream", train_per_class=30))
@@ -614,6 +668,16 @@ class TestVerify:
                 lambda arm: shutil.copytree(arm, arm.parent / "no_entropy_scaling"),
                 "out/no_entropy_scaling: arm directory has no row in",
             ),
+            (
+                edit_matrix_cell,
+                "1/accuracy_matrix.csv:3: task 1 is 0.123456789, but layer 1 of",
+            ),
+            (
+                lambda arm: (arm / "1" / "per_layer_accuracy.csv").write_bytes(
+                    (arm / "1" / "per_layer_accuracy.csv").read_bytes()[:-4]
+                ),
+                "1/per_layer_accuracy.csv:7: line does not end in a newline",
+            ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
              "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
@@ -624,7 +688,8 @@ class TestVerify:
              "manifest-extra-key", "no-seed-directories",
              "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
              "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
-             "empty-arm-row", "arm-directory-without-row"],
+             "empty-arm-row", "arm-directory-without-row", "edited-matrix-cell",
+             "truncated-per-layer-line"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

@@ -1,14 +1,17 @@
 import io
+import re
 
 import numpy as np
 import pytest
 
+from entrocl import FormatError
 from entrocl.metrics import (
     average_forgetting,
     backward_transfer,
     cross_layer_entropy_spread,
     entropy_deviation,
     final_average_accuracy,
+    read_accuracy_csv,
     write_accuracy_csv,
 )
 
@@ -142,6 +145,34 @@ class TestMatrixCsv:
         out = io.StringIO()
         write_accuracy_csv(out, m)
         assert out.getvalue() == "task,1,2\n1,0.5,\n2,0.25,0.75\n"
+
+    def test_reader_round_trips_every_bit(self, tmp_path):
+        rng = np.random.default_rng(5)
+        m = matrix_from([rng.uniform(0, 1, t).tolist() for t in range(1, 6)])
+        path = tmp_path / "accuracy_matrix.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            write_accuracy_csv(fh, m)
+        assert read_accuracy_csv(path).tobytes() == m.tobytes()
+
+    @pytest.mark.parametrize("data, named", [
+        (b"", ":1: header is not task,1,...,T"),
+        (b"task,2,1\n1,0.5,\n2,0.25,0.75\n", ":1: header is not"),
+        (b"task,1,2\n1,0.5,\n", ":3: 2 tasks need 2 rows, not 1"),
+        (b"task,1,2\n1,0.5,\n2,0.25,0.75\n3,1,1\n", ":4: 2 tasks need 2 rows, not 3"),
+        (b"task,1,2\n1,0.5,0.1\n2,0.25,0.75\n", ":2: row 1 must hold 1 of 2 cells"),
+        (b"task,1,2\n2,0.5,\n1,0.25,0.75\n", ":2: row 1 must hold"),
+        (b"task,1,2\n1,0.5,\n2,high,0.75\n", ":3: 'high' is not a number"),
+        (b"task,1,2\n1,1.5,\n2,0.25,0.75\n", ":2: accuracy 1.5 is not in [0, 1]"),
+        (b"task,1,2\n1,nan,\n2,0.25,0.75\n", ":2: accuracy nan is not in [0, 1]"),
+        (b"task,1,2\n1,0.5,\n2,0.25,0.7", ":3: line does not end in a newline"),
+        (b"task,1,2\n1,0.5,\n2,\xff,0.75\n", ": not UTF-8 text (byte offset 18)"),
+    ], ids=["empty", "header", "missing-row", "extra-row", "cell-above-diagonal",
+            "rows-swapped", "not-a-number", "above-one", "nan", "truncated", "not-utf8"])
+    def test_reader_names_the_bad_line(self, tmp_path, data, named):
+        path = tmp_path / "accuracy_matrix.csv"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(f"{path}{named}")):
+            read_accuracy_csv(path)
 
 
 METRICS = [final_average_accuracy, backward_transfer, average_forgetting, write_accuracy_csv]

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import threading
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +12,23 @@ from entrocl import (
     DimensionError,
     FormatError,
     LayeredNet,
+    StreamConfig,
+    ValidationBuffer,
+    buffers,
     composite_loss,
+    evaluate_layer_accuracies,
     load_checkpoint,
+    make_synthetic_stream,
     save_checkpoint,
 )
 from entrocl import tensor as T
-from entrocl.model import EVAL_BLOCK, correct_counts, layer_accuracies
+from entrocl.model import (
+    BLAS_THREAD_VARIABLES,
+    EVAL_BLOCK,
+    correct_counts,
+    layer_accuracies,
+    scoring_threads,
+)
 from entrocl.training import AdamState, adam_step
 from conftest import plain_softmax
 
@@ -101,51 +115,91 @@ SPLIT_ROWS = sorted({1, 2, 63, 64, 65, B - 1, B, B + 1, B + 63, 2 * B - 1, 2 * B
                      2 * B + 63, 5 * B // 2, 5 * B // 2 + 65})
 
 
-def blockwise(net, x, y, monkeypatch):
-    """``correct_counts(net, x, y)`` and the record of each forward it made."""
-    records, forward = [], LayeredNet.forward
+def blockwise(net, x, y, monkeypatch, threads=1):
+    """``correct_counts(net, [(x, y)], threads)``'s one row of counts, and each
+    forward it made as (first row, record, whether the helper thread made it)
+    in row order."""
+    calls, forward, caller = [], LayeredNet.forward, threading.current_thread()
 
     def recording_forward(self, rows, keep_activations=True):
-        records.append(forward(self, rows, keep_activations))
-        return records[-1]
+        record = forward(self, rows, keep_activations)
+        calls.append((record, threading.current_thread() is not caller))
+        return record
 
     with monkeypatch.context() as patch:
         patch.setattr(LayeredNet, "forward", recording_forward)
-        counts = correct_counts(net, x, y)
-    return counts, records
+        counts = correct_counts(net, [(x, y)], threads)
+    assert counts.shape == (1, net.num_layers)
+    base = x.__array_interface__["data"][0]
+    starts = [(record.x.__array_interface__["data"][0] - base) // x.strides[0]
+              for record, _ in calls]
+    return counts[0], sorted((lo, *call) for lo, call in zip(starts, calls))
+
+
+def check_helper_share(blocks):
+    """With two blocks or more, the helper scored the shortest ones: at least
+    half the rows, or all but the caller's one block."""
+    helped = [len(record.x) for _, record, helper in blocks if helper]
+    own = [len(record.x) for _, record, helper in blocks if not helper]
+    if len(blocks) < 2:
+        assert not helped
+        return
+    assert helped and own
+    assert max(helped) <= min(own)
+    assert sum(helped) >= sum(own) or len(own) == 1
+
+
+def stored_vbuf(quota):
+    """A validation buffer holding ``quota`` rows of each of 4 synthetic tasks."""
+    tasks = make_synthetic_stream(StreamConfig(seed=3, num_tasks=4, train_per_class=600))
+    vbuf, rng = ValidationBuffer(quota), np.random.default_rng(21)
+    for task in tasks:
+        vbuf.update(task.train_x, task.train_y, task.task_id, rng)
+    return vbuf
+
+
+WIDTHS = {"8-16-4": (8, 16, 4), "64x4": (64,) * 4, "256x4": (256,) * 4}
 
 
 class TestBlockScoring:
-    @pytest.mark.parametrize("widths", [(8, 16, 4), (64,) * 4, (256,) * 4],
-                             ids=["8-16-4", "64x4", "256x4"])
-    def test_blocks_keep_the_whole_forward_bits(self, monkeypatch, widths):
+    @pytest.mark.parametrize("widths, threads", [
+        pytest.param(widths, threads, id=name + ("" if threads == 1 else "-two-threads"))
+        for name, widths in WIDTHS.items() for threads in (1, 2)
+    ])
+    def test_blocks_keep_the_whole_forward_bits(self, monkeypatch, widths, threads):
         rng = np.random.default_rng(11)
         net = LayeredNet.init(32, widths, 10, seed=4)
         x = rng.standard_normal((max(SPLIT_ROWS), 32))
         y = rng.integers(0, 10, len(x))
         for n in SPLIT_ROWS:
-            counts, records = blockwise(net, x[:n], y[:n], monkeypatch)
-            sizes = [len(record.x) for record in records]
+            counts, blocks = blockwise(net, x[:n], y[:n], monkeypatch, threads)
+            sizes = [len(record.x) for _, record, _ in blocks]
             assert sum(sizes) == n
             # a split shorter than two blocks is one forward, as before blocks
             if n < 2 * B:
                 assert sizes == [n]
             else:
                 assert all(B <= size < 2 * B for size in sizes), sizes
+            if threads == 2:
+                check_helper_share(blocks)
+            else:
+                assert not any(helper for _, _, helper in blocks)
             whole = net.forward(x[:n], keep_activations=False).probs
-            lo = 0
-            for record in records:
+            expected_lo = 0
+            for lo, record, _ in blocks:
+                assert lo == expected_lo
                 part = whole[:, lo : lo + len(record.x)]
                 assert record.activations == []
                 assert record.probs.tobytes() == part.tobytes(), (n, lo)
                 assert record.probs.argmax(axis=2).tobytes() == part.argmax(axis=2).tobytes()
-                lo += len(record.x)
+                expected_lo += len(record.x)
             hits = whole.argmax(axis=2) == y[:n]
             assert counts.dtype == np.int64
             assert counts.tolist() == hits.sum(axis=1).tolist()
             assert layer_accuracies(net, x[:n], y[:n]) == [float(h.mean()) for h in hits]
 
-    def test_counts_hold_where_the_blas_kernel_changes(self, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_counts_hold_where_the_blas_kernel_changes(self, monkeypatch, threads):
         # A 64-wide head's (rows, 64) @ (64, 10) product takes OpenBLAS's
         # small-matrix kernel up to about 1e6 multiply-adds (1562 rows) and
         # its blocked kernel past that, so a long split's blocks and its
@@ -154,17 +208,110 @@ class TestBlockScoring:
         net = LayeredNet.init(32, (64,) * 4, 10, seed=5)
         x = rng.standard_normal((4 * B + 100, 32))
         y = rng.integers(0, 10, len(x))
-        counts, records = blockwise(net, x, y, monkeypatch)
+        counts, blocks = blockwise(net, x, y, monkeypatch, threads)
+        if threads == 2:
+            check_helper_share(blocks)
         whole = net.forward(x, keep_activations=False).probs
-        blocks = np.concatenate([record.probs for record in records], axis=1)
-        assert np.abs(blocks - whole).max() <= 1e-14
+        stacked = np.concatenate([record.probs for _, record, _ in blocks], axis=1)
+        assert np.abs(stacked - whole).max() <= 1e-14
         assert counts.tolist() == (whole.argmax(axis=2) == y).sum(axis=1).tolist()
 
     def test_empty_and_misshapen_splits(self):
         net = LayeredNet.init(4, (6, 6), 3, seed=1)
         with pytest.raises(DimensionError):
             layer_accuracies(net, np.zeros((2 * B + 1, 5)), np.zeros(2 * B + 1, dtype=np.int64))
-        assert correct_counts(net, np.zeros((0, 4)), np.zeros(0, dtype=np.int64)).tolist() == [0, 0]
+        empty = (np.zeros((0, 4)), np.zeros(0, dtype=np.int64))
+        assert correct_counts(net, [empty]).tolist() == [[0, 0]]
+        assert correct_counts(net, [empty, empty], threads=2).tolist() == [[0, 0], [0, 0]]
+        assert correct_counts(net, []).shape == (0, 2)
+
+    @pytest.mark.parametrize("labels", [1, 49, 51])
+    def test_labels_must_match_rows(self, labels):
+        # one label once broadcast against every row, giving accuracies over 1
+        net = LayeredNet.init(4, (6, 6), 3, seed=1)
+        x, y = np.zeros((50, 4)), np.zeros(labels, dtype=np.int64)
+        with pytest.raises(DimensionError, match=f"50 rows but {labels} labels"):
+            layer_accuracies(net, x, y)
+        fine = (np.zeros((5, 4)), np.zeros(5, dtype=np.int64))
+        with pytest.raises(DimensionError, match=f"split 1 has 50 rows but {labels} labels"):
+            correct_counts(net, [fine, (x, y)], threads=2)
+
+    @pytest.mark.parametrize("quota", [20, 300, 1200])
+    def test_pooled_validation_score_holds_on_two_threads(self, monkeypatch, quota):
+        net = LayeredNet.init(32, (64, 64, 64), 10, seed=8)
+        vbuf = stored_vbuf(quota)
+        one = evaluate_layer_accuracies(net, vbuf)
+        helped, forward = [], LayeredNet.forward
+
+        def recording_forward(self, rows, keep_activations=True):
+            helped.append(threading.current_thread() is not threading.main_thread())
+            return forward(self, rows, keep_activations)
+
+        monkeypatch.setattr(buffers, "correct_counts", partial(correct_counts, threads=2))
+        monkeypatch.setattr(LayeredNet, "forward", recording_forward)
+        assert evaluate_layer_accuracies(net, vbuf) == one
+        assert any(helped) and not all(helped)
+
+    def test_helper_exception_reaches_the_caller(self, monkeypatch):
+        net = LayeredNet.init(4, (6, 6), 3, seed=1)
+        forward, threads_before = LayeredNet.forward, threading.active_count()
+
+        def failing_forward(self, rows, keep_activations=True):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError(f"helper failed on {len(rows)} rows")
+            return forward(self, rows, keep_activations)
+
+        monkeypatch.setattr(LayeredNet, "forward", failing_forward)
+        splits = [(np.zeros((n, 4)), np.zeros(n, dtype=np.int64)) for n in (30, 20)]
+        with pytest.raises(RuntimeError, match="^helper failed on 20 rows$"):
+            correct_counts(net, splits, threads=2)
+        assert threading.active_count() == threads_before
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """No BLAS thread variable set, and two usable cores."""
+    for name in BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return monkeypatch
+
+
+class TestScoringThreads:
+    @pytest.mark.parametrize("value, threads", [(None, 1), ("0", 1), ("abc", 1), ("2", 1),
+                                                ("1", 2)])
+    def test_one_blas_thread_on_two_cores_splits(self, two_cores, value, threads):
+        if value is not None:
+            two_cores.setenv("OPENBLAS_NUM_THREADS", value)
+        assert scoring_threads() == threads
+
+    @pytest.mark.parametrize("name", ["GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_openblas_variable_comes_first(self, two_cores, name):
+        two_cores.setenv(name, "1")
+        assert scoring_threads() == 2
+        two_cores.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert scoring_threads() == 1
+        # a variable that holds no positive count passes to the next one
+        two_cores.setenv("OPENBLAS_NUM_THREADS", "0")
+        assert scoring_threads() == 2
+
+    def test_one_usable_core_keeps_one_thread(self, two_cores):
+        two_cores.setenv("OPENBLAS_NUM_THREADS", "1")
+        two_cores.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert scoring_threads() == 1
+
+    def test_workers_share_the_cores(self, two_cores):
+        two_cores.setenv("OPENBLAS_NUM_THREADS", "1")
+        two_cores.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [scoring_threads(workers) for workers in (1, 2, 3)] == [2, 2, 1]
+
+    def test_cpu_count_stands_in_for_the_affinity(self, two_cores):
+        two_cores.setenv("OPENBLAS_NUM_THREADS", "1")
+        two_cores.delattr(os, "sched_getaffinity")
+        two_cores.setattr(os, "cpu_count", lambda: 2)
+        assert scoring_threads() == 2
+        two_cores.setattr(os, "cpu_count", lambda: None)
+        assert scoring_threads() == 1
 
 
 def predict(net, x, layer):

@@ -1,14 +1,17 @@
 import io
 import math
+import os
 import re
+import threading
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entrocl import ConfigError, training
+from entrocl import ConfigError, FormatError, training
 from entrocl.metrics import final_average_accuracy, write_accuracy_csv
+from entrocl.model import BLAS_THREAD_VARIABLES
 from entrocl.modulation import alpha_from_accuracies
 from entrocl.streams import StreamConfig, TaskSpec, make_synthetic_stream
 from entrocl.training import (
@@ -17,6 +20,7 @@ from entrocl.training import (
     RunConfig,
     adam_step,
     init_state,
+    read_per_layer_csv,
     run_sequence,
     run_task,
     write_run_artifacts,
@@ -280,6 +284,29 @@ class TestRunSequence:
         assert np.isnan(accuracy[:, ~lower]).all()
         assert ((accuracy[:, lower] >= 0) & (accuracy[:, lower] <= 1)).all()
 
+    @pytest.mark.parametrize("blas_threads, helpers", [(None, 0), ("1", 2)],
+                             ids=["blas-default", "one-blas-thread"])
+    def test_boundary_scoring_splits_only_beside_one_blas_thread(self, monkeypatch,
+                                                                  blas_threads, helpers):
+        # two cores: with one BLAS thread, each boundary past the first (whose
+        # one 20-row split is one block) scores on a helper thread it joins
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        if blas_threads:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name) or start(thread))
+        tasks, cfg = tiny_stream(4), tiny_config(4)
+        before = threading.active_count()
+        result = run_sequence(tasks, cfg)
+        assert threading.active_count() == before
+        assert started == ["entrocl-scoring"] * helpers
+        alone = run_sequence(tasks, cfg, threads=1)
+        assert result.accuracy.tobytes() == alone.accuracy.tobytes()
+        assert result.telemetry.tobytes() == alone.telemetry.tobytes()
+
     def test_step_accounting(self):
         tasks = tiny_stream(1)
         cfg = tiny_config(1, batch_size=7)
@@ -404,6 +431,34 @@ class TestRunSequence:
         write_run_artifacts(tmp_path, cfg, run_sequence(tasks, cfg))
         expected = (GOLDEN / "per_layer_accuracy_tiny_seed0.csv").read_bytes()
         assert (tmp_path / "per_layer_accuracy.csv").read_bytes() == expected
+
+    def test_per_layer_reader_round_trips_every_bit(self, tmp_path):
+        cfg = tiny_config(6, widths=(8, 8, 8))
+        result = run_sequence(tiny_stream(6), cfg)
+        write_run_artifacts(tmp_path, cfg, result)
+        read = read_per_layer_csv(tmp_path / "per_layer_accuracy.csv")
+        assert read.tobytes() == result.accuracy.tobytes()
+
+    @pytest.mark.parametrize("data, named", [
+        (b"", ":1: header is not after_task,eval_task,layer,accuracy"),
+        (b"after_task,eval_task,layer,accuracy\n", ":2: no line for boundary 1, task 1"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,1,0.5\n2,1,0,0.5\n",
+         ":5: file ends inside boundary 2"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,2,0.5\n",
+         ":3: expected after_task,eval_task,layer 1,1,1, then the accuracy"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n2,2,0,0.5\n",
+         ":3: expected after_task,eval_task,layer 2,1,0"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5,0\n",
+         ":2: expected after_task,eval_task,layer 1,1,0, then the accuracy"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,-0.5\n", ":2: accuracy -0.5 is not in"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5", ":2: line does not end in a newline"),
+    ], ids=["empty", "no-rows", "ends-inside-a-boundary", "skipped-layer", "skipped-task",
+            "extra-field", "negative", "truncated"])
+    def test_per_layer_reader_names_the_bad_line(self, tmp_path, data, named):
+        path = tmp_path / "per_layer_accuracy.csv"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(f"{path}{named}")):
+            read_per_layer_csv(path)
 
     def test_artifact_files_written(self, tmp_path):
         cfg = tiny_config(7)
