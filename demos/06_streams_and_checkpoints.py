@@ -1,4 +1,4 @@
-"""Data plumbing: CSV round trips, IDX parsing, and parameter checkpoints."""
+"""Data plumbing: CSV round trips, IDX streams, and parameter checkpoints."""
 
 import struct
 import tempfile
@@ -16,7 +16,6 @@ from entrocl import (
     save_checkpoint,
     save_stream_csv,
 )
-from entrocl.streams import parse_idx_images, parse_idx_labels
 
 # the work directory and everything in it are removed when the block ends
 with tempfile.TemporaryDirectory(prefix="entrocl_demo_") as tmp:
@@ -34,16 +33,19 @@ with tempfile.TemporaryDirectory(prefix="entrocl_demo_") as tmp:
     )
     print("csv round trip exact:", exact)
 
-    # IDX: craft a 2-image file pair in the big-endian format and parse it back
-    images = np.arange(2 * 4 * 4, dtype=np.uint8).reshape(2, 4, 4)
+    # IDX: craft a 10-image file pair in the big-endian format and load it as a
+    # run does; each class splits 80/20 into train and test rows
+    images = np.arange(10 * 4 * 4, dtype=np.uint8).reshape(10, 4, 4)
     (workdir / "img.idx").write_bytes(
-        struct.pack(">IIII", 0x00000803, 2, 4, 4) + images.tobytes()
+        struct.pack(">IIII", 0x00000803, 10, 4, 4) + images.tobytes()
     )
-    (workdir / "lab.idx").write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([0, 1]))
-    x = parse_idx_images(workdir / "img.idx")
-    y = parse_idx_labels(workdir / "lab.idx")
-    print("idx parsed:", x.shape, "labels", y.tolist(), "range",
-          (round(x.min(), 3), round(x.max(), 3)))
+    (workdir / "lab.idx").write_bytes(struct.pack(">II", 0x00000801, 10) + bytes([0, 1] * 5))
+    (task,) = make_stream(StreamConfig(source="idx", num_tasks=1, classes_per_task=2,
+                                       idx_images=str(workdir / "img.idx"),
+                                       idx_labels=str(workdir / "lab.idx")))
+    x = np.concatenate([task.train_x, task.test_x])
+    print(f"idx loaded: {task.train_x.shape} train, {task.test_x.shape} test, labels "
+          f"{task.train_y.tolist()}, range [{x.min():.3f}, {x.max():.3f}]")
 
     # checkpoint: JSON header line + little-endian float64 payload
     net = LayeredNet.init(4, (8, 8), 3, seed=9)

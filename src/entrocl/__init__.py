@@ -14,7 +14,6 @@ from .metrics import (
 from .model import LayeredNet, load_checkpoint, save_checkpoint
 from .modulation import (
     EntropyStats,
-    ModulatorState,
     alpha_from_accuracies,
     composite_loss,
     gamma_from_entropies,
@@ -38,7 +37,6 @@ __all__ = [
     "EntropyStats",
     "FormatError",
     "LayeredNet",
-    "ModulatorState",
     "ReplayBuffer",
     "RunConfig",
     "StreamConfig",

@@ -50,8 +50,11 @@ def read_csv_lines(path):
 
 
 def parse_accuracy(text, where):
-    """One accuracy cell as a float in [0, 1]; FormatError naming ``where`` otherwise."""
+    """One accuracy cell as a float in [0, 1]; FormatError naming ``where``
+    otherwise, also for the ``_`` and non-ASCII digits ``float`` accepts."""
     try:
+        if "_" in text or not text.isascii():
+            raise ValueError
         value = float(text)
     except ValueError:
         raise FormatError(f"{where}: {text!r} is not a number") from None

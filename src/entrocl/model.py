@@ -171,13 +171,14 @@ def correct_counts(net, splits, threads=1):
     """How many rows of each ``(x, y)`` split each head classifies as ``y``:
     an int64 (S, L) array, row s for split s.
 
-    Every split is forwarded in blocks of ``EVAL_BLOCK`` rows. With
-    ``threads=2`` and at least two blocks in all, one helper thread scores the
-    shortest blocks until it holds at least half the rows, leaving the calling
-    thread at least one block, while the calling thread scores the rest; the
-    call joins the helper before it returns or raises, and raises the helper's
-    exception as its own. The counts are integer sums of the same per-block
-    forwards either way, so they do not depend on which thread scored a block.
+    Every split is forwarded in blocks of ``EVAL_BLOCK`` rows. With ``threads=2``
+    and ``2 * EVAL_BLOCK`` rows or more in all (on fewer, a helper's malloc arena
+    cost memory and bought no time), one helper thread scores the shortest blocks
+    until it holds at least half the rows, leaving the calling thread at least
+    one block to score with the rest; the call joins the helper before it returns
+    or raises, and raises the helper's exception as its own. The counts are
+    integer sums of the same per-block forwards either way, so they do not
+    depend on which thread scored a block.
     """
     blocks = []  # (split, first row, end row)
     for s, (x, y) in enumerate(splits):
@@ -194,12 +195,13 @@ def correct_counts(net, splits, threads=1):
             counts[s] += (probs.argmax(axis=2) == y[lo:hi]).sum(axis=1)
         return counts
 
-    if threads < 2 or len(blocks) < 2:
+    total = sum(hi - lo for _, lo, hi in blocks)
+    if threads < 2 or total < 2 * EVAL_BLOCK:
         return score(blocks)
     # the helper allocates from a malloc arena of its own, whose peak stays in
     # the process's RSS; the shortest blocks keep that peak small
     by_rows = sorted(blocks, key=lambda block: block[2] - block[1])
-    total, taken, rows = sum(hi - lo for _, lo, hi in blocks), 0, 0
+    taken, rows = 0, 0
     while taken < len(by_rows) - 1 and 2 * rows < total:
         rows += by_rows[taken][2] - by_rows[taken][1]
         taken += 1
@@ -221,11 +223,6 @@ def correct_counts(net, splits, threads=1):
     if isinstance(helper_out[0], BaseException):
         raise helper_out[0]
     return counts + helper_out[0]
-
-
-def layer_accuracies(net, x, y):
-    """Fraction of rows each head classifies correctly, one entry per layer."""
-    return (correct_counts(net, [(x, y)])[0] / len(y)).tolist()
 
 
 def _checkpoint_header(input_dim, widths, num_classes):

@@ -42,17 +42,6 @@ class EntropyStats:
 
 
 @dataclass(frozen=True)
-class ModulatorState:
-    """Accuracy modulators set at a task boundary, plus the statistics that
-    produced them. Per-step gamma lives in the Objective."""
-
-    alpha: tuple
-    source_accuracies: tuple
-    mu_acc: float
-    sigma_acc: float
-
-
-@dataclass(frozen=True)
 class Objective:
     """One batch's composite objective: its value, what ``tensor.backward``
     needs to differentiate it, and what the step logs. ``alpha`` weighs each
@@ -111,18 +100,16 @@ def gamma_from_entropies(stats, beta):
 
 
 def alpha_from_accuracies(accuracies):
-    """Accuracy modulators exp(tanh(-s)) per layer.
-
-    Returns (alpha, mu, sigma, scores). Above-average accuracy gives
+    """Accuracy modulators exp(tanh(-s)) per layer, s being the accuracies'
+    z-scores from ``layer_zscores``, as a tuple. Above-average accuracy gives
     alpha < 1, below-average gives alpha > 1.
     """
     accuracies = [float(a) for a in accuracies]
     for a in accuracies:
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"accuracy {a} outside [0, 1]")
-    mu, sigma, scores = layer_zscores(accuracies)
-    alpha = tuple(math.exp(math.tanh(-s)) for s in scores)
-    return alpha, mu, sigma, scores
+    _, _, scores = layer_zscores(accuracies)
+    return tuple(math.exp(math.tanh(-s)) for s in scores)
 
 
 def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=None):

@@ -32,14 +32,16 @@ class TaskSpec:
     test_y: np.ndarray
 
     def __post_init__(self):
-        for split, inputs, labels in (("train", self.train_x, self.train_y),
-                                      ("test", self.test_x, self.test_y)):
+        for split, examples, inputs, labels in (("train", "training", self.train_x, self.train_y),
+                                                ("test", "test", self.test_x, self.test_y)):
             if np.ndim(inputs) != 2:
                 raise ConfigError(f"task {self.task_id}: {split} inputs must be 2-D, "
                                   f"got shape {np.shape(inputs)}")
             if len(inputs) != len(labels):
                 raise ConfigError(f"task {self.task_id}: {split} split has {len(inputs)} "
                                   f"inputs but {len(labels)} labels")
+            if len(labels) == 0:
+                raise ConfigError(f"task {self.task_id} has no {examples} examples")
         train_width, test_width = np.shape(self.train_x)[1], np.shape(self.test_x)[1]
         if train_width != test_width:
             raise ConfigError(f"task {self.task_id}: train inputs are {train_width} wide, "
@@ -247,11 +249,6 @@ def _read_idx_pixels(path):
     return pixels.reshape(count, rows * cols)
 
 
-def parse_idx_images(path):
-    """Parse an IDX image file into a (count, rows*cols) float matrix in [0, 1]."""
-    return _read_idx_pixels(path) / 255.0
-
-
 def parse_idx_labels(path):
     return _read_idx(path, IDX_LABEL_MAGIC, "label").astype(np.int64)
 
@@ -313,8 +310,8 @@ def _read_examples_csv(path):
     """Parse a ``label,f0,f1,...`` file into C-contiguous float64 inputs and
     int64 labels. Each checked row is appended to a flat typed array, so the
     parse holds about one copy of the data, not a Python float per feature.
-    Bytes that are not UTF-8 stay in their field, which then fails to parse
-    with the line named."""
+    A line holding ``_`` or non-ASCII text (bytes that are not UTF-8 included),
+    which ``int`` and ``float`` may read as a number, fails with the line named."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         fields = header.split(",")
@@ -325,6 +322,8 @@ def _read_examples_csv(path):
             raise FormatError(f"{path}:1: header has no feature columns")
         xs, ys = array("d"), array("q")
         for lineno, line in enumerate(fh, start=2):
+            if "_" in line or not line.isascii():
+                raise FormatError(f"{path}:{lineno}: a field holds '_' or a non-ASCII character")
             line = line.strip()
             if not line:
                 continue

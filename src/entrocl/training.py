@@ -33,7 +33,7 @@ from .metrics import (
     write_accuracy_csv,
 )
 from .model import LayeredNet, correct_counts, scoring_threads
-from .modulation import ENTROPY_SIGNS, ModulatorState, alpha_from_accuracies, composite_loss
+from .modulation import ENTROPY_SIGNS, alpha_from_accuracies, composite_loss
 from .streams import batches
 
 SPREAD_WINDOW = 50
@@ -151,7 +151,7 @@ class RunState:
     replay_y: np.ndarray  # (capacity,) its label
     vbuf: ValidationBuffer
     rng: "np.random.Generator"  # a string, so numpy.random loads at the first default_rng
-    modulators: ModulatorState
+    alpha: tuple  # each layer's accuracy modulator, set at each task boundary
     telemetry: np.ndarray  # every step of every completed task, see TELEMETRY_FIELDS
     task_index: int = 0
 
@@ -169,9 +169,7 @@ def init_state(cfg, input_dim, num_classes):
         replay_y=np.zeros(cfg.buffer_capacity, dtype=np.int64),
         vbuf=ValidationBuffer(cfg.val_quota),
         rng=np.random.default_rng(train_seq),
-        modulators=ModulatorState(
-            alpha=(1.0,) * net.num_layers, source_accuracies=(), mu_acc=0.0, sigma_acc=0.0
-        ),
+        alpha=(1.0,) * net.num_layers,
         telemetry=np.zeros(0, telemetry_dtype(net.num_layers)),
     )
 
@@ -179,8 +177,6 @@ def init_state(cfg, input_dim, num_classes):
 def run_task(state, task):
     """Train one epoch on ``task`` under ``state.cfg``, per the outer-loop protocol."""
     cfg = state.cfg
-    if task.train_size == 0:
-        raise ConfigError(f"task {task.task_id} has no training examples")
     if task.task_id <= state.task_index:
         after = f" after {state.task_index}" if state.task_index else ""
         raise ConfigError(
@@ -191,9 +187,7 @@ def run_task(state, task):
 
     # the from-the-second-task guard: modulators need past-task validation data
     if cfg.enable_adaptive_training and state.vbuf.per_task:
-        accuracies = evaluate_layer_accuracies(state.net, state.vbuf)
-        alpha, mu_acc, sigma_acc, _ = alpha_from_accuracies(accuracies)
-        state.modulators = ModulatorState(alpha, tuple(accuracies), mu_acc, sigma_acc)
+        state.alpha = alpha_from_accuracies(evaluate_layer_accuracies(state.net, state.vbuf))
 
     gamma_override = None
     if not cfg.enable_entropy_scaling:
@@ -211,7 +205,7 @@ def run_task(state, task):
             objective = composite_loss(
                 state.net.forward(x),
                 y,
-                alpha=state.modulators.alpha,
+                alpha=state.alpha,
                 beta=cfg.beta,
                 entropy_sign=cfg.entropy_sign,
                 gamma=gamma_override,
@@ -286,10 +280,6 @@ def run_sequence(tasks, cfg, threads=None):
         raise ConfigError("a sequence needs at least 2 tasks")
     input_dim = tasks[0].train_x.shape[1]
     for task in tasks:
-        if task.train_size == 0:
-            raise ConfigError(f"task {task.task_id} has no training examples")
-        if len(task.test_y) == 0:
-            raise ConfigError(f"task {task.task_id} has no test examples")
         if task.train_x.shape[1] != input_dim:
             raise ConfigError(f"task {task.task_id} has {task.train_x.shape[1]}-wide inputs, "
                               f"but task {tasks[0].task_id}'s are {input_dim}-wide")

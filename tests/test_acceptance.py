@@ -169,11 +169,11 @@ class TestClosedForms:
         for got, zi in zip(gamma, mp_z([1.0, 2.0, 3.0])):
             want = mpmath.mpf("0.005") * mpmath.e ** mpmath.tanh(zi)
             worst = max(worst, abs(got - float(want)))
-        alpha, *_ = alpha_from_accuracies([0.2, 0.5, 0.8])
+        alpha = alpha_from_accuracies([0.2, 0.5, 0.8])
         for got, si in zip(alpha, mp_z([0.2, 0.5, 0.8])):
             want = mpmath.e ** mpmath.tanh(-si)
             worst = max(worst, abs(got - float(want)))
-        alpha2, *_ = alpha_from_accuracies([0.9, 0.1])
+        alpha2 = alpha_from_accuracies([0.9, 0.1])
         for got, si in zip(alpha2, mp_z([0.9, 0.1])):
             want = mpmath.e ** mpmath.tanh(-si)
             worst = max(worst, abs(got - float(want)))

@@ -59,6 +59,14 @@ def edit_matrix_cell(arm):
     path.write_text("".join(",".join(line) + "\n" for line in lines))
 
 
+def respell_last_cell(path, line, spell):
+    """Rewrite the last cell of ``path``'s ``line`` (counted from 1) as ``spell(cell)``."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    head, _, cell = lines[line - 1].rpartition(",")
+    lines[line - 1] = f"{head},{spell(cell)}"
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
 def report_as_directory(arm):
     report = arm.parent / "report.csv"
     report.unlink()
@@ -406,10 +414,13 @@ class TestRunPlan:
 
     def test_pool_forks_cleanly_after_split_scoring(self, tmp_path):
         # in one fresh interpreter: a plan in process whose scoring is forced
-        # onto a helper thread, then a real pool, which forks that process
+        # onto a helper thread, then a real pool, which forks that process;
+        # 300 test rows per class give the second boundary 1200 rows, enough
+        # to split
         root = Path(__file__).resolve().parents[1]
         serial, pooled = tmp_path / "serial", tmp_path / "pooled"
-        flags = FAST_FLAGS + ["--seeds", "0,1", "--arms", "full,plain_er"]
+        flags = FAST_FLAGS + ["--test-per-class", "300", "--seeds", "0,1",
+                              "--arms", "full,plain_er"]
         script = "\n".join([
             "import threading",
             "from entrocl import cli, model",
@@ -678,6 +689,17 @@ class TestVerify:
                 ),
                 "1/per_layer_accuracy.csv:7: line does not end in a newline",
             ),
+            # float() reads both cells as the numbers they replace
+            (
+                lambda arm: respell_last_cell(arm / "1" / "accuracy_matrix.csv", 3,
+                                              lambda cell: cell + "_0"),
+                "1/accuracy_matrix.csv:3: '0.35_0' is not a number",
+            ),
+            (
+                lambda arm: respell_last_cell(arm / "1" / "per_layer_accuracy.csv", 2,
+                                              lambda cell: cell.replace("0", "\u0660", 1)),
+                "1/per_layer_accuracy.csv:2: '\u0660.25' is not a number",
+            ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
              "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
@@ -689,7 +711,8 @@ class TestVerify:
              "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
              "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
              "empty-arm-row", "arm-directory-without-row", "edited-matrix-cell",
-             "truncated-per-layer-line"],
+             "truncated-per-layer-line", "underscore-in-matrix-cell",
+             "arabic-digit-in-per-layer-cell"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

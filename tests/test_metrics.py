@@ -166,8 +166,11 @@ class TestMatrixCsv:
         (b"task,1,2\n1,nan,\n2,0.25,0.75\n", ":2: accuracy nan is not in [0, 1]"),
         (b"task,1,2\n1,0.5,\n2,0.25,0.7", ":3: line does not end in a newline"),
         (b"task,1,2\n1,0.5,\n2,\xff,0.75\n", ": not UTF-8 text (byte offset 18)"),
+        (b"task,1,2\n1,0.5,\n2,0.2_5,0.75\n", ":3: '0.2_5' is not a number"),
+        ("task,1,2\n1,\u0660.5,\n2,0.25,0.75\n".encode(), ":2: '\u0660.5' is not a number"),
     ], ids=["empty", "header", "missing-row", "extra-row", "cell-above-diagonal",
-            "rows-swapped", "not-a-number", "above-one", "nan", "truncated", "not-utf8"])
+            "rows-swapped", "not-a-number", "above-one", "nan", "truncated", "not-utf8",
+            "underscore", "arabic-digit"])
     def test_reader_names_the_bad_line(self, tmp_path, data, named):
         path = tmp_path / "accuracy_matrix.csv"
         path.write_bytes(data)

@@ -170,11 +170,12 @@ class TestGamma:
 
 class TestAlpha:
     def test_equal_accuracies_are_neutral(self):
-        alpha, _, _, _ = alpha_from_accuracies([0.7, 0.7, 0.7])
+        alpha = alpha_from_accuracies([0.7, 0.7, 0.7])
         assert alpha == (1.0, 1.0, 1.0)
 
     def test_worked_example(self):
-        alpha, mu, sigma, scores = alpha_from_accuracies([0.2, 0.5, 0.8])
+        alpha = alpha_from_accuracies([0.2, 0.5, 0.8])
+        _, _, scores = layer_zscores([0.2, 0.5, 0.8])
         assert scores == pytest.approx([-1.22474, 0.0, 1.22474], abs=1e-5)
         assert alpha[0] == pytest.approx(2.31825, abs=1e-3)
         assert alpha[1] == pytest.approx(1.0, abs=1e-12)
@@ -183,7 +184,7 @@ class TestAlpha:
             assert got == pytest.approx(float(want), abs=1e-15)
 
     def test_two_layer_example(self):
-        alpha, _, _, _ = alpha_from_accuracies([0.9, 0.1])
+        alpha = alpha_from_accuracies([0.9, 0.1])
         assert alpha[0] == pytest.approx(0.46691, abs=5e-4)
         assert alpha[1] == pytest.approx(2.14174, abs=5e-4)
         for got, want in zip(alpha, mp_alpha([0.9, 0.1])):
@@ -196,13 +197,13 @@ class TestAlpha:
     @given(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_bounds(self, accuracies):
-        alpha, _, _, _ = alpha_from_accuracies(accuracies)
+        alpha = alpha_from_accuracies(accuracies)
         for a in alpha:
             assert math.exp(-1) <= a <= math.e
 
     def test_direction(self):
-        alpha_lo, *_ = alpha_from_accuracies([0.4, 0.6, 0.8])
-        alpha_hi, *_ = alpha_from_accuracies([0.4, 0.7, 0.8])
+        alpha_lo = alpha_from_accuracies([0.4, 0.6, 0.8])
+        alpha_hi = alpha_from_accuracies([0.4, 0.7, 0.8])
         assert alpha_hi[1] <= alpha_lo[1]
 
 

@@ -11,11 +11,11 @@ from entrocl import ConfigError, FormatError
 from entrocl.streams import (
     StreamConfig,
     _read_examples_csv,
+    _read_idx_pixels,
     batches,
     load_source,
     make_stream,
     make_synthetic_stream,
-    parse_idx_images,
     parse_idx_labels,
     save_stream_csv,
 )
@@ -110,9 +110,15 @@ class TestTaskSpec:
              "task 1: test inputs must be 2-D, got shape (10, 4, 1)"),
             (lambda task: dict(test_x=task.test_x[:, :3]),
              "task 1: train inputs are 4 wide, test inputs 3"),
+            # an empty test split once trained and failed after every task
+            # with "accuracy matrix is incomplete"
+            (lambda task: dict(train_x=task.train_x[:0], train_y=task.train_y[:0]),
+             "task 1 has no training examples"),
+            (lambda task: dict(test_x=task.test_x[:0], test_y=task.test_y[:0]),
+             "task 1 has no test examples"),
         ],
         ids=["train-labels-short", "test-labels-missing", "flat-train-inputs",
-             "3-d-test-inputs", "widths-differ"],
+             "3-d-test-inputs", "widths-differ", "no-train-examples", "no-test-examples"],
     )
     def test_inconsistent_arrays_rejected(self, change, message):
         task = make_synthetic_stream(small_cfg())[0]
@@ -152,7 +158,7 @@ class TestBatches:
 
 # each IDX file kind: its parser, its magic and the dimensions of a small valid file
 IDX_KINDS = {
-    "image": (parse_idx_images, 0x00000803, (2, 2, 2)),
+    "image": (_read_idx_pixels, 0x00000803, (2, 2, 2)),
     "label": (parse_idx_labels, 0x00000801, (3,)),
 }
 
@@ -195,11 +201,10 @@ class TestIdx:
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(2, 28, 28))
         image_path, label_path = write_idx_pair(tmp_path, images, [3, 7])
-        x = parse_idx_images(image_path)
+        x = _read_idx_pixels(image_path)
         y = parse_idx_labels(label_path)
-        assert x.shape == (2, 784)
-        assert np.all((x >= 0.0) & (x <= 1.0))
-        assert np.allclose(x[0], images[0].reshape(-1) / 255.0)
+        assert (x.dtype, x.shape) == (np.uint8, (2, 784))
+        assert np.array_equal(x, images.reshape(2, 784))
         assert y.tolist() == [3, 7]
 
     @pytest.mark.parametrize("kind", IDX_KINDS)
@@ -237,7 +242,7 @@ class TestIdx:
         path = tmp_path / "empty.idx"
         path.write_bytes(idx_bytes(0x00000803, (2, rows, cols), 0))
         with pytest.raises(FormatError, match="hold no features") as failure:
-            parse_idx_images(path)
+            _read_idx_pixels(path)
         assert failure.value.offset == 8
 
     def test_plan_holds_one_uint8_copy_of_the_images(self, tmp_path):
@@ -399,7 +404,9 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize(
         "column, value",
         [(1, "nan"), (2, "inf"), (4, "-Infinity"), (3, "0x1p3"), (0, "1.5"), (0, "one"),
-         (0, "9" * 20)],
+         (0, "9" * 20),
+         # int and float read each of these as a number: 1, 15.25, 1 and 1.5
+         (0, "0_1"), (1, "1_5.25"), (0, "\u0661"), (2, "\u0661.\u0665")],
     )
     def test_bad_field_names_path_and_line(self, tmp_path, column, value):
         save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path / "stream")
