@@ -3,13 +3,13 @@
 ``entrocl`` runs every (arm, seed) pair of a plan, writes per-run artifacts
 under ``out/<arm>/<seed>/`` and an aggregate ``report.csv``; ``entrocl
 verify --out DIR`` checks each run's manifest against its directories and the
-plan's other runs and its accuracy matrix against its deepest layer's
-accuracies, recomputes the aggregate from the per-run summaries and checks it
-against the written report.
+plan's other runs, and checks every file whose content it can derive against
+what its writer writes: each run's accuracy files against its per-layer
+accuracies, its summary's accuracy metrics against its deepest layer and
+``report.csv`` against the per-run summaries.
 """
 
 import argparse
-import io
 import json
 import sys
 from contextlib import nullcontext
@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import training
+from . import metrics, training
 from .errors import ConfigError, FormatError
-from .metrics import read_accuracy_csv
 from .model import scoring_threads
 from .modulation import ENTROPY_SIGNS
 from .streams import STREAM_SOURCES, StreamConfig, load_source, make_stream
@@ -169,6 +168,8 @@ def parse_args(argv):
             ) from None
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{probe.config}: not UTF-8 text at byte {exc.start}") from None
+        except RecursionError:
+            raise ConfigError(f"{probe.config}: JSON nests too deeply") from None
         if not isinstance(file_values, dict):
             raise ConfigError(f"{probe.config}: config must be a flat JSON object")
         known = {action.dest for action in parser._actions} - {"config", "help"}
@@ -314,7 +315,7 @@ def run_plan(plan):
 def _read_json_object(path, what):
     try:
         value = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or bad UTF-8, named with the file
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or deep nesting
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(value, dict):
         raise ValueError(f"{path}: {what} is not a JSON object")
@@ -361,19 +362,22 @@ def _read_manifest(path, arm, seed):
     return settings
 
 
-def _check_deepest_layer(run_dir):
-    """The deepest layer of a run's per_layer_accuracy.csv must equal its
-    accuracy_matrix.csv, cell for cell."""
-    matrix_path, layers_path = run_dir / "accuracy_matrix.csv", run_dir / "per_layer_accuracy.csv"
-    matrix, layers = read_accuracy_csv(matrix_path), training.read_per_layer_csv(layers_path)
-    if layers.shape[1:] != matrix.shape:
-        raise ValueError(f"{layers_path}: {layers.shape[1]} task boundaries, "
-                         f"but {matrix_path} has {len(matrix)}")
-    differ = np.argwhere(np.tri(len(matrix), dtype=bool) & (layers[-1] != matrix))
-    if len(differ):
-        t, s = differ[0].tolist()
-        raise ValueError(f"{matrix_path}:{t + 2}: task {s + 1} is {float(matrix[t, s])!r}, but "
-                         f"layer {len(layers) - 1} of {layers_path} has {float(layers[-1, t, s])!r}")
+def _check_accuracies(run_dir, summary):
+    """A run's accuracy_matrix.csv must be what ``write_accuracy_csv`` writes
+    for the deepest layer of its per_layer_accuracy.csv, and its summary the
+    metrics ``build_summary`` computes from that layer."""
+    layers_path = run_dir / "per_layer_accuracy.csv"
+    grid = training.read_per_layer_csv(layers_path)[-1]
+    metrics.expect_written(run_dir / "accuracy_matrix.csv", metrics.write_accuracy_csv, grid)
+    if len(grid) < 2:
+        raise ValueError(f"{layers_path}: a run needs at least 2 task boundaries")
+    for name, metric in (("acc_final", metrics.final_average_accuracy),
+                         ("bwt", metrics.backward_transfer),
+                         ("average_forgetting", metrics.average_forgetting)):
+        # by repr, so that 0 cannot stand in for 0.0
+        if repr(summary[name]) != repr(metric(grid)):
+            raise ValueError(f"{run_dir / 'summary.json'}: {name} is {summary[name]!r}, but "
+                             f"{layers_path} gives {metric(grid)!r}")
 
 
 def _read_runs(out, arms):
@@ -409,18 +413,16 @@ def _read_runs(out, arms):
                 elif value is not None and value != known:
                     raise ValueError(f"{path}: {key} is {value}, not {known} as in {where}")
             summaries[arm].append(_read_summary(run_dir / "summary.json"))
-            _check_deepest_layer(run_dir)
+            _check_accuracies(run_dir, summaries[arm][-1])
     return summaries
 
 
 def verify_report(out_dir):
-    """Recompute the aggregate from per-run summaries and diff against report.csv."""
+    """Check every run of a plan's output and recompute report.csv from their summaries."""
     out = Path(out_dir)
     report_path = out / "report.csv"
     try:
-        with open(report_path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-        arms = [line.split(",", 1)[0] for line in lines[1:]]
+        arms = [fields[0] for _, fields in metrics.read_csv_lines(report_path)[1:]]
         if not arms or len(set(arms)) < len(arms) or not set(arms) <= set(ARM_NAMES):
             raise ValueError(f"{report_path}: expected one row per arm of {ARM_NAMES}, "
                              f"got rows for {arms}")
@@ -429,22 +431,9 @@ def verify_report(out_dir):
         for arm in ARM_NAMES:
             if arm not in arms and (out / arm).exists():
                 raise ValueError(f"{out / arm}: arm directory has no row in {report_path}")
-    except UnicodeDecodeError as exc:
-        print(f"error: {report_path}: not UTF-8 text at byte {exc.start}", file=sys.stderr)
-        return 1
+        metrics.expect_written(report_path, write_report, arms, summaries)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    buffer = io.StringIO()
-    write_report(buffer, arms, summaries)
-    recomputed = buffer.getvalue().rstrip("\n").split("\n")
-    if recomputed != lines:
-        print("error: report.csv does not match recomputation:", file=sys.stderr)
-        for got, want in zip(lines, recomputed):
-            if got != want:
-                print(f"  report   : {got}", file=sys.stderr)
-                print(f"  recomputed: {want}", file=sys.stderr)
         return 1
     print(f"report.csv verified against {sum(len(v) for v in summaries.values())} runs")
     return 0

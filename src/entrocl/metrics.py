@@ -9,6 +9,9 @@ feeds two diagnostics: the squared deviation of per-layer entropies from their
 mean, and the cross-layer entropy spread near the end of a run.
 """
 
+import io
+import itertools
+
 import numpy as np
 
 from .errors import FormatError
@@ -50,11 +53,8 @@ def read_csv_lines(path):
 
 
 def parse_accuracy(text, where):
-    """One accuracy cell as a float in [0, 1]; FormatError naming ``where``
-    otherwise, also for the ``_`` and non-ASCII digits ``float`` accepts."""
+    """One accuracy cell as a float in [0, 1]; FormatError naming ``where`` otherwise."""
     try:
-        if "_" in text or not text.isascii():
-            raise ValueError
         value = float(text)
     except ValueError:
         raise FormatError(f"{where}: {text!r} is not a number") from None
@@ -63,24 +63,19 @@ def parse_accuracy(text, where):
     return value
 
 
-def read_accuracy_csv(path):
-    """The (T, T) grid an accuracy_matrix.csv holds, NaN above the diagonal.
-    The file must be laid out as ``write_accuracy_csv`` writes it; the first
-    line that is not raises FormatError naming ``path:line``."""
-    lines = read_csv_lines(path)
-    header = lines[0][1] if lines else []
-    size = len(header) - 1
-    if size < 1 or header != ["task", *map(str, range(1, size + 1))]:
-        raise FormatError(f"{path}:1: header is not task,1,...,T")
-    if len(lines) != size + 1:
-        raise FormatError(f"{path}:{min(len(lines), size + 1) + 1}: "
-                          f"{size} tasks need {size} rows, not {len(lines) - 1}")
-    grid = np.full((size, size), np.nan)
-    for t, (number, fields) in enumerate(lines[1:], start=1):
-        if len(fields) != size + 1 or fields[0] != str(t) or any(fields[t + 1 :]):
-            raise FormatError(f"{path}:{number}: row {t} must hold {t} of {size} cells")
-        grid[t - 1, :t] = [parse_accuracy(cell, f"{path}:{number}") for cell in fields[1 : t + 1]]
-    return grid
+def expect_written(path, write, *values):
+    """Check that the file at ``path`` holds exactly what ``write(fh, *values)``
+    writes. The first line that differs raises FormatError naming ``path:line``
+    with the line found and the line expected, so the writer is the format's
+    only definition."""
+    buffer = io.StringIO()
+    write(buffer, *values)
+    expected = buffer.getvalue().split("\n")[:-1]
+    found = [",".join(fields) for _, fields in read_csv_lines(path)]
+    for number, lines in enumerate(itertools.zip_longest(found, expected), start=1):
+        if lines[0] != lines[1]:
+            got, want = ("the end of the file" if line is None else repr(line) for line in lines)
+            raise FormatError(f"{path}:{number}: found {got}, but entrocl writes {want}")
 
 
 def final_average_accuracy(grid):

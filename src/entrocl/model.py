@@ -12,6 +12,7 @@ the per-layer arrays are views into it, laid out by ``parameter_layout``.
 import json
 import math
 import os
+import re
 import threading
 from dataclasses import dataclass
 
@@ -147,7 +148,10 @@ class LayeredNet:
 EVAL_BLOCK = 512
 
 # The variables the bundled OpenBLAS takes its thread count from, in the order
-# it reads them: the first that holds a positive integer wins.
+# it reads them: the first that holds a positive integer wins. It reads each
+# with C ``atoi``: optional ASCII whitespace, an optional sign, ASCII digits,
+# the rest ignored: ' 1', '+1' and '1x' mean 1, a non-ASCII digit such as
+# U+0661 means 0.
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -161,9 +165,9 @@ def scoring_threads(workers=1):
     else:
         cores = os.cpu_count() or 1
     for name in BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "")
-        if value.isdecimal() and int(value) > 0:
-            return 2 if cores >= 2 * int(value) * workers else 1
+        value = re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)", os.environ.get(name, ""))
+        if value and int(value[1]) > 0:
+            return 2 if cores >= 2 * int(value[1]) * workers else 1
     return 1
 
 

@@ -21,12 +21,13 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .buffers import ReplayBuffer, ValidationBuffer, evaluate_layer_accuracies
-from .errors import ConfigError, FormatError, require_finite
+from .errors import ConfigError, require_finite
 from .metrics import (
     average_forgetting,
     backward_transfer,
     cross_layer_entropy_spread,
     entropy_deviation,
+    expect_written,
     final_average_accuracy,
     parse_accuracy,
     read_csv_lines,
@@ -331,13 +332,10 @@ def write_telemetry_csv(fh, telemetry):
             fh.write(f"{step},{task},{layer}," + ",".join(map(repr, values)) + "\n")
 
 
-PER_LAYER_HEADER = ["after_task", "eval_task", "layer", "accuracy"]
-
-
 def write_per_layer_csv(fh, accuracy):
     """One line per task boundary t, seen task s <= t and layer, in that
     order: the layer's head's accuracy on task s after task t."""
-    fh.write(",".join(PER_LAYER_HEADER) + "\n")
+    fh.write("after_task,eval_task,layer,accuracy\n")
     for t, row in enumerate(accuracy.transpose(1, 2, 0).tolist(), start=1):
         for s, layers in enumerate(row[:t], start=1):
             for layer, acc in enumerate(layers):
@@ -346,30 +344,22 @@ def write_per_layer_csv(fh, accuracy):
 
 def read_per_layer_csv(path):
     """The (L, T, T) accuracies a per_layer_accuracy.csv holds, NaN above
-    each diagonal. Its lines must run as ``write_per_layer_csv`` writes them,
-    the layers counted from those of boundary 1; the first line that does not
-    raises FormatError naming ``path:line``."""
-    lines = read_csv_lines(path)
-    if not lines or lines[0][1] != PER_LAYER_HEADER:
-        raise FormatError(f"{path}:1: header is not {','.join(PER_LAYER_HEADER)}")
-    rows = lines[1:]
-    layers = sum(1 for _ in itertools.takewhile(lambda row: row[1][:2] == ["1", "1"], rows))
-    if not layers:
-        raise FormatError(f"{path}:2: no line for boundary 1, task 1")
-    keys = ((t, s, layer) for t in itertools.count(1)
-            for s in range(1, t + 1) for layer in range(layers))
-    cells = {}
-    for (number, fields), key in zip(rows, keys):
-        if fields[:3] != list(map(str, key)) or len(fields) != 4:
-            raise FormatError(f"{path}:{number}: expected after_task,eval_task,layer "
-                              f"{','.join(map(str, key))}, then the accuracy")
-        cells[key] = parse_accuracy(fields[3], f"{path}:{number}")
-    t, s, layer = next(keys)
-    if (s, layer) != (1, 0):
-        raise FormatError(f"{path}:{len(lines) + 1}: file ends inside boundary {t}")
-    accuracy = np.full((layers, t - 1, t - 1), np.nan)
-    for (t, s, layer), value in cells.items():
-        accuracy[layer, t - 1, s - 1] = value
+    each diagonal. L counts boundary 1's lines and T is the fewest boundaries
+    whose lines cover the file; each line's last field is read as the accuracy
+    of the cell ``write_per_layer_csv`` writes there, and the file must be
+    exactly what it writes for those accuracies (``expect_written``)."""
+    rows = read_csv_lines(path)[1:]
+    boundary_1 = itertools.takewhile(lambda row: row[1][:2] == ["1", "1"], rows)
+    layers = max(1, sum(1 for _ in boundary_1))
+    tasks = 1
+    while layers * tasks * (tasks + 1) // 2 < len(rows):
+        tasks += 1
+    values = [parse_accuracy(fields[-1], f"{path}:{number}") for number, fields in rows]
+    values += [np.nan] * (layers * tasks * (tasks + 1) // 2 - len(values))
+    accuracy = np.full((tasks, tasks, layers), np.nan)
+    accuracy[np.tril_indices(tasks)] = np.reshape(values, (-1, layers))
+    accuracy = accuracy.transpose(2, 0, 1)
+    expect_written(path, write_per_layer_csv, accuracy)
     return accuracy
 
 

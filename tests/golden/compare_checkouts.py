@@ -1,4 +1,5 @@
-"""Run the same plans through two checkouts' CLIs and diff their artifacts byte for byte.
+"""Run the same plans through two checkouts' CLIs, verify their output and diff their
+artifacts byte for byte.
 
     python3 tests/golden/compare_checkouts.py PARENT CHANGE
 
@@ -24,8 +25,13 @@ and 1 in process and as ``full`` and ``plain_er`` on seeds 0 and 1 at ``--jobs
 for both checkouts. Every one of these plans must exit 0. Two more plans fail
 on purpose: ``--lr 1e300`` on ``full`` and ``plain_er`` over seeds 0 and 1
 makes all 8 runs diverge, at ``--jobs 2`` and at ``--jobs 1``. They must
-exit 1. For every plan, the exit codes and the ``error:`` lines on stderr are
-compared. Every file of every plan is compared
+exit 1. After each plan, ``python -m entrocl.cli verify`` runs on its output
+in the same checkout; every plan that must exit 0 must also verify with exit
+0, so the real CLI's layouts (the pool, csv, idx, odd widths, a 5-slot
+reservoir, wide-eval) are checked to verify. For every plan, the exit codes and
+the ``error:`` lines on stderr of both the plan and its verify are compared,
+each checkout's output directory in verify's lines read as ``OUT``. Every file
+of every plan is compared
 byte for byte (``report.csv`` included), ``summary.json`` less its wall-clock
 ``runtime_seconds``. Both CLIs' ``--help`` output, printed with ``COLUMNS=80``,
 is compared too. Exits 0 when all match; otherwise prints each differing or
@@ -124,6 +130,14 @@ def help_text(env):
     ).stdout
 
 
+def run_cli(args, env, cwd):
+    """The CLI's exit code, its stderr and the ``error:`` lines in it."""
+    done = subprocess.run([sys.executable, "-m", "entrocl.cli", *args],
+                          env=env, cwd=cwd, capture_output=True, text=True)
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    return done.returncode, done.stderr, errors
+
+
 def comparable(path):
     """The bytes to compare: the file, or summary.json without its wall time."""
     data = path.read_bytes()
@@ -170,17 +184,22 @@ def main(argv=None):
             outs, outcomes = {}, {}
             for label, env in envs.items():
                 outs[label] = Path(tmp) / label / plan
-                command = [sys.executable, "-m", "entrocl.cli", *flags, "--out", str(outs[label])]
-                done = subprocess.run(command, env=env, cwd=tmp, capture_output=True, text=True)
-                errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
-                outcomes[label] = (done.returncode, errors)
-                if done.returncode != EXIT_CODES.get(plan, 0):
-                    print(f"{plan}: the {label} CLI exited {done.returncode}:\n{done.stderr}")
+                code, stderr, errors = run_cli([*flags, "--out", str(outs[label])], env, tmp)
+                if code != EXIT_CODES.get(plan, 0):
+                    print(f"{plan}: the {label} CLI exited {code}:\n{stderr}")
                     failed = True
+                verified, stderr, verify_errors = run_cli(["verify", "--out", str(outs[label])],
+                                                          env, tmp)
+                if plan not in EXIT_CODES and verified != 0:
+                    print(f"{plan}: the {label} CLI's verify exited {verified}:\n{stderr}")
+                    failed = True
+                verify_errors = [line.replace(str(outs[label]), "OUT") for line in verify_errors]
+                outcomes[label] = (code, errors, verified, verify_errors)
             if outcomes["parent"] != outcomes["change"]:
                 print(f"{plan}: exit codes or error lines differ")
-                for label, (code, errors) in outcomes.items():
-                    print("\n".join([f"  {label} exited {code}", *errors]))
+                for label, (code, errors, verified, verify_errors) in outcomes.items():
+                    print("\n".join([f"  {label} exited {code}", *errors,
+                                     f"  {label}'s verify exited {verified}", *verify_errors]))
                 failed = True
             differing, compared = diff_trees(outs["parent"], outs["change"])
             runs = len(list(outs["parent"].rglob("summary.json")))
@@ -188,8 +207,9 @@ def main(argv=None):
                 print(f"{plan}: {name} differs")
             failed = failed or bool(differing)
             status = f"{len(differing)} differ" if differing else "all identical"
-            errors = len(outcomes["parent"][1])
-            print(f"{plan}: {runs} run(s), {compared} files, {errors} error line(s), {status}")
+            _, errors, verified, _ = outcomes["parent"]
+            print(f"{plan}: {runs} run(s), {compared} files, {len(errors)} error line(s), "
+                  f"verify exit {verified}, {status}")
     print("DIFFERENT" if failed else "IDENTICAL")
     return 1 if failed else 0
 

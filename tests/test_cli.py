@@ -67,6 +67,21 @@ def respell_last_cell(path, line, spell):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
+def edit_summary_and_report(arm):
+    """Set run 1's acc_final and rewrite report.csv from the edited summaries."""
+    edit_json(arm / "1" / "summary.json", acc_final=0.99)
+    summaries = [json.loads((arm / seed / "summary.json").read_text()) for seed in ("0", "1")]
+    with open(arm.parent / "report.csv", "w", encoding="utf-8") as fh:
+        cli.write_report(fh, [arm.name], {arm.name: summaries})
+
+
+def cut_to_one_boundary(arm):
+    """Cut run 1's accuracy files to their first task boundary, each as entrocl writes it."""
+    path = arm / "1" / "per_layer_accuracy.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
+    (arm / "1" / "accuracy_matrix.csv").write_text("task,1\n1,0.4\n")
+
+
 def report_as_directory(arm):
     report = arm.parent / "report.csv"
     report.unlink()
@@ -264,6 +279,7 @@ class TestParsing:
             ("--config", None, "run.json: cannot read config: No such file or directory"),
             ("--config", '{"beta": 0.01,\n "seeds": }', "run.json:2:11: invalid JSON"),
             ("--config", b"\xff\xfe", "not UTF-8 text at byte 0"),
+            ("--config", "[" * 100000, "run.json: JSON nests too deeply"),
             ("--beta", "nan", "beta must be finite, got nan"),
             ("--lr", "nan", "learning_rate must be finite, got nan"),
             ("--lr", "inf", "learning_rate must be finite, got inf"),
@@ -273,7 +289,7 @@ class TestParsing:
             ("--num-tasks", "1", "--num-tasks: a sequence needs at least 2 tasks, got 1"),
         ],
         ids=["seeds-word", "seeds-range", "seeds-negative", "widths-word", "config-missing",
-             "config-bad-json", "config-not-utf8", "beta-nan", "lr-nan", "lr-inf", "wd-nan",
+             "config-bad-json", "config-not-utf8", "config-deep-json", "beta-nan", "lr-nan", "lr-inf", "wd-nan",
              "noise-scale-nan", "separation-inf", "num-tasks-1"],
     )
     def test_bad_boundary_input_exits_2_with_an_error_line(
@@ -660,7 +676,7 @@ class TestVerify:
             (report_as_directory, "Is a directory"),
             (
                 lambda arm: (arm.parent / "report.csv").write_bytes(b"arm\xff\n"),
-                "report.csv: not UTF-8 text at byte 3",
+                "report.csv: not UTF-8 text (byte offset 3)",
             ),
             (lambda arm: shutil.copytree(arm / "1", arm / "01"), "01 is not a seed directory"),
             (lambda arm: shutil.copytree(arm / "1", arm / "+1"), "+1 is not a seed directory"),
@@ -681,7 +697,8 @@ class TestVerify:
             ),
             (
                 edit_matrix_cell,
-                "1/accuracy_matrix.csv:3: task 1 is 0.123456789, but layer 1 of",
+                "1/accuracy_matrix.csv:3: found '2,0.123456789,0.35', but entrocl writes "
+                "'2,0.4,0.35'",
             ),
             (
                 lambda arm: (arm / "1" / "per_layer_accuracy.csv").write_bytes(
@@ -689,16 +706,45 @@ class TestVerify:
                 ),
                 "1/per_layer_accuracy.csv:7: line does not end in a newline",
             ),
-            # float() reads both cells as the numbers they replace
+            # float() reads each of these cells as the number it replaces
             (
                 lambda arm: respell_last_cell(arm / "1" / "accuracy_matrix.csv", 3,
                                               lambda cell: cell + "_0"),
-                "1/accuracy_matrix.csv:3: '0.35_0' is not a number",
+                "1/accuracy_matrix.csv:3: found '2,0.4,0.35_0', but entrocl writes '2,0.4,0.35'",
             ),
             (
                 lambda arm: respell_last_cell(arm / "1" / "per_layer_accuracy.csv", 2,
                                               lambda cell: cell.replace("0", "\u0660", 1)),
-                "1/per_layer_accuracy.csv:2: '\u0660.25' is not a number",
+                "1/per_layer_accuracy.csv:2: found '1,1,0,\u0660.25', but entrocl writes "
+                "'1,1,0,0.25'",
+            ),
+            (
+                lambda arm: respell_last_cell(arm / "0" / "accuracy_matrix.csv", 3,
+                                              lambda cell: cell + "0"),
+                "0/accuracy_matrix.csv:3: found '2,0.05,0.050', but entrocl writes '2,0.05,0.05'",
+            ),
+            (
+                lambda arm: respell_last_cell(arm / "1" / "per_layer_accuracy.csv", 2,
+                                              lambda cell: cell + "0"),
+                "1/per_layer_accuracy.csv:2: found '1,1,0,0.250', but entrocl writes "
+                "'1,1,0,0.25'",
+            ),
+            (
+                edit_summary_and_report,
+                "1/summary.json: acc_final is 0.99, but",
+            ),
+            (
+                lambda arm: edit_json(arm / "1" / "summary.json", bwt=0),
+                "1/summary.json: bwt is 0, but",
+            ),
+            (cut_to_one_boundary, "1/per_layer_accuracy.csv: a run needs at least 2 task"),
+            (
+                lambda arm: (arm / "1" / "summary.json").write_text("[" * 100000),
+                "1/summary.json is not valid JSON: maximum recursion depth exceeded",
+            ),
+            (
+                lambda arm: (arm / "1" / "manifest.json").write_text("[" * 100000),
+                "1/manifest.json is not valid JSON: maximum recursion depth exceeded",
             ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
@@ -712,7 +758,10 @@ class TestVerify:
              "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
              "empty-arm-row", "arm-directory-without-row", "edited-matrix-cell",
              "truncated-per-layer-line", "underscore-in-matrix-cell",
-             "arabic-digit-in-per-layer-cell"],
+             "arabic-digit-in-per-layer-cell", "respelled-matrix-cell",
+             "respelled-per-layer-cell", "summary-and-report-edited", "integer-summary-metric",
+             "one-boundary-run",
+             "deep-json-summary", "deep-json-manifest"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

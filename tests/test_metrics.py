@@ -10,8 +10,8 @@ from entrocl.metrics import (
     backward_transfer,
     cross_layer_entropy_spread,
     entropy_deviation,
+    expect_written,
     final_average_accuracy,
-    read_accuracy_csv,
     write_accuracy_csv,
 )
 
@@ -147,35 +147,41 @@ class TestMatrixCsv:
         assert out.getvalue() == "task,1,2\n1,0.5,\n2,0.25,0.75\n"
 
     def test_reader_round_trips_every_bit(self, tmp_path):
+        # expect_written accepts the file the writer wrote, and no grid one ulp away
         rng = np.random.default_rng(5)
         m = matrix_from([rng.uniform(0, 1, t).tolist() for t in range(1, 6)])
         path = tmp_path / "accuracy_matrix.csv"
         with open(path, "w", encoding="utf-8") as fh:
             write_accuracy_csv(fh, m)
-        assert read_accuracy_csv(path).tobytes() == m.tobytes()
+        expect_written(path, write_accuracy_csv, m)
+        m[3, 2] = np.nextafter(m[3, 2], 1.0)
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}:5: found '4,"):
+            expect_written(path, write_accuracy_csv, m)
 
     @pytest.mark.parametrize("data, named", [
-        (b"", ":1: header is not task,1,...,T"),
-        (b"task,2,1\n1,0.5,\n2,0.25,0.75\n", ":1: header is not"),
-        (b"task,1,2\n1,0.5,\n", ":3: 2 tasks need 2 rows, not 1"),
-        (b"task,1,2\n1,0.5,\n2,0.25,0.75\n3,1,1\n", ":4: 2 tasks need 2 rows, not 3"),
-        (b"task,1,2\n1,0.5,0.1\n2,0.25,0.75\n", ":2: row 1 must hold 1 of 2 cells"),
-        (b"task,1,2\n2,0.5,\n1,0.25,0.75\n", ":2: row 1 must hold"),
-        (b"task,1,2\n1,0.5,\n2,high,0.75\n", ":3: 'high' is not a number"),
-        (b"task,1,2\n1,1.5,\n2,0.25,0.75\n", ":2: accuracy 1.5 is not in [0, 1]"),
-        (b"task,1,2\n1,nan,\n2,0.25,0.75\n", ":2: accuracy nan is not in [0, 1]"),
+        (b"", ":1: found the end of the file, but entrocl writes 'task,1,2'"),
+        (b"task,2,1\n1,0.5,\n2,0.25,0.75\n", ":1: found 'task,2,1', but entrocl writes 'task,1,2'"),
+        (b"task,1,2\n1,0.5,\n", ":3: found the end of the file, but entrocl writes '2,0.25,0.75'"),
+        (b"task,1,2\n1,0.5,\n2,0.25,0.75\n3,1,1\n",
+         ":4: found '3,1,1', but entrocl writes the end of the file"),
+        (b"task,1,2\n1,0.5,0.1\n2,0.25,0.75\n", ":2: found '1,0.5,0.1', but entrocl writes '1,0.5,'"),
+        (b"task,1,2\n2,0.5,\n1,0.25,0.75\n", ":2: found '2,0.5,', but entrocl writes '1,0.5,'"),
+        (b"task,1,2\n1,0.5,\n2,high,0.75\n", ":3: found '2,high,0.75', but"),
+        (b"task,1,2\n1,1.5,\n2,0.25,0.75\n", ":2: found '1,1.5,', but"),
+        (b"task,1,2\n1,nan,\n2,0.25,0.75\n", ":2: found '1,nan,', but"),
         (b"task,1,2\n1,0.5,\n2,0.25,0.7", ":3: line does not end in a newline"),
         (b"task,1,2\n1,0.5,\n2,\xff,0.75\n", ": not UTF-8 text (byte offset 18)"),
-        (b"task,1,2\n1,0.5,\n2,0.2_5,0.75\n", ":3: '0.2_5' is not a number"),
-        ("task,1,2\n1,\u0660.5,\n2,0.25,0.75\n".encode(), ":2: '\u0660.5' is not a number"),
+        (b"task,1,2\n1,0.5,\n2,0.2_5,0.75\n", ":3: found '2,0.2_5,0.75', but"),
+        ("task,1,2\n1,\u0660.5,\n2,0.25,0.75\n".encode(), ":2: found '1,\u0660.5,', but"),
     ], ids=["empty", "header", "missing-row", "extra-row", "cell-above-diagonal",
             "rows-swapped", "not-a-number", "above-one", "nan", "truncated", "not-utf8",
             "underscore", "arabic-digit"])
     def test_reader_names_the_bad_line(self, tmp_path, data, named):
+        # each file differs from what write_accuracy_csv writes for this grid
         path = tmp_path / "accuracy_matrix.csv"
         path.write_bytes(data)
         with pytest.raises(FormatError, match=re.escape(f"{path}{named}")):
-            read_accuracy_csv(path)
+            expect_written(path, write_accuracy_csv, matrix_from([[0.5], [0.25, 0.75]]))
 
 
 METRICS = [final_average_accuracy, backward_transfer, average_forgetting, write_accuracy_csv]

@@ -277,8 +277,11 @@ def two_cores(monkeypatch):
 
 
 class TestScoringThreads:
+    # OpenBLAS reads the count with C atoi: '\u0661' runs it on every core, and
+    # ' 1', '+1' and '1x' on one
     @pytest.mark.parametrize("value, threads", [(None, 1), ("0", 1), ("abc", 1), ("2", 1),
-                                                ("1", 2)])
+                                                ("1", 2), ("\u0661", 1), (" 1", 2), ("+1", 2),
+                                                ("1x", 2)])
     def test_one_blas_thread_on_two_cores_splits(self, two_cores, value, threads):
         if value is not None:
             two_cores.setenv("OPENBLAS_NUM_THREADS", value)

@@ -430,18 +430,23 @@ class TestRunSequence:
         assert read.tobytes() == result.accuracy.tobytes()
 
     @pytest.mark.parametrize("data, named", [
-        (b"", ":1: header is not after_task,eval_task,layer,accuracy"),
-        (b"after_task,eval_task,layer,accuracy\n", ":2: no line for boundary 1, task 1"),
+        (b"", ":1: found the end of the file, but entrocl writes 'after_task,eval_task,layer,"),
+        # nan stands for each accuracy the file does not hold
+        (b"after_task,eval_task,layer,accuracy\n",
+         ":2: found the end of the file, but entrocl writes '1,1,0,nan'"),
         (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,1,0.5\n2,1,0,0.5\n",
-         ":5: file ends inside boundary 2"),
+         ":5: found the end of the file, but entrocl writes '2,1,1,nan'"),
         (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,2,0.5\n",
-         ":3: expected after_task,eval_task,layer 1,1,1, then the accuracy"),
+         ":3: found '1,1,2,0.5', but entrocl writes '1,1,1,0.5'"),
         (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n2,2,0,0.5\n",
-         ":3: expected after_task,eval_task,layer 2,1,0"),
+         ":3: found '2,2,0,0.5', but entrocl writes '2,1,0,0.5'"),
+        # the last field is read as the accuracy
         (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5,0\n",
-         ":2: expected after_task,eval_task,layer 1,1,0, then the accuracy"),
+         ":2: found '1,1,0,0.5,0', but entrocl writes '1,1,0,0.0'"),
         (b"after_task,eval_task,layer,accuracy\n1,1,0,-0.5\n", ":2: accuracy -0.5 is not in"),
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5_0\n", ":2: '0.5_0' is not a number"),
+        # float() reads 0.5_0 as 0.5, which entrocl writes as 0.5
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5_0\n",
+         ":2: found '1,1,0,0.5_0', but entrocl writes '1,1,0,0.5'"),
         (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5", ":2: line does not end in a newline"),
     ], ids=["empty", "no-rows", "ends-inside-a-boundary", "skipped-layer", "skipped-task",
             "extra-field", "negative", "underscore", "truncated"])
@@ -450,6 +455,35 @@ class TestRunSequence:
         path.write_bytes(data)
         with pytest.raises(FormatError, match=re.escape(f"{path}{named}")):
             read_per_layer_csv(path)
+
+    def test_per_layer_reader_fails_only_with_a_format_error(self, tmp_path):
+        # a written file's lines, cut, repeated, reordered and mixed with junk:
+        # the reader returns only accuracies it would write back to the same
+        # file, holds no more cells than twice the lines, and raises nothing
+        # but FormatError
+        rng = np.random.default_rng(0)
+        accuracy = np.where(np.tri(3, dtype=bool), rng.integers(0, 5, (2, 3, 3)) / 4, np.nan)
+        out = io.StringIO()
+        training.write_per_layer_csv(out, accuracy)
+        header, *written = out.getvalue().splitlines()
+        junk = ["", "1", "1,1", "1,1,0", "1,1,0,0.5,0", "2,1,0,1.0", "x,y,z,nan", ",,,"]
+        path = tmp_path / "per_layer_accuracy.csv"
+        outcomes = set()
+        for _ in range(400):
+            lines = rng.choice(written + junk, rng.integers(0, 12)).tolist()
+            for text in (lines, written[: rng.integers(0, len(written) + 1)]):
+                path.write_text("".join(f"{line}\n" for line in [header, *text]))
+                try:
+                    read = read_per_layer_csv(path)
+                except FormatError:
+                    outcomes.add("rejected")
+                    continue
+                outcomes.add("read")
+                assert read.size <= 2 * len(text)
+                back = io.StringIO()
+                training.write_per_layer_csv(back, read)
+                assert back.getvalue() == path.read_text()
+        assert outcomes == {"read", "rejected"}
 
     def test_artifact_files_written(self, tmp_path):
         cfg = tiny_config(7)
