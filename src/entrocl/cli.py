@@ -2,11 +2,11 @@
 
 ``entrocl`` runs every (arm, seed) pair of a plan, writes per-run artifacts
 under ``out/<arm>/<seed>/`` and an aggregate ``report.csv``; ``entrocl
-verify --out DIR`` checks each run's manifest against its directories and the
-plan's other runs, and checks every file whose content it can derive against
-what its writer writes: each run's accuracy files against its per-layer
-accuracies, its summary's accuracy metrics against its deepest layer and
-``report.csv`` against the per-run summaries.
+verify --out DIR`` checks every file whose content it can derive against what
+its writer writes: each run's manifest against the plan's configs with the
+run's arm and seed, its accuracy files against its per-layer accuracies in the
+shape its manifest records, its summary's accuracy metrics against its
+deepest layer and ``report.csv`` against the per-run summaries.
 """
 
 import argparse
@@ -208,16 +208,20 @@ def parse_args(argv):
     )
 
 
+def _run_configs(arm, seed, run_config, stream_config):
+    """An (arm, seed) run's configs and the keys ``execute_run`` adds to its manifest."""
+    stream_cfg = replace(stream_config, seed=seed)
+    return (replace(apply_arm(run_config, arm), seed=seed), stream_cfg,
+            {"arm": arm, "stream_config": stream_cfg.to_dict()})
+
+
 def execute_run(arm, seed, run_config, stream_config, out_dir, source=None, threads=None):
     """One (arm, seed) run; module-level so worker processes can import it.
     ``source`` is the plan's stream files as ``load_source`` read them, and
     ``threads`` the run's scoring threads (see ``training.run_sequence``)."""
-    cfg = replace(apply_arm(run_config, arm), seed=seed)
-    stream_cfg = replace(stream_config, seed=seed)
+    cfg, stream_cfg, extra = _run_configs(arm, seed, run_config, stream_config)
     result = training.run_sequence(make_stream(stream_cfg, source), cfg, threads)
-    training.write_run_artifacts(
-        out_dir, cfg, result, {"arm": arm, "stream_config": stream_cfg.to_dict()}
-    )
+    training.write_run_artifacts(out_dir, cfg, result, extra)
     return result.summary
 
 
@@ -333,44 +337,28 @@ def _read_summary(path):
     return summary
 
 
-def _read_manifest(path, arm, seed):
-    """The plan settings a run's manifest records: JSON text by dotted key, None
-    for each switch of the arm, seeds left out, and each top-level key but the
-    arm, the seed and the two configs (the version, say) by its own name. The
-    seeds must be the directory's and the switches the arm's."""
+def _plan_configs(path):
+    """The plan's valid configs, of at least 2 tasks, as the manifest at ``path`` records them."""
     manifest = _read_json_object(path, "manifest")
-    if manifest.get("arm") != arm:
-        raise ValueError(f"{path}: arm is {manifest.get('arm')!r}, not the directory's {arm!r}")
-    run_config, stream_config = manifest.get("run_config"), manifest.get("stream_config")
-    if not (isinstance(run_config, dict) and isinstance(stream_config, dict)):
-        raise ValueError(f"{path}: run_config and stream_config must be JSON objects")
-    for key, value in (("seed", manifest.get("seed")), ("run_config.seed", run_config.get("seed")),
-                       ("stream_config.seed", stream_config.get("seed"))):
-        if type(value) is not int or value != seed:
-            raise ValueError(f"{path}: {key} is {value!r}, not the directory's {seed}")
-    # compared as JSON text, so that 1 cannot stand in for true or 1.0
-    switches = {key: run_config.get(key) for key in ARMS[arm]}
-    if json.dumps(switches, sort_keys=True) != json.dumps(ARMS[arm], sort_keys=True):
-        raise ValueError(f"{path}: run switches {switches} are not arm {arm}'s {ARMS[arm]}")
-    settings = {key: json.dumps(value) for key, value in manifest.items()
-                if key not in ("arm", "seed", "run_config", "stream_config")}
-    settings.update((f"run_config.{key}", None if key in ARMS[arm] else json.dumps(value))
-                    for key, value in run_config.items())
-    settings.update((f"stream_config.{key}", json.dumps(value))
-                    for key, value in stream_config.items())
-    del settings["run_config.seed"], settings["stream_config.seed"]
-    return settings
+    try:
+        run_config = RunConfig(**manifest["run_config"])
+        stream_config = StreamConfig(**manifest["stream_config"])
+        run_config.validate()
+        stream_config.validate()
+        if type(stream_config.num_tasks) is not int or stream_config.num_tasks < 2:
+            raise ValueError(f"num_tasks is {stream_config.num_tasks!r}, not an integer >= 2")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: cannot build the plan's configs: {exc}") from None
+    return run_config, stream_config
 
 
-def _check_accuracies(run_dir, summary):
+def _check_accuracies(run_dir, summary, layers, tasks):
     """A run's accuracy_matrix.csv must be what ``write_accuracy_csv`` writes
     for the deepest layer of its per_layer_accuracy.csv, and its summary the
     metrics ``build_summary`` computes from that layer."""
     layers_path = run_dir / "per_layer_accuracy.csv"
-    grid = training.read_per_layer_csv(layers_path)[-1]
+    grid = training.read_per_layer_csv(layers_path, layers, tasks)[-1]
     metrics.expect_written(run_dir / "accuracy_matrix.csv", metrics.write_accuracy_csv, grid)
-    if len(grid) < 2:
-        raise ValueError(f"{layers_path}: a run needs at least 2 task boundaries")
     for name, metric in (("acc_final", metrics.final_average_accuracy),
                          ("bwt", metrics.backward_transfer),
                          ("average_forgetting", metrics.average_forgetting)):
@@ -382,10 +370,10 @@ def _check_accuracies(run_dir, summary):
 
 def _read_runs(out, arms):
     """Each arm's summaries in seed order. Every seed directory must hold every
-    artifact of a run, and a manifest that matches its directories and records
-    the same plan settings as every other run of the report, each arm's own
-    switches apart."""
-    summaries, plan, first = {}, {}, None
+    artifact of a run, and the manifest ``training.write_manifest`` writes for
+    its arm and seed under the plan's configs, read from the first run of an arm
+    that sets the fewest switches (so not plain ER's beta of 0 if another ran)."""
+    runs = []
     for arm in arms:
         seeds = {}
         for path in (out / arm).iterdir():
@@ -395,25 +383,26 @@ def _read_runs(out, arms):
             seeds[int(path.name)] = path
         if not seeds:
             raise ValueError(f"{out / arm}: no seed directories")
-        summaries[arm] = []
         for seed, run_dir in sorted(seeds.items()):
             for name in training.RUN_ARTIFACTS:
                 if not (run_dir / name).is_file():
                     raise ValueError(f"{run_dir / name}: run artifact is missing")
-            path = run_dir / "manifest.json"
-            settings = _read_manifest(path, arm, seed)
-            first = first or (path, settings.keys())
-            if settings.keys() != first[1]:
-                raise ValueError(f"{path}: settings {sorted(settings.keys() ^ first[1])} "
-                                 f"are not in both it and {first[0]}")
-            for key, value in settings.items():
-                known, where = plan.get(key, (None, None))
-                if known is None:
-                    plan[key] = (value, path)
-                elif value is not None and value != known:
-                    raise ValueError(f"{path}: {key} is {value}, not {known} as in {where}")
-            summaries[arm].append(_read_summary(run_dir / "summary.json"))
-            _check_accuracies(run_dir, summaries[arm][-1])
+            runs.append((arm, seed, run_dir))
+    reference = min(runs, key=lambda run: len(ARMS[run[0]]))[2] / "manifest.json"
+    run_config, stream_config = _plan_configs(reference)
+    summaries = {arm: [] for arm in arms}
+    for arm, seed, run_dir in runs:
+        path = run_dir / "manifest.json"
+        _read_json_object(path, "manifest")  # bad JSON is named as such, not by a line
+        cfg, _, extra = _run_configs(arm, seed, run_config, stream_config)
+        try:
+            metrics.expect_written(path, training.write_manifest, cfg, extra)
+        except FormatError as exc:
+            raise ValueError(exc if path == reference else
+                             f"{exc}, for the plan that {reference} records") from None
+        summaries[arm].append(_read_summary(run_dir / "summary.json"))
+        _check_accuracies(run_dir, summaries[arm][-1], len(run_config.widths),
+                          stream_config.num_tasks)
     return summaries
 
 

@@ -9,7 +9,6 @@ Everything stochastic draws from generators derived from the run seed, so a
 run is a pure function of (config, stream).
 """
 
-import itertools
 import json
 import math
 import time
@@ -21,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import tensor as T
 from .buffers import ReplayBuffer, ValidationBuffer, evaluate_layer_accuracies
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, FormatError, require_finite
 from .metrics import (
     average_forgetting,
     backward_transfer,
@@ -342,20 +341,18 @@ def write_per_layer_csv(fh, accuracy):
                 fh.write(f"{t},{s},{layer},{acc!r}\n")
 
 
-def read_per_layer_csv(path):
-    """The (L, T, T) accuracies a per_layer_accuracy.csv holds, NaN above
-    each diagonal. L counts boundary 1's lines and T is the fewest boundaries
-    whose lines cover the file; each line's last field is read as the accuracy
-    of the cell ``write_per_layer_csv`` writes there, and the file must be
+def read_per_layer_csv(path, layers, tasks):
+    """The (L, T, T) accuracies of a run's per_layer_accuracy.csv, NaN above
+    each diagonal. The file must hold its L*T*(T+1)/2 lines, counted before
+    anything is allocated; each line's last field is read as the accuracy of
+    the cell ``write_per_layer_csv`` writes there, and the file must be
     exactly what it writes for those accuracies (``expect_written``)."""
     rows = read_csv_lines(path)[1:]
-    boundary_1 = itertools.takewhile(lambda row: row[1][:2] == ["1", "1"], rows)
-    layers = max(1, sum(1 for _ in boundary_1))
-    tasks = 1
-    while layers * tasks * (tasks + 1) // 2 < len(rows):
-        tasks += 1
+    count = layers * tasks * (tasks + 1) // 2
+    if len(rows) != count:
+        raise FormatError(f"{path}: {len(rows)} accuracy lines, but a run of {tasks} tasks "
+                          f"and {layers} layers writes {count}")
     values = [parse_accuracy(fields[-1], f"{path}:{number}") for number, fields in rows]
-    values += [np.nan] * (layers * tasks * (tasks + 1) // 2 - len(values))
     accuracy = np.full((tasks, tasks, layers), np.nan)
     accuracy[np.tril_indices(tasks)] = np.reshape(values, (-1, layers))
     accuracy = accuracy.transpose(2, 0, 1)
@@ -368,21 +365,19 @@ RUN_ARTIFACTS = ("manifest.json", "accuracy_matrix.csv", "per_layer_accuracy.csv
                  "telemetry.csv", "summary.json")
 
 
+def write_manifest(fh, cfg, extra=None):
+    """A run's manifest.json: its config, its seed, the version and ``extra``'s keys."""
+    manifest = {"run_config": asdict(cfg), "seed": cfg.seed, "version": __version__}
+    json.dump({**manifest, **(extra or {})}, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def write_run_artifacts(out_dir, cfg, result, manifest_extra=None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    manifest = {
-        "run_config": asdict(cfg),
-        "seed": cfg.seed,
-        "version": __version__,
-    }
-    if manifest_extra:
-        manifest.update(manifest_extra)
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+        write_manifest(fh, cfg, manifest_extra)
     with open(out_dir / "accuracy_matrix.csv", "w", encoding="utf-8") as fh:
         write_accuracy_csv(fh, result.accuracy[-1])
     with open(out_dir / "per_layer_accuracy.csv", "w", encoding="utf-8") as fh:

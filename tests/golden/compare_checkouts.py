@@ -6,7 +6,10 @@ artifacts byte for byte.
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 33 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; one run each
+hold 37 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; ``--arms
+plain_er,no_entropy_scaling`` on seeds 0 and 1 at ``--jobs 2``, whose first
+run is plain ER's (beta 0), so verify must read the plan's configs from the
+other arm's manifest; one run each
 with ``--entropy-sign reward``, ``--widths 8,16,4``, the
 benchmark's wide-eval shape, ``--buffer-capacity 5`` (each 10-example offer
 fills or overwrites the reservoir in one call, drawing repeated slots) and
@@ -60,6 +63,7 @@ IDX_IMAGES, IDX_LABELS = "images.idx", "labels.idx"
 DIVERGE = ("--lr", "1e300", "--arms", "full,plain_er", "--seeds", "0,1")  # every run fails
 PLANS = {
     "arms": ("--arms", ALL_ARMS, "--seeds", "0,1", "--jobs", "2"),
+    "plain-first": ("--arms", "plain_er,no_entropy_scaling", "--seeds", "0,1", "--jobs", "2"),
     "reward": ("--entropy-sign", "reward"),
     "widths": ("--widths", "8,16,4"),
     "wide-eval": WIDE_EVAL,

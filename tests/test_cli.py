@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import write_idx_pair
-from entrocl import ConfigError, RunConfig, cli, streams, training
+from entrocl import ConfigError, RunConfig, __version__, cli, metrics, streams, training
 from entrocl.cli import (
     ARM_NAMES,
     ARMS,
@@ -33,18 +33,28 @@ from entrocl.modulation import ENTROPY_SIGNS
 from entrocl.streams import STREAM_SOURCES, StreamConfig, make_synthetic_stream, save_stream_csv
 
 
+def write_json(path, data):
+    """Write ``data`` in the layout entrocl writes its JSON artifacts in."""
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def edit_json(path, section=None, **values):
     """Set ``values`` in a JSON object file, or in its object ``section``."""
     data = json.loads(path.read_text())
     (data[section] if section else data).update(values)
-    path.write_text(json.dumps(data))
+    write_json(path, data)
+
+
+def edit_every_manifest(arm, section=None, **values):
+    for seed in ("0", "1"):
+        edit_json(arm / seed / "manifest.json", section, **values)
 
 
 def drop_run_setting(arm, key):
     path = arm / "1" / "manifest.json"
     manifest = json.loads(path.read_text())
     del manifest["run_config"][key]
-    path.write_text(json.dumps(manifest))
+    write_json(path, manifest)
 
 
 def remove_artifact(name, arm):
@@ -67,12 +77,40 @@ def respell_last_cell(path, line, spell):
     path.write_text("\n".join(lines), encoding="utf-8")
 
 
-def edit_summary_and_report(arm):
-    """Set run 1's acc_final and rewrite report.csv from the edited summaries."""
-    edit_json(arm / "1" / "summary.json", acc_final=0.99)
+def rewrite_report(arm):
+    """Rewrite report.csv from the arm's summaries, as entrocl writes it."""
     summaries = [json.loads((arm / seed / "summary.json").read_text()) for seed in ("0", "1")]
     with open(arm.parent / "report.csv", "w", encoding="utf-8") as fh:
         cli.write_report(fh, [arm.name], {arm.name: summaries})
+
+
+def edit_summary_and_report(arm):
+    """Set run 1's acc_final and rewrite report.csv from the edited summaries."""
+    edit_json(arm / "1" / "summary.json", acc_final=0.99)
+    rewrite_report(arm)
+
+
+def cut_to_two_boundaries(arm):
+    """Rewrite both runs of a 3-task, 2-layer plan as entrocl writes their
+    first 2 task boundaries: both accuracy files, the summaries' accuracy
+    metrics and report.csv."""
+    for seed in ("0", "1"):
+        run = arm / seed
+        accuracy = training.read_per_layer_csv(run / "per_layer_accuracy.csv", 2, 3)[:, :2, :2]
+        with open(run / "per_layer_accuracy.csv", "w", encoding="utf-8") as fh:
+            training.write_per_layer_csv(fh, accuracy)
+        with open(run / "accuracy_matrix.csv", "w", encoding="utf-8") as fh:
+            metrics.write_accuracy_csv(fh, accuracy[-1])
+        edit_json(run / "summary.json",
+                  acc_final=metrics.final_average_accuracy(accuracy[-1]),
+                  bwt=metrics.backward_transfer(accuracy[-1]),
+                  average_forgetting=metrics.average_forgetting(accuracy[-1]))
+    rewrite_report(arm)
+
+
+def respell_manifest_beta(path):
+    """Write the manifest's beta of 0.005 as 0.0050, the same number."""
+    path.write_text(path.read_text().replace('"beta": 0.005,', '"beta": 0.0050,', 1))
 
 
 def cut_to_one_boundary(arm):
@@ -633,41 +671,50 @@ class TestVerify:
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", seed=0),
-                "1/manifest.json: seed is 0, not the directory's 1",
+                "1/manifest.json:20: found '  \"seed\": 0,', but entrocl writes "
+                "'  \"seed\": 1,', for the plan that",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config", seed=0),
-                "1/manifest.json: stream_config.seed is 0, not the directory's 1",
+                "1/manifest.json:29: found '    \"seed\": 0,', but entrocl writes "
+                "'    \"seed\": 1,', for the plan that",
             ),
             (
                 lambda arm: rename_arm(arm, "plain_er"),
-                "plain_er/0/manifest.json: arm is 'full', not the directory's 'plain_er'",
+                "plain_er/0/manifest.json:2: found '  \"arm\": \"full\",', but entrocl writes "
+                "'  \"arm\": \"plain_er\",'",
             ),
             (
                 lambda arm: edit_json(arm / "0" / "manifest.json", "run_config",
                                       enable_adaptive_training=False),
-                "0/manifest.json: run switches",
+                "0/manifest.json:8: found '    \"enable_adaptive_training\": false,', but "
+                "entrocl writes '    \"enable_adaptive_training\": true,'",
             ),
             (
                 lambda arm: edit_json(arm / "0" / "manifest.json", "run_config", beta=0.5),
-                "1/manifest.json: run_config.beta is 0.005, not 0.5 as in",
+                "1/manifest.json:5: found '    \"beta\": 0.005,', but entrocl writes "
+                "'    \"beta\": 0.5,', for the plan that",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config",
                                       noise_scale=2.0),
-                "1/manifest.json: stream_config.noise_scale is 2.0, not 1.0 as in",
+                "1/manifest.json:27: found '    \"noise_scale\": 2.0,', but entrocl writes "
+                "'    \"noise_scale\": 1.0,', for the plan that",
             ),
             (
                 partial(drop_run_setting, key="learning_rate"),
-                "1/manifest.json: settings ['run_config.learning_rate'] are not in both",
+                "1/manifest.json:11: found '    \"seed\": 1,', but entrocl writes "
+                "'    \"learning_rate\": 0.001,', for the plan that",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", version="9.9.9"),
-                '1/manifest.json: version is "9.9.9", not',
+                "1/manifest.json:35: found '  \"version\": \"9.9.9\"', but entrocl writes "
+                f"'  \"version\": \"{__version__}\"', for the plan that",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", extra=1),
-                "1/manifest.json: settings ['extra'] are not in both",
+                "1/manifest.json:3: found '  \"extra\": 1,', but entrocl writes "
+                "'  \"run_config\": {', for the plan that",
             ),
             (
                 lambda arm: [shutil.rmtree(arm / seed) for seed in ("0", "1")],
@@ -737,7 +784,11 @@ class TestVerify:
                 lambda arm: edit_json(arm / "1" / "summary.json", bwt=0),
                 "1/summary.json: bwt is 0, but",
             ),
-            (cut_to_one_boundary, "1/per_layer_accuracy.csv: a run needs at least 2 task"),
+            (
+                cut_to_one_boundary,
+                "1/per_layer_accuracy.csv: 2 accuracy lines, but a run of 2 tasks and 2 layers "
+                "writes 6",
+            ),
             (
                 lambda arm: (arm / "1" / "summary.json").write_text("[" * 100000),
                 "1/summary.json is not valid JSON: maximum recursion depth exceeded",
@@ -745,6 +796,29 @@ class TestVerify:
             (
                 lambda arm: (arm / "1" / "manifest.json").write_text("[" * 100000),
                 "1/manifest.json is not valid JSON: maximum recursion depth exceeded",
+            ),
+            (
+                lambda arm: respell_manifest_beta(arm / "1" / "manifest.json"),
+                "1/manifest.json:5: found '    \"beta\": 0.0050,', but entrocl writes "
+                "'    \"beta\": 0.005,', for the plan that",
+            ),
+            (
+                partial(edit_every_manifest, version="9.9.9"),
+                "0/manifest.json:35: found '  \"version\": \"9.9.9\"', but entrocl writes",
+            ),
+            (
+                # read without allocating a (T, T) grid
+                partial(edit_every_manifest, section="stream_config", num_tasks=10**12),
+                "0/per_layer_accuracy.csv: 6 accuracy lines, but a run of 1000000000000 tasks "
+                "and 2 layers writes 1000000000001000000000000",
+            ),
+            (
+                partial(edit_every_manifest, section="run_config", extra=1),
+                "0/manifest.json: cannot build the plan's configs: ",
+            ),
+            (
+                partial(edit_every_manifest, section="run_config", widths=8),
+                "0/manifest.json: cannot build the plan's configs: ",
             ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
@@ -761,7 +835,9 @@ class TestVerify:
              "arabic-digit-in-per-layer-cell", "respelled-matrix-cell",
              "respelled-per-layer-cell", "summary-and-report-edited", "integer-summary-metric",
              "one-boundary-run",
-             "deep-json-summary", "deep-json-manifest"],
+             "deep-json-summary", "deep-json-manifest", "respelled-manifest-number",
+             "manifest-version-in-every-run", "huge-num-tasks", "unknown-run-key-in-every-run",
+             "widths-not-a-list-in-every-run"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"
@@ -771,3 +847,38 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize(
+        "flags, damage, named",
+        [
+            (
+                ["--num-tasks", "3"],
+                cut_to_two_boundaries,
+                "0/per_layer_accuracy.csv: 6 accuracy lines, but a run of 3 tasks and 2 layers "
+                "writes 12",
+            ),
+            (
+                ["--widths", "8,8,8,8"],
+                partial(edit_every_manifest, section="run_config", widths=[64, 64]),
+                "0/per_layer_accuracy.csv: 12 accuracy lines, but a run of 2 tasks and 2 layers "
+                "writes 6",
+            ),
+        ],
+        ids=["run-cut-to-fewer-tasks", "widths-disagree-with-files"],
+    )
+    def test_verify_reports_runs_of_another_shape(self, tmp_path, capsys, flags, damage, named):
+        # each run's accuracy files must hold the shape its manifest records
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + flags + ["--seeds", "0,1", "--out", str(out)]) == 0
+        damage(out / "full")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    @pytest.mark.parametrize("arms", ["plain_er,full", "plain_er"])
+    def test_verify_takes_the_plan_from_an_arm_that_keeps_beta(self, tmp_path, arms):
+        # plain ER sets beta to 0, so the plan's beta is read from another arm when one ran
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + ["--arms", arms, "--seeds", "0,1", "--out", str(out)]) == 0
+        assert main(["verify", "--out", str(out)]) == 0

@@ -426,41 +426,43 @@ class TestRunSequence:
         cfg = tiny_config(6, widths=(8, 8, 8))
         result = run_sequence(tiny_stream(6), cfg)
         write_run_artifacts(tmp_path, cfg, result)
-        read = read_per_layer_csv(tmp_path / "per_layer_accuracy.csv")
+        read = read_per_layer_csv(tmp_path / "per_layer_accuracy.csv", *result.accuracy.shape[:2])
         assert read.tobytes() == result.accuracy.tobytes()
 
-    @pytest.mark.parametrize("data, named", [
-        (b"", ":1: found the end of the file, but entrocl writes 'after_task,eval_task,layer,"),
-        # nan stands for each accuracy the file does not hold
-        (b"after_task,eval_task,layer,accuracy\n",
-         ":2: found the end of the file, but entrocl writes '1,1,0,nan'"),
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,1,0.5\n2,1,0,0.5\n",
-         ":5: found the end of the file, but entrocl writes '2,1,1,nan'"),
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,2,0.5\n",
+    # (L, T) is the run's layer and task count, from its manifest
+    @pytest.mark.parametrize("data, shape, named", [
+        (b"", (1, 1), ": 0 accuracy lines, but a run of 1 tasks and 1 layers writes 1"),
+        (b"after_task,eval_task,layer,accuracy\n", (1, 1),
+         ": 0 accuracy lines, but a run of 1 tasks and 1 layers writes 1"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,1,0.5\n2,1,0,0.5\n", (2, 2),
+         ": 3 accuracy lines, but a run of 2 tasks and 2 layers writes 6"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n1,1,2,0.5\n", (2, 1),
          ":3: found '1,1,2,0.5', but entrocl writes '1,1,1,0.5'"),
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n2,2,0,0.5\n",
-         ":3: found '2,2,0,0.5', but entrocl writes '2,1,0,0.5'"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5\n2,2,0,0.5\n", (1, 2),
+         ": 2 accuracy lines, but a run of 2 tasks and 1 layers writes 3"),
         # the last field is read as the accuracy
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5,0\n",
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5,0\n", (1, 1),
          ":2: found '1,1,0,0.5,0', but entrocl writes '1,1,0,0.0'"),
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,-0.5\n", ":2: accuracy -0.5 is not in"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,-0.5\n", (1, 1),
+         ":2: accuracy -0.5 is not in"),
         # float() reads 0.5_0 as 0.5, which entrocl writes as 0.5
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5_0\n",
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5_0\n", (1, 1),
          ":2: found '1,1,0,0.5_0', but entrocl writes '1,1,0,0.5'"),
-        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5", ":2: line does not end in a newline"),
+        (b"after_task,eval_task,layer,accuracy\n1,1,0,0.5", (1, 1),
+         ":2: line does not end in a newline"),
     ], ids=["empty", "no-rows", "ends-inside-a-boundary", "skipped-layer", "skipped-task",
             "extra-field", "negative", "underscore", "truncated"])
-    def test_per_layer_reader_names_the_bad_line(self, tmp_path, data, named):
+    def test_per_layer_reader_names_the_bad_line(self, tmp_path, data, shape, named):
         path = tmp_path / "per_layer_accuracy.csv"
         path.write_bytes(data)
         with pytest.raises(FormatError, match=re.escape(f"{path}{named}")):
-            read_per_layer_csv(path)
+            read_per_layer_csv(path, *shape)
 
     def test_per_layer_reader_fails_only_with_a_format_error(self, tmp_path):
         # a written file's lines, cut, repeated, reordered and mixed with junk:
-        # the reader returns only accuracies it would write back to the same
-        # file, holds no more cells than twice the lines, and raises nothing
-        # but FormatError
+        # the reader of its 2-layer, 3-task run returns only accuracies it
+        # would write back to the same file, holds no more cells than twice
+        # the lines, and raises nothing but FormatError
         rng = np.random.default_rng(0)
         accuracy = np.where(np.tri(3, dtype=bool), rng.integers(0, 5, (2, 3, 3)) / 4, np.nan)
         out = io.StringIO()
@@ -474,7 +476,7 @@ class TestRunSequence:
             for text in (lines, written[: rng.integers(0, len(written) + 1)]):
                 path.write_text("".join(f"{line}\n" for line in [header, *text]))
                 try:
-                    read = read_per_layer_csv(path)
+                    read = read_per_layer_csv(path, 2, 3)
                 except FormatError:
                     outcomes.add("rejected")
                     continue
