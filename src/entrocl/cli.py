@@ -1,12 +1,10 @@
 """Experiment front door: seeded runs, ablation arms, aggregate report.
 
 ``entrocl`` runs every (arm, seed) pair of a plan, writes per-run artifacts
-under ``out/<arm>/<seed>/`` and an aggregate ``report.csv``; ``entrocl
-verify --out DIR`` checks every file whose content it can derive against what
-its writer writes: each run's manifest against the plan's configs with the
-run's arm and seed, its accuracy files against its per-layer accuracies in the
-shape its manifest records, its summary's accuracy metrics against its
-deepest layer and ``report.csv`` against the per-run summaries.
+under ``out/<arm>/<seed>/`` and an aggregate ``report.csv``; ``entrocl verify
+--out DIR`` renders each run's files (``training.RUN_ARTIFACTS``) and the report
+again from the plan's configs and the values the run's files hold, and accepts
+only those bytes.
 """
 
 import argparse
@@ -326,53 +324,35 @@ def _read_json_object(path, what):
     return value
 
 
-def _read_summary(path):
-    summary = _read_json_object(path, "summary")
-    for name in REPORT_METRICS:
-        value = summary.get(name)
-        if type(value) not in (int, float):
-            raise ValueError(f"{path}: {name} is missing or not a number")
-        if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an int beyond float64
-            raise ValueError(f"{path}: {name} is not a finite float64 number")
-    return summary
+def _types(value):
+    """A config value's type, or for ``widths`` the set of its items' types."""
+    return frozenset(map(type, value)) if isinstance(value, (list, tuple)) else type(value)
 
 
 def _plan_configs(path):
-    """The plan's valid configs, of at least 2 tasks, as the manifest at ``path`` records them."""
+    """The plan's valid configs, of at least 2 tasks and default-typed values, from a manifest."""
     manifest = _read_json_object(path, "manifest")
     try:
         run_config = RunConfig(**manifest["run_config"])
         stream_config = StreamConfig(**manifest["stream_config"])
+        for config in (run_config, stream_config):
+            for name, value in vars(config).items():
+                if _types(value) != _types(getattr(type(config), name)):
+                    raise ValueError(f"{name} is {value!r}, not of its default's type")
         run_config.validate()
         stream_config.validate()
-        if type(stream_config.num_tasks) is not int or stream_config.num_tasks < 2:
+        if stream_config.num_tasks < 2:
             raise ValueError(f"num_tasks is {stream_config.num_tasks!r}, not an integer >= 2")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: cannot build the plan's configs: {exc}") from None
     return run_config, stream_config
 
 
-def _check_accuracies(run_dir, summary, layers, tasks):
-    """A run's accuracy_matrix.csv must be what ``write_accuracy_csv`` writes
-    for the deepest layer of its per_layer_accuracy.csv, and its summary the
-    metrics ``build_summary`` computes from that layer."""
-    layers_path = run_dir / "per_layer_accuracy.csv"
-    grid = training.read_per_layer_csv(layers_path, layers, tasks)[-1]
-    metrics.expect_written(run_dir / "accuracy_matrix.csv", metrics.write_accuracy_csv, grid)
-    for name, metric in (("acc_final", metrics.final_average_accuracy),
-                         ("bwt", metrics.backward_transfer),
-                         ("average_forgetting", metrics.average_forgetting)):
-        # by repr, so that 0 cannot stand in for 0.0
-        if repr(summary[name]) != repr(metric(grid)):
-            raise ValueError(f"{run_dir / 'summary.json'}: {name} is {summary[name]!r}, but "
-                             f"{layers_path} gives {metric(grid)!r}")
-
-
 def _read_runs(out, arms):
-    """Each arm's summaries in seed order. Every seed directory must hold every
-    artifact of a run, and the manifest ``training.write_manifest`` writes for
-    its arm and seed under the plan's configs, read from the first run of an arm
-    that sets the fewest switches (so not plain ER's beta of 0 if another ran)."""
+    """Each arm's recomputed summaries in seed order. Every seed directory must hold
+    each file of ``training.RUN_ARTIFACTS`` as its writer renders it for the run's
+    arm and seed, its accuracies and telemetry, under the plan's configs read from
+    the first run of an arm that sets the fewest switches (not plain ER's beta 0)."""
     runs = []
     for arm in arms:
         seeds = {}
@@ -384,25 +364,38 @@ def _read_runs(out, arms):
         if not seeds:
             raise ValueError(f"{out / arm}: no seed directories")
         for seed, run_dir in sorted(seeds.items()):
-            for name in training.RUN_ARTIFACTS:
+            for name, _, _ in training.RUN_ARTIFACTS:
                 if not (run_dir / name).is_file():
                     raise ValueError(f"{run_dir / name}: run artifact is missing")
             runs.append((arm, seed, run_dir))
     reference = min(runs, key=lambda run: len(ARMS[run[0]]))[2] / "manifest.json"
     run_config, stream_config = _plan_configs(reference)
+    layers, tasks = len(run_config.widths), stream_config.num_tasks
     summaries = {arm: [] for arm in arms}
     for arm, seed, run_dir in runs:
-        path = run_dir / "manifest.json"
-        _read_json_object(path, "manifest")  # bad JSON is named as such, not by a line
+        _read_json_object(run_dir / "manifest.json", "manifest")  # bad JSON is named as such
         cfg, _, extra = _run_configs(arm, seed, run_config, stream_config)
-        try:
-            metrics.expect_written(path, training.write_manifest, cfg, extra)
-        except FormatError as exc:
-            raise ValueError(exc if path == reference else
-                             f"{exc}, for the plan that {reference} records") from None
-        summaries[arm].append(_read_summary(run_dir / "summary.json"))
-        _check_accuracies(run_dir, summaries[arm][-1], len(run_config.widths),
-                          stream_config.num_tasks)
+        accuracy = training.read_per_layer_csv(run_dir / "per_layer_accuracy.csv", layers, tasks)
+        telemetry = training.read_telemetry_csv(run_dir / "telemetry.csv", layers)
+        # the one value of summary.json verify cannot recompute, rendered as a float
+        path = run_dir / "summary.json"
+        runtime = _read_json_object(path, "summary").get("runtime_seconds")
+        if type(runtime) not in (int, float) or not 0 <= runtime <= sys.float_info.max:
+            raise ValueError(f"{path}: runtime_seconds is not a finite, nonnegative number")
+        with np.errstate(all="ignore"):  # finite telemetry can still overflow a statistic
+            summary = training.build_summary(accuracy[-1], telemetry, float(runtime))
+        result = training.RunResult(accuracy, telemetry, summary)
+        for name, write, values in training.RUN_ARTIFACTS:
+            if name == "per_layer_accuracy.csv":
+                continue  # read_per_layer_csv has checked it
+            path = run_dir / name
+            try:
+                metrics.expect_written(path, write, *values(cfg, result, extra))
+            except FormatError as exc:
+                if name != "manifest.json" or path == reference:
+                    raise
+                raise FormatError(f"{exc}, for the plan that {reference} records") from None
+        summaries[arm].append(summary)
     return summaries
 
 
@@ -411,7 +404,7 @@ def verify_report(out_dir):
     out = Path(out_dir)
     report_path = out / "report.csv"
     try:
-        arms = [fields[0] for _, fields in metrics.read_csv_lines(report_path)[1:]]
+        arms = [line.split(",")[0] for line in metrics.read_lines(report_path)[1:]]
         if not arms or len(set(arms)) < len(arms) or not set(arms) <= set(ARM_NAMES):
             raise ValueError(f"{report_path}: expected one row per arm of {ARM_NAMES}, "
                              f"got rows for {arms}")

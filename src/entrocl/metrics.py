@@ -37,10 +37,10 @@ def write_accuracy_csv(fh, grid):
         fh.write(f"{t}," + ",".join(repr(a) if s < t else "" for s, a in enumerate(row)) + "\n")
 
 
-def read_csv_lines(path):
-    """(line number, comma-split fields) of every line of a CSV file entrocl
-    wrote, header first. A line that does not end in a newline, as the last
-    line of a truncated file, raises FormatError naming ``path:line``."""
+def read_lines(path):
+    """Every line of a text file entrocl wrote, without its newline, header first.
+    A line that does not end in a newline, as the last line of a truncated file,
+    raises FormatError naming ``path:line``."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -49,7 +49,7 @@ def read_csv_lines(path):
         raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
     if last:
         raise FormatError(f"{path}:{len(lines) + 1}: line does not end in a newline")
-    return [(number, line.split(",")) for number, line in enumerate(lines, start=1)]
+    return lines
 
 
 def parse_accuracy(text, where):
@@ -71,8 +71,7 @@ def expect_written(path, write, *values):
     buffer = io.StringIO()
     write(buffer, *values)
     expected = buffer.getvalue().split("\n")[:-1]
-    found = [",".join(fields) for _, fields in read_csv_lines(path)]
-    for number, lines in enumerate(itertools.zip_longest(found, expected), start=1):
+    for number, lines in enumerate(itertools.zip_longest(read_lines(path), expected), start=1):
         if lines[0] != lines[1]:
             got, want = ("the end of the file" if line is None else repr(line) for line in lines)
             raise FormatError(f"{path}:{number}: found {got}, but entrocl writes {want}")

@@ -29,7 +29,7 @@ from .metrics import (
     expect_written,
     final_average_accuracy,
     parse_accuracy,
-    read_csv_lines,
+    read_lines,
     write_accuracy_csv,
 )
 from .model import LayeredNet, correct_counts, scoring_threads
@@ -347,12 +347,13 @@ def read_per_layer_csv(path, layers, tasks):
     anything is allocated; each line's last field is read as the accuracy of
     the cell ``write_per_layer_csv`` writes there, and the file must be
     exactly what it writes for those accuracies (``expect_written``)."""
-    rows = read_csv_lines(path)[1:]
+    rows = read_lines(path)[1:]
     count = layers * tasks * (tasks + 1) // 2
     if len(rows) != count:
         raise FormatError(f"{path}: {len(rows)} accuracy lines, but a run of {tasks} tasks "
                           f"and {layers} layers writes {count}")
-    values = [parse_accuracy(fields[-1], f"{path}:{number}") for number, fields in rows]
+    values = [parse_accuracy(line.rpartition(",")[2], f"{path}:{number}")
+              for number, line in enumerate(rows, start=2)]
     accuracy = np.full((tasks, tasks, layers), np.nan)
     accuracy[np.tril_indices(tasks)] = np.reshape(values, (-1, layers))
     accuracy = accuracy.transpose(2, 0, 1)
@@ -360,9 +361,28 @@ def read_per_layer_csv(path, layers, tasks):
     return accuracy
 
 
-# the files write_run_artifacts writes into a run's directory
-RUN_ARTIFACTS = ("manifest.json", "accuracy_matrix.csv", "per_layer_accuracy.csv",
-                 "telemetry.csv", "summary.json")
+def read_telemetry_csv(path, layers):
+    """The record array a run's telemetry.csv was written from, ``layers`` lines a
+    step: each line's task and last five values, which must be finite. The step
+    and layer columns and each cell's spelling are left to ``expect_written``."""
+    rows = read_lines(path)[1:]
+    if not rows or len(rows) % layers:
+        raise FormatError(f"{path}: {len(rows)} telemetry lines, not whole steps of {layers}")
+    telemetry = np.zeros(len(rows) // layers, telemetry_dtype(layers))
+    tasks, values = telemetry["task"], np.empty((len(rows), len(TELEMETRY_FIELDS)))
+    for i, line in enumerate(rows):
+        try:
+            fields = line.split(",")
+            tasks[i // layers] = int(fields[1])
+            values[i] = [float(cell) for cell in fields[-len(TELEMETRY_FIELDS):]]
+        except (ValueError, IndexError, OverflowError):
+            values[i] = np.nan
+    if bad := np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
+        raise FormatError(f"{path}:{bad[0] + 2}: {rows[bad[0]]!r} is not a telemetry line "
+                          "of a task and five finite values")
+    for name, column in zip(TELEMETRY_FIELDS, values.T):
+        telemetry[name] = column.reshape(-1, layers)
+    return telemetry
 
 
 def write_manifest(fh, cfg, extra=None):
@@ -372,18 +392,26 @@ def write_manifest(fh, cfg, extra=None):
     fh.write("\n")
 
 
+def write_summary(fh, summary):
+    """A run's summary.json: ``build_summary``'s metrics, laid out as the manifest is."""
+    json.dump(summary, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
+# A run's files: each one's name, writer and the writer's values from (cfg, RunResult,
+# manifest extra). write_run_artifacts writes them and ``entrocl verify`` renders them.
+RUN_ARTIFACTS = (
+    ("manifest.json", write_manifest, lambda cfg, result, extra: (cfg, extra)),
+    ("accuracy_matrix.csv", write_accuracy_csv, lambda cfg, result, extra: (result.accuracy[-1],)),
+    ("per_layer_accuracy.csv", write_per_layer_csv, lambda cfg, result, extra: (result.accuracy,)),
+    ("telemetry.csv", write_telemetry_csv, lambda cfg, result, extra: (result.telemetry,)),
+    ("summary.json", write_summary, lambda cfg, result, extra: (result.summary,)),
+)
+
+
 def write_run_artifacts(out_dir, cfg, result, manifest_extra=None):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        write_manifest(fh, cfg, manifest_extra)
-    with open(out_dir / "accuracy_matrix.csv", "w", encoding="utf-8") as fh:
-        write_accuracy_csv(fh, result.accuracy[-1])
-    with open(out_dir / "per_layer_accuracy.csv", "w", encoding="utf-8") as fh:
-        write_per_layer_csv(fh, result.accuracy)
-    with open(out_dir / "telemetry.csv", "w", encoding="utf-8") as fh:
-        write_telemetry_csv(fh, result.telemetry)
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(result.summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for name, write, values in RUN_ARTIFACTS:
+        with open(out_dir / name, "w", encoding="utf-8") as fh:
+            write(fh, *values(cfg, result, manifest_extra))

@@ -6,7 +6,7 @@ artifacts byte for byte.
 PARENT and CHANGE are repository roots, for example a clean copy of the parent
 commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
-hold 37 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; ``--arms
+hold 39 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; ``--arms
 plain_er,no_entropy_scaling`` on seeds 0 and 1 at ``--jobs 2``, whose first
 run is plain ER's (beta 0), so verify must read the plan's configs from the
 other arm's manifest; one run each
@@ -19,7 +19,9 @@ block of rows; ``--test-per-class 800`` on seeds 0 and 1, whose 1600-row test
 splits lie past the size (about 1562 rows for a 64-wide, 10-class head) where a
 whole-split forward would take OpenBLAS's blocked kernel instead of its
 small-matrix one, so scoring bits that followed the split size would show
-there; ``--stream csv`` on
+there; ``--num-tasks 3 --batch-size 7`` on seeds 0 and 1, whose 1000-example
+tasks end in a partial batch of 6, a telemetry shape with T = 3 that no other
+plan writes; ``--stream csv`` on
 a seeded CSV stream whose rows come in shuffled class order, as the four arms
 on seeds 0 and 1 at ``--jobs 2`` (the process pool) and on seeds 0 and 1 at
 ``--jobs 1`` (in process); and ``--stream idx`` on a seeded IDX image/label pair, on seeds 0
@@ -71,6 +73,7 @@ PLANS = {
     "no-replay": ("--buffer-batch-size", "0"),
     "multi-block": ("--test-per-class", "700", "--seeds", "0,1"),
     "blas-switch": ("--test-per-class", "800", "--seeds", "0,1"),
+    "tasks-3-batch-7": ("--num-tasks", "3", "--batch-size", "7", "--seeds", "0,1"),
     "csv": ("--stream", "csv", "--csv-path", CSV_STREAM, "--arms", ALL_ARMS,
             "--seeds", "0,1", "--jobs", "2"),
     "csv-serial": ("--stream", "csv", "--csv-path", CSV_STREAM, "--seeds", "0,1", "--jobs", "1"),

@@ -90,6 +90,29 @@ def edit_summary_and_report(arm):
     rewrite_report(arm)
 
 
+def edit_telemetry_cell(path, line, cell):
+    """Set the entropy cell of ``path``'s ``line`` (counted from 1) to ``cell``."""
+    lines = path.read_text().split("\n")
+    fields = lines[line - 1].split(",")
+    fields[3] = cell
+    lines[line - 1] = ",".join(fields)
+    path.write_text("\n".join(lines))
+
+
+def edit_entropy_keys_and_report(arm):
+    """Set one entropy cell of run 1's telemetry and its entropy_spread_final,
+    and rewrite report.csv from the edited summaries."""
+    edit_telemetry_cell(arm / "1" / "telemetry.csv", 24, "1.5")
+    edit_json(arm / "1" / "summary.json", entropy_spread_final=0.5)
+    rewrite_report(arm)
+
+
+def cut_telemetry_by_one_step(arm):
+    """Drop the last step, one line per layer, from run 1's 2-layer telemetry."""
+    path = arm / "1" / "telemetry.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
+
+
 def cut_to_two_boundaries(arm):
     """Rewrite both runs of a 3-task, 2-layer plan as entrocl writes their
     first 2 task boundaries: both accuracy files, the summaries' accuracy
@@ -644,7 +667,7 @@ class TestVerify:
             (lambda arm: (arm / "0" / "summary.json").write_text("{"), "is not valid JSON"),
             (
                 lambda arm: (arm / "0" / "summary.json").write_text('{"acc_final": 0.5}'),
-                "summary.json: bwt is missing or not a number",
+                "0/summary.json: runtime_seconds is not a finite, nonnegative number",
             ),
             (
                 lambda arm: (arm / "0" / "summary.json").write_text("[1, 2]"),
@@ -652,7 +675,8 @@ class TestVerify:
             ),
             (
                 lambda arm: edit_json(arm / "1" / "summary.json", acc_final="high"),
-                "summary.json: acc_final is missing or not a number",
+                "1/summary.json:2: found '  \"acc_final\": \"high\",', but entrocl writes "
+                "'  \"acc_final\": 0.375,'",
             ),
             (
                 lambda arm: (arm / "1" / "summary.json").write_bytes(b"\xff{}"),
@@ -663,7 +687,7 @@ class TestVerify:
                     '{"acc_final": 1' + "0" * 400
                     + ', "bwt": 0, "average_forgetting": 0, "entropy_spread_final": 0}'
                 ),
-                "0/summary.json: acc_final is not a finite float64 number",
+                "0/summary.json: runtime_seconds is not a finite, nonnegative number",
             ),
             (
                 lambda arm: (arm / "1" / "manifest.json").write_text("[]"),
@@ -778,11 +802,12 @@ class TestVerify:
             ),
             (
                 edit_summary_and_report,
-                "1/summary.json: acc_final is 0.99, but",
+                "1/summary.json:2: found '  \"acc_final\": 0.99,', but entrocl writes "
+                "'  \"acc_final\": 0.375,'",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "summary.json", bwt=0),
-                "1/summary.json: bwt is 0, but",
+                "1/summary.json:4: found '  \"bwt\": 0,', but entrocl writes '  \"bwt\": 0.0,'",
             ),
             (
                 cut_to_one_boundary,
@@ -820,6 +845,56 @@ class TestVerify:
                 partial(edit_every_manifest, section="run_config", widths=8),
                 "0/manifest.json: cannot build the plan's configs: ",
             ),
+            # values the CLI never writes, in every run so that each manifest
+            # renders as its file holds it
+            (
+                partial(edit_every_manifest, section="run_config", batch_size=True),
+                "0/manifest.json: cannot build the plan's configs: batch_size is True, "
+                "not of its default's type",
+            ),
+            (
+                partial(edit_every_manifest, section="run_config", learning_rate=1),
+                "0/manifest.json: cannot build the plan's configs: learning_rate is 1, "
+                "not of its default's type",
+            ),
+            (
+                partial(edit_every_manifest, section="run_config", widths=[8.0, 8]),
+                "0/manifest.json: cannot build the plan's configs: widths is [8.0, 8], "
+                "not of its default's type",
+            ),
+            (
+                edit_entropy_keys_and_report,
+                "1/summary.json:7: found '    0.0006239669058971061', but entrocl writes "
+                "'    0.00014618092897443352'",
+            ),
+            (
+                # float() reads the cell as the number it replaces
+                lambda arm: respell_last_cell(arm / "1" / "telemetry.csv", 2,
+                                              lambda cell: cell + "0"),
+                "1/telemetry.csv:2: found '1,1,0,1.2130860913333952,-1.0,0.002334607438612213,"
+                "1.0,1.57375428396433410', but entrocl writes '1,1,0,1.2130860913333952,-1.0,"
+                "0.002334607438612213,1.0,1.5737542839643341'",
+            ),
+            (
+                cut_telemetry_by_one_step,
+                "1/summary.json:7: found '    0.0006239669058971061', but entrocl writes "
+                "'    0.0005211028955426466'",
+            ),
+            (
+                lambda arm: edit_telemetry_cell(arm / "1" / "telemetry.csv", 5, "nan"),
+                "1/telemetry.csv:5: '2,1,1,nan,1.0000000000000182,0.010708438423746832,1.0,"
+                "1.5051317991330364' is not a telemetry line of a task and five finite values",
+            ),
+            (
+                lambda arm: edit_json(arm / "1" / "summary.json", extra=1),
+                "1/summary.json:10: found '  \"extra\": 1,', but entrocl writes "
+                "'  \"runtime_seconds\": ",
+            ),
+            (
+                lambda arm: edit_json(arm / "1" / "summary.json", runtime_seconds=3),
+                "1/summary.json:10: found '  \"runtime_seconds\": 3', but entrocl writes "
+                "'  \"runtime_seconds\": 3.0'",
+            ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
              "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
@@ -837,7 +912,11 @@ class TestVerify:
              "one-boundary-run",
              "deep-json-summary", "deep-json-manifest", "respelled-manifest-number",
              "manifest-version-in-every-run", "huge-num-tasks", "unknown-run-key-in-every-run",
-             "widths-not-a-list-in-every-run"],
+             "widths-not-a-list-in-every-run", "boolean-batch-size-in-every-run",
+             "integer-learning-rate-in-every-run", "float-width-in-every-run",
+             "entropy-keys-and-report-edited", "respelled-telemetry-cell",
+             "telemetry-cut-by-one-step", "nan-telemetry-cell", "summary-key-added",
+             "runtime-not-a-float"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

@@ -21,6 +21,7 @@ from entrocl.training import (
     adam_step,
     init_state,
     read_per_layer_csv,
+    read_telemetry_csv,
     run_sequence,
     run_task,
     write_run_artifacts,
@@ -487,17 +488,56 @@ class TestRunSequence:
                 assert back.getvalue() == path.read_text()
         assert outcomes == {"read", "rejected"}
 
+    @pytest.mark.parametrize("widths", [(8, 8, 8), (8, 8, 8, 8)])
+    def test_telemetry_reader_round_trips_every_bit(self, tmp_path, widths):
+        cfg = tiny_config(6, widths=widths)
+        result = run_sequence(tiny_stream(6), cfg)
+        write_run_artifacts(tmp_path, cfg, result)
+        read = read_telemetry_csv(tmp_path / "telemetry.csv", len(widths))
+        assert read.dtype == result.telemetry.dtype
+        assert read.tobytes() == result.telemetry.tobytes()
+
+    def test_telemetry_reader_fails_only_with_a_format_error(self, tmp_path):
+        # a written file's lines, cut, repeated, reordered and mixed with junk:
+        # the 2-layer reader returns one finite record per 2 lines, a cut file
+        # as the steps it holds, and raises nothing but FormatError naming the file
+        rng = np.random.default_rng(0)
+        telemetry = np.zeros(3, training.telemetry_dtype(2))
+        telemetry["task"] = [1, 1, 2]
+        for name in TELEMETRY_FIELDS:
+            telemetry[name] = rng.standard_normal((3, 2))
+        out = io.StringIO()
+        write_telemetry_csv(out, telemetry)
+        header, *written = out.getvalue().splitlines()
+        junk = ["", "1", "1,1", "1,1,0,1.0,2.0,3.0,4.0", "1,1,0,x,1,1,1,1", ",,,,,,,",
+                "1,1,0,inf,1,1,1,1", "1,1,0,1e400,1,1,1,1", "1,1,0,nan,1,1,1,1",
+                "1,99999999999999999999,0,1,1,1,1,1", "1,-3,0,1,1,1,1,1,1"]
+        path = tmp_path / "telemetry.csv"
+        outcomes = set()
+        for _ in range(400):
+            cut = written[: rng.integers(0, len(written) + 1)]
+            for text in (rng.choice(written + junk, rng.integers(0, 12)).tolist(), cut):
+                path.write_text("".join(f"{line}\n" for line in [header, *text]))
+                try:
+                    read = read_telemetry_csv(path, 2)
+                except FormatError as exc:
+                    assert str(exc).startswith(f"{path}")
+                    outcomes.add("rejected")
+                    continue
+                outcomes.add("read")
+                assert len(read) * 2 == len(text)
+                assert all(np.isfinite(read[name]).all() for name in TELEMETRY_FIELDS)
+                if text is cut:
+                    assert read.tobytes() == telemetry[: len(read)].tobytes()
+        assert outcomes == {"read", "rejected"}
+
     def test_artifact_files_written(self, tmp_path):
         cfg = tiny_config(7)
         write_run_artifacts(tmp_path / "run", cfg, run_sequence(tiny_stream(7), cfg))
-        for name in (
-            "manifest.json",
-            "accuracy_matrix.csv",
-            "per_layer_accuracy.csv",
-            "telemetry.csv",
-            "summary.json",
-        ):
-            assert (tmp_path / "run" / name).exists(), name
+        names = [name for name, _, _ in training.RUN_ARTIFACTS]
+        assert names == ["manifest.json", "accuracy_matrix.csv", "per_layer_accuracy.csv",
+                         "telemetry.csv", "summary.json"]
+        assert sorted(path.name for path in (tmp_path / "run").iterdir()) == sorted(names)
 
     def test_summary_fields(self):
         tasks = tiny_stream(8)
