@@ -1,10 +1,11 @@
 """Experiment front door: seeded runs, ablation arms, aggregate report.
 
-``entrocl`` runs every (arm, seed) pair of a plan, writes per-run artifacts
-under ``out/<arm>/<seed>/`` and an aggregate ``report.csv``; ``entrocl verify
---out DIR`` renders each run's files (``training.RUN_ARTIFACTS``) and the report
-again from the plan's configs and the values the run's files hold, and accepts
-only those bytes.
+``entrocl`` records a plan in ``out/plan.json`` before any run, runs every
+(arm, seed) pair of it, writes per-run artifacts under ``out/<arm>/<seed>/`` and
+an aggregate ``report.csv``; ``entrocl verify --out DIR`` requires a run
+directory for exactly the runs ``plan.json`` lists, renders each run's files
+(``training.RUN_ARTIFACTS``) and the report again from the plan and the values
+the run's files hold, and accepts only those bytes.
 """
 
 import argparse
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, training
+from . import __version__, metrics, training
 from .errors import ConfigError, FormatError
 from .model import scoring_threads
 from .modulation import ENTROPY_SIGNS
@@ -90,7 +91,7 @@ def parse_seeds(text):
             lo, hi = text.split("..", 1)
             seeds = tuple(range(int(lo), int(hi) + 1))
         else:
-            seeds = tuple(int(part) for part in text.split(",") if part != "")
+            seeds = tuple(map(int, text.split(","))) if text else ()
     except ValueError:
         raise ConfigError(f"--seeds: not an integer list or range: {text!r}") from None
     if not seeds:
@@ -103,12 +104,12 @@ def parse_seeds(text):
 
 
 def parse_arms(text):
-    arms = tuple(part.strip() for part in text.split(",") if part.strip())
+    arms = tuple(part.strip() for part in text.split(",")) if text.strip() else ()
     if not arms:
         raise ConfigError("at least one arm is required")
     for arm in arms:
         if arm not in ARM_NAMES:
-            raise ConfigError(f"unknown arm {arm!r}; choose from {ARM_NAMES}")
+            raise ConfigError(f"--arms: unknown arm {arm!r} in {text!r}; choose from {ARM_NAMES}")
     if len(set(arms)) != len(arms):
         raise ConfigError(f"arms must be distinct, got {text!r}")
     return arms
@@ -116,12 +117,17 @@ def parse_arms(text):
 
 def parse_widths(text):
     try:
-        widths = tuple(int(part) for part in text.split(",") if part != "")
+        widths = tuple(map(int, text.split(","))) if text else ()
     except ValueError:
         raise ConfigError(f"--widths: not a comma-separated integer list: {text!r}") from None
     if not widths:
         raise ConfigError(f"no widths in {text!r}")
     return widths
+
+
+def _flag_text(value):
+    """The string a flag would carry for a JSON value: a list's items joined by commas."""
+    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
 
 
 def build_parser():
@@ -177,7 +183,7 @@ def parse_args(argv):
             if dest not in known:
                 raise ConfigError(f"{probe.config}: unknown config key {key!r}")
             # the string the flag would carry, so file and flag share one parse path
-            defaults[dest] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            defaults[dest] = _flag_text(value)
         parser.set_defaults(**defaults)
     args = parser.parse_args(argv)
 
@@ -257,6 +263,18 @@ def write_report(fh, arms, summaries):
         fh.write(",".join(cells) + "\n")
 
 
+def write_plan(fh, plan):
+    """A plan's plan.json, laid out as a manifest is: its arms, its seeds, the version
+    and each config's fields that a flag sets. A run's seed and arm switches are its
+    own, and ``jobs`` and ``out`` change no artifact, so none of them is recorded."""
+    recorded = {"arms": plan.arms, "seeds": plan.seeds, "version": __version__}
+    for key, config, rows in (("run_config", plan.run_config, RUN_FLAGS),
+                              ("stream_config", plan.stream_config, STREAM_FLAGS)):
+        recorded[key] = {field: getattr(config, field) for _, field, _ in rows}
+    json.dump(recorded, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def run_plan(plan):
     # a fork pool starts all its workers at the first submit, so size it to the
     # runs; a plan run in process never loads the pool code
@@ -271,12 +289,12 @@ def run_plan(plan):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    # the plan is recorded before any run, so verify knows every run it meant to make
     out = Path(plan.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
+        with open(out / "plan.json", "w", encoding="utf-8") as fh:
+            write_plan(fh, plan)
     except OSError as exc:
         print(f"error: output directory {out} is not writable: {exc}", file=sys.stderr)
         return 1
@@ -324,57 +342,46 @@ def _read_json_object(path, what):
     return value
 
 
-def _types(value):
-    """A config value's type, or for ``widths`` the set of its items' types."""
-    return frozenset(map(type, value)) if isinstance(value, (list, tuple)) else type(value)
-
-
-def _plan_configs(path):
-    """The plan's valid configs, of at least 2 tasks and default-typed values, from a manifest."""
-    manifest = _read_json_object(path, "manifest")
+def _read_plan(path):
+    """The plan ``plan.json`` records, exactly as ``write_plan`` writes it: its lists
+    read by the flag parsers, its configs valid, of at least 2 tasks and each value of
+    its default's exact type."""
+    recorded = _read_json_object(path, "plan")
     try:
-        run_config = RunConfig(**manifest["run_config"])
-        stream_config = StreamConfig(**manifest["stream_config"])
+        run_values = dict(recorded["run_config"])
+        run_values["widths"] = parse_widths(_flag_text(run_values["widths"]))
+        run_config = RunConfig(**run_values)
+        stream_config = StreamConfig(**recorded["stream_config"])
         for config in (run_config, stream_config):
             for name, value in vars(config).items():
-                if _types(value) != _types(getattr(type(config), name)):
+                if type(value) is not type(getattr(type(config), name)):
                     raise ValueError(f"{name} is {value!r}, not of its default's type")
         run_config.validate()
         stream_config.validate()
         if stream_config.num_tasks < 2:
             raise ValueError(f"num_tasks is {stream_config.num_tasks!r}, not an integer >= 2")
+        seeds = parse_seeds(_flag_text(recorded["seeds"]))
+        arms = parse_arms(_flag_text(recorded["arms"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: cannot build the plan's configs: {exc}") from None
-    return run_config, stream_config
+        raise ValueError(f"{path}: cannot build the plan: {exc}") from None
+    plan = ExperimentPlan(run_config, stream_config, seeds, arms, path.parent)
+    metrics.expect_written(path, write_plan, plan)
+    return plan
 
 
-def _read_runs(out, arms):
-    """Each arm's recomputed summaries in seed order. Every seed directory must hold
-    each file of ``training.RUN_ARTIFACTS`` as its writer renders it for the run's
-    arm and seed, its accuracies and telemetry, under the plan's configs read from
-    the first run of an arm that sets the fewest switches (not plain ER's beta 0)."""
-    runs = []
-    for arm in arms:
-        seeds = {}
-        for path in (out / arm).iterdir():
-            # only a seed's decimal form, so that 01 cannot stand in for seed 1
-            if not path.name.isdecimal() or str(int(path.name)) != path.name:
-                raise ValueError(f"{path} is not a seed directory")
-            seeds[int(path.name)] = path
-        if not seeds:
-            raise ValueError(f"{out / arm}: no seed directories")
-        for seed, run_dir in sorted(seeds.items()):
-            for name, _, _ in training.RUN_ARTIFACTS:
-                if not (run_dir / name).is_file():
-                    raise ValueError(f"{run_dir / name}: run artifact is missing")
-            runs.append((arm, seed, run_dir))
-    reference = min(runs, key=lambda run: len(ARMS[run[0]]))[2] / "manifest.json"
-    run_config, stream_config = _plan_configs(reference)
-    layers, tasks = len(run_config.widths), stream_config.num_tasks
-    summaries = {arm: [] for arm in arms}
+def _read_runs(plan):
+    """Each of the plan's arms' recomputed summaries in seed order. Every (arm, seed) the
+    plan lists must have a directory, and no other run one, holding each file of
+    ``training.RUN_ARTIFACTS`` as its writer renders it from the plan for that run."""
+    runs = [(arm, seed, plan.out / arm / str(seed)) for arm in plan.arms for seed in plan.seeds]
+    layers, tasks = len(plan.run_config.widths), plan.stream_config.num_tasks
+    summaries = {arm: [] for arm in plan.arms}
     for arm, seed, run_dir in runs:
+        for name, _, _ in training.RUN_ARTIFACTS:
+            if not (run_dir / name).is_file():
+                raise ValueError(f"{run_dir / name}: run artifact is missing")
         _read_json_object(run_dir / "manifest.json", "manifest")  # bad JSON is named as such
-        cfg, _, extra = _run_configs(arm, seed, run_config, stream_config)
+        cfg, _, extra = _run_configs(arm, seed, plan.run_config, plan.stream_config)
         accuracy = training.read_per_layer_csv(run_dir / "per_layer_accuracy.csv", layers, tasks)
         telemetry = training.read_telemetry_csv(run_dir / "telemetry.csv", layers)
         # the one value of summary.json verify cannot recompute, rendered as a float
@@ -386,38 +393,28 @@ def _read_runs(out, arms):
             summary = training.build_summary(accuracy[-1], telemetry, float(runtime))
         result = training.RunResult(accuracy, telemetry, summary)
         for name, write, values in training.RUN_ARTIFACTS:
-            if name == "per_layer_accuracy.csv":
-                continue  # read_per_layer_csv has checked it
-            path = run_dir / name
-            try:
-                metrics.expect_written(path, write, *values(cfg, result, extra))
-            except FormatError as exc:
-                if name != "manifest.json" or path == reference:
-                    raise
-                raise FormatError(f"{exc}, for the plan that {reference} records") from None
+            if name != "per_layer_accuracy.csv":  # read_per_layer_csv has checked it
+                metrics.expect_written(run_dir / name, write, *values(cfg, result, extra))
         summaries[arm].append(summary)
+    # a directory the plan does not list, say one left by an earlier plan
+    listed = {run_dir for _, _, run_dir in runs}
+    for arm in ARM_NAMES:
+        for path in (plan.out / arm).iterdir() if arm in plan.arms else [plan.out / arm]:
+            if path.exists() and path not in listed:
+                raise ValueError(f"{path}: not a run of the plan in {plan.out / 'plan.json'}")
     return summaries
 
 
 def verify_report(out_dir):
-    """Check every run of a plan's output and recompute report.csv from their summaries."""
-    out = Path(out_dir)
-    report_path = out / "report.csv"
+    """Check every run ``plan.json`` lists and recompute report.csv from their summaries."""
     try:
-        arms = [line.split(",")[0] for line in metrics.read_lines(report_path)[1:]]
-        if not arms or len(set(arms)) < len(arms) or not set(arms) <= set(ARM_NAMES):
-            raise ValueError(f"{report_path}: expected one row per arm of {ARM_NAMES}, "
-                             f"got rows for {arms}")
-        summaries = _read_runs(out, arms)
-        # an arm directory the report leaves out, say one left by an earlier plan
-        for arm in ARM_NAMES:
-            if arm not in arms and (out / arm).exists():
-                raise ValueError(f"{out / arm}: arm directory has no row in {report_path}")
-        metrics.expect_written(report_path, write_report, arms, summaries)
+        plan = _read_plan(Path(out_dir) / "plan.json")
+        summaries = _read_runs(plan)
+        metrics.expect_written(plan.out / "report.csv", write_report, plan.arms, summaries)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"report.csv verified against {sum(len(v) for v in summaries.values())} runs")
+    print(f"report.csv verified against {len(plan.arms) * len(plan.seeds)} runs")
     return 0
 
 

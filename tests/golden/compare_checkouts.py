@@ -8,8 +8,8 @@ commit and the working tree. Each plan runs as ``python -m entrocl.cli`` with
 ``PYTHONPATH`` set to that checkout's ``src`` and one BLAS thread. The plans
 hold 39 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; ``--arms
 plain_er,no_entropy_scaling`` on seeds 0 and 1 at ``--jobs 2``, whose first
-run is plain ER's (beta 0), so verify must read the plan's configs from the
-other arm's manifest; one run each
+run is plain ER's, so verify must render its manifest's beta of 0 from a
+``plan.json`` whose beta is 0.005; one run each
 with ``--entropy-sign reward``, ``--widths 8,16,4``, the
 benchmark's wide-eval shape, ``--buffer-capacity 5`` (each 10-example offer
 fills or overwrites the reservoir in one call, drawing repeated slots) and

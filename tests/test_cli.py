@@ -1,10 +1,12 @@
 import concurrent.futures
+import io
 import json
 import os
 import pickle
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -12,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_idx_pair
 from entrocl import ConfigError, RunConfig, __version__, cli, metrics, streams, training
@@ -48,6 +52,11 @@ def edit_json(path, section=None, **values):
 def edit_every_manifest(arm, section=None, **values):
     for seed in ("0", "1"):
         edit_json(arm / seed / "manifest.json", section, **values)
+
+
+def edit_plan(arm, section=None, **values):
+    """Set ``values`` in the plan record beside ``arm``, or in its object ``section``."""
+    edit_json(arm.parent / "plan.json", section, **values)
 
 
 def drop_run_setting(arm, key):
@@ -131,8 +140,8 @@ def cut_to_two_boundaries(arm):
     rewrite_report(arm)
 
 
-def respell_manifest_beta(path):
-    """Write the manifest's beta of 0.005 as 0.0050, the same number."""
+def respell_beta(path):
+    """Write a manifest's or plan record's beta of 0.005 as 0.0050, the same number."""
     path.write_text(path.read_text().replace('"beta": 0.005,', '"beta": 0.0050,', 1))
 
 
@@ -245,6 +254,16 @@ FAST_FLAGS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def plan_output(tmp_path_factory):
+    """A verified 2-seed plan's output directory and its plan.json bytes, shared by
+    the examples of a test that restores the file after each one."""
+    out = tmp_path_factory.mktemp("plan") / "out"
+    assert main(FAST_FLAGS + ["--seeds", "0,1", "--out", str(out)]) == 0
+    assert verify_report(out) == 0
+    return out, (out / "plan.json").read_bytes()
+
+
 class TestParsing:
     def test_seed_range_and_arm_list(self):
         plan = parse_args(
@@ -348,10 +367,17 @@ class TestParsing:
             ("--noise-scale", "nan", "noise_scale must be finite, got nan"),
             ("--separation", "inf", "separation must be finite, got inf"),
             ("--num-tasks", "1", "--num-tasks: a sequence needs at least 2 tasks, got 1"),
+            # an empty item is an error, not an item left out
+            ("--widths", "64,,64", "--widths: not a comma-separated integer list: '64,,64'"),
+            ("--seeds", "0,,1,", "--seeds: not an integer list or range: '0,,1,'"),
+            ("--arms", "full,,", "--arms: unknown arm '' in 'full,,'"),
+            ("--config", '{"widths": [64, "", 64]}',
+             "--widths: not a comma-separated integer list: '64,,64'"),
         ],
         ids=["seeds-word", "seeds-range", "seeds-negative", "widths-word", "config-missing",
              "config-bad-json", "config-not-utf8", "config-deep-json", "beta-nan", "lr-nan", "lr-inf", "wd-nan",
-             "noise-scale-nan", "separation-inf", "num-tasks-1"],
+             "noise-scale-nan", "separation-inf", "num-tasks-1", "widths-empty-item",
+             "seeds-empty-item", "arms-empty-item", "config-widths-empty-item"],
     )
     def test_bad_boundary_input_exits_2_with_an_error_line(
         self, tmp_path, capsys, flag, text, named
@@ -423,6 +449,10 @@ class TestRunPlan:
         assert manifest["seed"] == 0
         assert manifest["stream_config"]["source"] == "synthetic"
         assert "version" in manifest
+        # the plan's own settings; how many workers ran it and where are not among them
+        plan = json.loads((out / "plan.json").read_text())
+        assert sorted(plan) == ["arms", "run_config", "seeds", "stream_config", "version"]
+        assert (plan["arms"], plan["seeds"]) == (["full"], [0])
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -454,7 +484,7 @@ class TestRunPlan:
         assert main(args + ["--out", str(out_a), "--jobs", "1"]) == 0
         assert main(args + ["--out", str(out_b), "--jobs", "2"]) == 0
         serial = run_files(out_a)
-        assert len(serial) == 1 + 4 * 5
+        assert len(serial) == 2 + 4 * 5  # plan.json, report.csv and five files a run
         assert run_files(out_b) == serial
 
     def test_pool_jobs_do_not_carry_the_stream(self, tmp_path, pool_record):
@@ -663,7 +693,7 @@ class TestVerify:
                 for name in ("manifest.json", "accuracy_matrix.csv",
                              "per_layer_accuracy.csv", "telemetry.csv")
             ),
-            (lambda arm: (arm / "notes").mkdir(), "notes is not a seed directory"),
+            (lambda arm: (arm / "notes").mkdir(), "full/notes: not a run of the plan in "),
             (lambda arm: (arm / "0" / "summary.json").write_text("{"), "is not valid JSON"),
             (
                 lambda arm: (arm / "0" / "summary.json").write_text('{"acc_final": 0.5}'),
@@ -696,15 +726,17 @@ class TestVerify:
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", seed=0),
                 "1/manifest.json:20: found '  \"seed\": 0,', but entrocl writes "
-                "'  \"seed\": 1,', for the plan that",
+                "'  \"seed\": 1,'",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config", seed=0),
                 "1/manifest.json:29: found '    \"seed\": 0,', but entrocl writes "
-                "'    \"seed\": 1,', for the plan that",
+                "'    \"seed\": 1,'",
             ),
             (
-                lambda arm: rename_arm(arm, "plain_er"),
+                # as if a plan of both arms ran it
+                lambda arm: (rename_arm(arm, "plain_er"),
+                             edit_plan(arm, arms=["full", "plain_er"])),
                 "plain_er/0/manifest.json:2: found '  \"arm\": \"full\",', but entrocl writes "
                 "'  \"arm\": \"plain_er\",'",
             ),
@@ -716,55 +748,69 @@ class TestVerify:
             ),
             (
                 lambda arm: edit_json(arm / "0" / "manifest.json", "run_config", beta=0.5),
-                "1/manifest.json:5: found '    \"beta\": 0.005,', but entrocl writes "
-                "'    \"beta\": 0.5,', for the plan that",
+                "0/manifest.json:5: found '    \"beta\": 0.5,', but entrocl writes "
+                "'    \"beta\": 0.005,'",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config",
                                       noise_scale=2.0),
                 "1/manifest.json:27: found '    \"noise_scale\": 2.0,', but entrocl writes "
-                "'    \"noise_scale\": 1.0,', for the plan that",
+                "'    \"noise_scale\": 1.0,'",
             ),
             (
                 partial(drop_run_setting, key="learning_rate"),
                 "1/manifest.json:11: found '    \"seed\": 1,', but entrocl writes "
-                "'    \"learning_rate\": 0.001,', for the plan that",
+                "'    \"learning_rate\": 0.001,'",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", version="9.9.9"),
                 "1/manifest.json:35: found '  \"version\": \"9.9.9\"', but entrocl writes "
-                f"'  \"version\": \"{__version__}\"', for the plan that",
+                f"'  \"version\": \"{__version__}\"'",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", extra=1),
                 "1/manifest.json:3: found '  \"extra\": 1,', but entrocl writes "
-                "'  \"run_config\": {', for the plan that",
+                "'  \"run_config\": {'",
             ),
             (
                 lambda arm: [shutil.rmtree(arm / seed) for seed in ("0", "1")],
-                "full: no seed directories",
+                "full/0/manifest.json: run artifact is missing",
             ),
             (report_as_directory, "Is a directory"),
             (
                 lambda arm: (arm.parent / "report.csv").write_bytes(b"arm\xff\n"),
                 "report.csv: not UTF-8 text (byte offset 3)",
             ),
-            (lambda arm: shutil.copytree(arm / "1", arm / "01"), "01 is not a seed directory"),
-            (lambda arm: shutil.copytree(arm / "1", arm / "+1"), "+1 is not a seed directory"),
+            (
+                lambda arm: shutil.copytree(arm / "1", arm / "01"),
+                "full/01: not a run of the plan in ",
+            ),
+            (
+                lambda arm: shutil.copytree(arm / "1", arm / "+1"),
+                "full/+1: not a run of the plan in ",
+            ),
+            (
+                lambda arm: shutil.copytree(arm / "1", arm / "2"),
+                "full/2: not a run of the plan in ",
+            ),
             (
                 lambda arm: keep_report_rows(arm, lambda rows: rows + rows[-1:]),
-                "got rows for ['full', 'full']",
+                "report.csv:3: found 'full,2,0.2125,0.1625,0.0,0.0,0.0,0.0,0.04187673651696918,"
+                "0.02421368318668247', but entrocl writes the end of the file",
             ),
-            (lambda arm: keep_report_rows(arm, lambda rows: []), "report.csv: expected one row"),
-            (lambda arm: rename_arm(arm, "bogus"), "got rows for ['bogus']"),
+            (
+                lambda arm: keep_report_rows(arm, lambda rows: []),
+                "report.csv:2: found the end of the file, but entrocl writes 'full,2,",
+            ),
+            (lambda arm: rename_arm(arm, "bogus"), "report.csv:2: found 'bogus,2,"),
             (
                 lambda arm: keep_report_rows(arm, lambda rows: [row[len("full"):] for row in rows]),
-                "got rows for ['']",
+                "report.csv:2: found ',2,",
             ),
             (
                 # as if left by an earlier plan with more arms
                 lambda arm: shutil.copytree(arm, arm.parent / "no_entropy_scaling"),
-                "out/no_entropy_scaling: arm directory has no row in",
+                "out/no_entropy_scaling: not a run of the plan in ",
             ),
             (
                 edit_matrix_cell,
@@ -823,9 +869,9 @@ class TestVerify:
                 "1/manifest.json is not valid JSON: maximum recursion depth exceeded",
             ),
             (
-                lambda arm: respell_manifest_beta(arm / "1" / "manifest.json"),
+                lambda arm: respell_beta(arm / "1" / "manifest.json"),
                 "1/manifest.json:5: found '    \"beta\": 0.0050,', but entrocl writes "
-                "'    \"beta\": 0.005,', for the plan that",
+                "'    \"beta\": 0.005,'",
             ),
             (
                 partial(edit_every_manifest, version="9.9.9"),
@@ -833,34 +879,34 @@ class TestVerify:
             ),
             (
                 # read without allocating a (T, T) grid
-                partial(edit_every_manifest, section="stream_config", num_tasks=10**12),
+                partial(edit_plan, section="stream_config", num_tasks=10**12),
                 "0/per_layer_accuracy.csv: 6 accuracy lines, but a run of 1000000000000 tasks "
                 "and 2 layers writes 1000000000001000000000000",
             ),
             (
-                partial(edit_every_manifest, section="run_config", extra=1),
-                "0/manifest.json: cannot build the plan's configs: ",
+                partial(edit_plan, section="run_config", extra=1),
+                "out/plan.json: cannot build the plan: RunConfig.__init__() got an unexpected "
+                "keyword argument 'extra'",
             ),
             (
-                partial(edit_every_manifest, section="run_config", widths=8),
-                "0/manifest.json: cannot build the plan's configs: ",
+                partial(edit_plan, section="run_config", widths=8),
+                "out/plan.json: cannot build the plan: need at least 2 layer widths",
             ),
-            # values the CLI never writes, in every run so that each manifest
-            # renders as its file holds it
+            # values the CLI never writes, which the plan record would render as it holds them
             (
-                partial(edit_every_manifest, section="run_config", batch_size=True),
-                "0/manifest.json: cannot build the plan's configs: batch_size is True, "
+                partial(edit_plan, section="run_config", batch_size=True),
+                "out/plan.json: cannot build the plan: batch_size is True, "
                 "not of its default's type",
             ),
             (
-                partial(edit_every_manifest, section="run_config", learning_rate=1),
-                "0/manifest.json: cannot build the plan's configs: learning_rate is 1, "
+                partial(edit_plan, section="run_config", learning_rate=1),
+                "out/plan.json: cannot build the plan: learning_rate is 1, "
                 "not of its default's type",
             ),
             (
-                partial(edit_every_manifest, section="run_config", widths=[8.0, 8]),
-                "0/manifest.json: cannot build the plan's configs: widths is [8.0, 8], "
-                "not of its default's type",
+                partial(edit_plan, section="run_config", widths=[8.0, 8]),
+                "out/plan.json: cannot build the plan: --widths: not a comma-separated integer "
+                "list: '8.0,8'",
             ),
             (
                 edit_entropy_keys_and_report,
@@ -895,6 +941,30 @@ class TestVerify:
                 "1/summary.json:10: found '  \"runtime_seconds\": 3', but entrocl writes "
                 "'  \"runtime_seconds\": 3.0'",
             ),
+            # the plan record's lists go through the flag parsers, then it renders as written
+            (
+                partial(edit_plan, seeds=[True]),
+                "out/plan.json: cannot build the plan: --seeds: not an integer list or range: "
+                "'True'",
+            ),
+            (
+                partial(edit_plan, seeds=["0"]),
+                "out/plan.json:20: found '    \"0\"', but entrocl writes '    0'",
+            ),
+            (
+                partial(edit_plan, arms=["full", "full"]),
+                "out/plan.json: cannot build the plan: arms must be distinct, got 'full,full'",
+            ),
+            (
+                lambda arm: respell_beta(arm.parent / "plan.json"),
+                "out/plan.json:7: found '    \"beta\": 0.0050,', but entrocl writes "
+                "'    \"beta\": 0.005,'",
+            ),
+            (
+                partial(edit_plan, extra=1),
+                "out/plan.json:5: found '  \"extra\": 1,', but entrocl writes "
+                "'  \"run_config\": {'",
+            ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
              "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
@@ -904,7 +974,8 @@ class TestVerify:
              "manifest-stream-config", "manifest-missing-setting", "manifest-version",
              "manifest-extra-key", "no-seed-directories",
              "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
-             "signed-seed-directory", "duplicate-arm-row", "no-arm-rows", "unknown-arm-row",
+             "signed-seed-directory", "unlisted-seed-directory", "duplicate-arm-row",
+             "no-arm-rows", "unknown-arm-row",
              "empty-arm-row", "arm-directory-without-row", "edited-matrix-cell",
              "truncated-per-layer-line", "underscore-in-matrix-cell",
              "arabic-digit-in-per-layer-cell", "respelled-matrix-cell",
@@ -916,7 +987,8 @@ class TestVerify:
              "integer-learning-rate-in-every-run", "float-width-in-every-run",
              "entropy-keys-and-report-edited", "respelled-telemetry-cell",
              "telemetry-cut-by-one-step", "nan-telemetry-cell", "summary-key-added",
-             "runtime-not-a-float"],
+             "runtime-not-a-float", "plan-seed-boolean", "plan-seed-string",
+             "plan-arm-repeated", "plan-respelled-beta", "plan-key-added"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"
@@ -938,7 +1010,7 @@ class TestVerify:
             ),
             (
                 ["--widths", "8,8,8,8"],
-                partial(edit_every_manifest, section="run_config", widths=[64, 64]),
+                partial(edit_plan, section="run_config", widths=[64, 64]),
                 "0/per_layer_accuracy.csv: 12 accuracy lines, but a run of 2 tasks and 2 layers "
                 "writes 6",
             ),
@@ -956,8 +1028,60 @@ class TestVerify:
         assert err.startswith("error: ") and named in err
 
     @pytest.mark.parametrize("arms", ["plain_er,full", "plain_er"])
-    def test_verify_takes_the_plan_from_an_arm_that_keeps_beta(self, tmp_path, arms):
-        # plain ER sets beta to 0, so the plan's beta is read from another arm when one ran
+    def test_verify_renders_plain_er_from_the_plans_beta(self, tmp_path, arms):
+        # plain ER's manifests hold beta 0 under a plan record whose beta is 0.005
         out = tmp_path / "out"
         assert main(FAST_FLAGS + ["--arms", arms, "--seeds", "0,1", "--out", str(out)]) == 0
+        assert json.loads((out / "plan.json").read_text())["run_config"]["beta"] == 0.005
         assert main(["verify", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"], ids=["in-process", "pool"])
+    def test_plan_with_a_failed_run_does_not_verify(self, tmp_path, monkeypatch, capsys, jobs):
+        # the report averages the one seed that completed; a real pool's forked
+        # workers inherit the patched run_sequence
+        run_sequence = training.run_sequence
+
+        def fail_seed_1(tasks, cfg, threads=None):
+            if cfg.seed == 1:
+                raise MemoryError("seed 1")
+            return run_sequence(tasks, cfg, threads)
+
+        monkeypatch.setattr(training, "run_sequence", fail_seed_1)
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + ["--seeds", "0,1", "--jobs", jobs, "--out", str(out)]) == 1
+        assert (out / "report.csv").read_text().splitlines()[1].startswith("full,1,")
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        missing = out / "full" / "1" / "manifest.json"
+        assert capsys.readouterr().err == f"error: {missing}: run artifact is missing\n"
+
+    @pytest.mark.parametrize("missing", ["diverged-runs", "plan-record"])
+    def test_verify_names_the_first_file_missing(self, tmp_path, capsys, missing):
+        out = tmp_path / "out"
+        if missing == "diverged-runs":
+            assert main(FAST_FLAGS + ["--lr", "1e300", "--out", str(out)]) == 1
+            named = out / "full" / "0" / "manifest.json: run artifact is missing"
+        else:
+            assert main(FAST_FLAGS + ["--out", str(out)]) == 0
+            (out / "plan.json").unlink()
+            named = f"[Errno 2] No such file or directory: '{out / 'plan.json'}'"
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_damaged_plan_record_fails_with_one_error_line(self, plan_output, data):
+        out, valid = plan_output
+        cut = st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
+        flip = st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)).map(
+            lambda at: valid[:at[0]] + bytes([valid[at[0]] ^ at[1]]) + valid[at[0] + 1:])
+        (out / "plan.json").write_bytes(data.draw(st.one_of(cut, flip)))
+        err = io.StringIO()
+        try:
+            with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                code = main(["verify", "--out", str(out)])
+        finally:
+            (out / "plan.json").write_bytes(valid)
+        lines = err.getvalue().splitlines()
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
