@@ -1,10 +1,11 @@
 """Experiment front door: seeded runs, ablation arms, aggregate report.
 
-``entrocl`` records a plan in ``out/plan.json`` before any run, runs every
-(arm, seed) pair of it, writes per-run artifacts under ``out/<arm>/<seed>/`` and
-an aggregate ``report.csv``; ``entrocl verify --out DIR`` requires a run
-directory for exactly the runs ``plan.json`` lists, renders each run's files
-(``training.RUN_ARTIFACTS``) and the report again from the plan and the values
+``entrocl`` records a plan in ``out/plan.json``, the ``--config`` file that
+reproduces it, before any run, runs every (arm, seed) pair of it, writes per-run
+artifacts under ``out/<arm>/<seed>/`` and, once every run completed, an aggregate
+``report.csv``; ``entrocl verify --out DIR`` builds the plan from ``plan.json`` with
+the same parser, requires exactly the plan's run directories, renders each run's
+files (``training.RUN_ARTIFACTS``) and the report again from the plan and the values
 the run's files hold, and accepts only those bytes.
 """
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, metrics, training
+from . import metrics, training
 from .errors import ConfigError, FormatError
 from .model import scoring_threads
 from .modulation import ENTROPY_SIGNS
@@ -125,16 +126,12 @@ def parse_widths(text):
     return widths
 
 
-def _flag_text(value):
-    """The string a flag would carry for a JSON value: a list's items joined by commas."""
-    return ",".join(map(str, value)) if isinstance(value, list) else str(value)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="entrocl",
         description="Layer-wise entropy-adaptive continual-learning experiments.",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        exit_on_error=False,
     )
     parser.add_argument("--config", type=str, default=None,
                         help="JSON config file; flags override its values")
@@ -156,36 +153,48 @@ def build_parser():
     return parser
 
 
+def _load_json_object(path):
+    """The JSON object in the file at ``path``, a ``--config`` file or a run's JSON
+    artifact; ConfigError naming the file otherwise."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            value = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nests too deeply") from None
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: not a JSON object")
+    return value
+
+
 def parse_args(argv):
     parser = build_parser()
-    # Pre-scan for --config so file values become defaults the flags override.
+    # Pre-scan for --config: the file's values, each parsed as its flag would parse
+    # it, make the namespace that the command line's flags then override.
     probe, _ = parser.parse_known_args(argv)
+    namespace = None
     if probe.config:
-        try:
-            with open(probe.config, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"{probe.config}: cannot read config: {exc.strerror}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{probe.config}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from None
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{probe.config}: not UTF-8 text at byte {exc.start}") from None
-        except RecursionError:
-            raise ConfigError(f"{probe.config}: JSON nests too deeply") from None
-        if not isinstance(file_values, dict):
-            raise ConfigError(f"{probe.config}: config must be a flat JSON object")
         known = {action.dest for action in parser._actions} - {"config", "help"}
-        defaults = {}
-        for key, value in file_values.items():
+        file_argv = []
+        for key, value in _load_json_object(probe.config).items():
             dest = key.replace("-", "_")
             if dest not in known:
                 raise ConfigError(f"{probe.config}: unknown config key {key!r}")
-            # the string the flag would carry, so file and flag share one parse path
-            defaults[dest] = _flag_text(value)
-        parser.set_defaults(**defaults)
-    args = parser.parse_args(argv)
+            # the text the flag would carry, a list's items joined by commas
+            text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            file_argv.append(f"--{dest.replace('_', '-')}={text}")
+        try:
+            namespace = parser.parse_args(file_argv)
+        except argparse.ArgumentError as exc:
+            raise ConfigError(f"{probe.config}: {exc}") from None
+    args = parser.parse_args(argv, namespace)
 
     values = dict(vars(args), widths=parse_widths(args.widths))
     run_config, stream_config = (
@@ -264,13 +273,14 @@ def write_report(fh, arms, summaries):
 
 
 def write_plan(fh, plan):
-    """A plan's plan.json, laid out as a manifest is: its arms, its seeds, the version
-    and each config's fields that a flag sets. A run's seed and arm switches are its
-    own, and ``jobs`` and ``out`` change no artifact, so none of them is recorded."""
-    recorded = {"arms": plan.arms, "seeds": plan.seeds, "version": __version__}
-    for key, config, rows in (("run_config", plan.run_config, RUN_FLAGS),
-                              ("stream_config", plan.stream_config, STREAM_FLAGS)):
-        recorded[key] = {field: getattr(config, field) for _, field, _ in rows}
+    """A plan's plan.json: the flat ``--config`` file that reproduces the plan, with its
+    arms, its seeds and each run and stream flag's value under the flag's dest. A run's
+    seed and arm switches are its own, and ``jobs`` and ``out`` change no artifact, so
+    none of them is recorded."""
+    recorded = {"arms": plan.arms, "seeds": plan.seeds}
+    for config, rows in ((plan.run_config, RUN_FLAGS), (plan.stream_config, STREAM_FLAGS)):
+        recorded.update({flag[2:].replace("-", "_"): getattr(config, field)
+                         for flag, field, _ in rows})
     json.dump(recorded, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
@@ -322,49 +332,26 @@ def run_plan(plan):
             except Exception as exc:  # noqa: BLE001 - report and keep going
                 failures.append((job[0], job[1], f"{type(exc).__name__}: {exc}"))
 
-    completed_arms = [arm for arm in plan.arms if summaries[arm]]
-    if completed_arms:
-        with open(out / "report.csv", "w", encoding="utf-8") as fh:
-            write_report(fh, completed_arms, summaries)
-
     for arm, seed, message in failures:
         print(f"error: run (arm={arm}, seed={seed}) failed: {message}", file=sys.stderr)
-    return 1 if failures else 0
+    if failures:  # a report of fewer runs than the plan's would pass for a complete one
+        return 1
+    with open(out / "report.csv", "w", encoding="utf-8") as fh:
+        write_report(fh, plan.arms, summaries)
+    return 0
 
 
-def _read_json_object(path, what):
+def _read_plan(out_dir):
+    """The plan ``out_dir/plan.json`` holds, built as ``entrocl --config`` builds it,
+    if the file is exactly what ``write_plan`` writes for that plan."""
+    path = Path(out_dir) / "plan.json"
     try:
-        value = json.loads(path.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or deep nesting
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: {what} is not a JSON object")
-    return value
-
-
-def _read_plan(path):
-    """The plan ``plan.json`` records, exactly as ``write_plan`` writes it: its lists
-    read by the flag parsers, its configs valid, of at least 2 tasks and each value of
-    its default's exact type."""
-    recorded = _read_json_object(path, "plan")
-    try:
-        run_values = dict(recorded["run_config"])
-        run_values["widths"] = parse_widths(_flag_text(run_values["widths"]))
-        run_config = RunConfig(**run_values)
-        stream_config = StreamConfig(**recorded["stream_config"])
-        for config in (run_config, stream_config):
-            for name, value in vars(config).items():
-                if type(value) is not type(getattr(type(config), name)):
-                    raise ValueError(f"{name} is {value!r}, not of its default's type")
-        run_config.validate()
-        stream_config.validate()
-        if stream_config.num_tasks < 2:
-            raise ValueError(f"num_tasks is {stream_config.num_tasks!r}, not an integer >= 2")
-        seeds = parse_seeds(_flag_text(recorded["seeds"]))
-        arms = parse_arms(_flag_text(recorded["arms"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: cannot build the plan: {exc}") from None
-    plan = ExperimentPlan(run_config, stream_config, seeds, arms, path.parent)
+        plan = parse_args([f"--config={path}", f"--out={out_dir}"])
+    except ConfigError as exc:  # the loader's errors name the file already
+        message = str(exc)
+        if not message.startswith(str(path)):
+            message = f"{path}: cannot build the plan: {message}"
+        raise ConfigError(message) from None
     metrics.expect_written(path, write_plan, plan)
     return plan
 
@@ -380,13 +367,13 @@ def _read_runs(plan):
         for name, _, _ in training.RUN_ARTIFACTS:
             if not (run_dir / name).is_file():
                 raise ValueError(f"{run_dir / name}: run artifact is missing")
-        _read_json_object(run_dir / "manifest.json", "manifest")  # bad JSON is named as such
+        _load_json_object(run_dir / "manifest.json")  # bad JSON is named as such
         cfg, _, extra = _run_configs(arm, seed, plan.run_config, plan.stream_config)
         accuracy = training.read_per_layer_csv(run_dir / "per_layer_accuracy.csv", layers, tasks)
         telemetry = training.read_telemetry_csv(run_dir / "telemetry.csv", layers)
         # the one value of summary.json verify cannot recompute, rendered as a float
         path = run_dir / "summary.json"
-        runtime = _read_json_object(path, "summary").get("runtime_seconds")
+        runtime = _load_json_object(path).get("runtime_seconds")
         if type(runtime) not in (int, float) or not 0 <= runtime <= sys.float_info.max:
             raise ValueError(f"{path}: runtime_seconds is not a finite, nonnegative number")
         with np.errstate(all="ignore"):  # finite telemetry can still overflow a statistic
@@ -396,11 +383,13 @@ def _read_runs(plan):
             if name != "per_layer_accuracy.csv":  # read_per_layer_csv has checked it
                 metrics.expect_written(run_dir / name, write, *values(cfg, result, extra))
         summaries[arm].append(summary)
-    # a directory the plan does not list, say one left by an earlier plan
-    listed = {run_dir for _, _, run_dir in runs}
-    for arm in ARM_NAMES:
-        for path in (plan.out / arm).iterdir() if arm in plan.arms else [plan.out / arm]:
-            if path.exists() and path not in listed:
+    # any other entry, say a run left by an earlier plan or a copy of one
+    arm_dirs = [plan.out / arm for arm in plan.arms]
+    listed = {plan.out / "plan.json", plan.out / "report.csv", *arm_dirs,
+              *(run_dir for _, _, run_dir in runs)}
+    for folder in (plan.out, *arm_dirs):
+        for path in sorted(folder.iterdir()):
+            if path not in listed:
                 raise ValueError(f"{path}: not a run of the plan in {plan.out / 'plan.json'}")
     return summaries
 
@@ -408,7 +397,7 @@ def _read_runs(plan):
 def verify_report(out_dir):
     """Check every run ``plan.json`` lists and recompute report.csv from their summaries."""
     try:
-        plan = _read_plan(Path(out_dir) / "plan.json")
+        plan = _read_plan(out_dir)
         summaries = _read_runs(plan)
         metrics.expect_written(plan.out / "report.csv", write_report, plan.arms, summaries)
     except (OSError, ValueError) as exc:
@@ -428,7 +417,7 @@ def main(argv=None):
             return verify_report(args.out)
         plan = parse_args(argv)
         return run_plan(plan)
-    except ConfigError as exc:
+    except (ConfigError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,9 +54,16 @@ def edit_every_manifest(arm, section=None, **values):
         edit_json(arm / seed / "manifest.json", section, **values)
 
 
-def edit_plan(arm, section=None, **values):
-    """Set ``values`` in the plan record beside ``arm``, or in its object ``section``."""
-    edit_json(arm.parent / "plan.json", section, **values)
+def edit_plan(arm, **values):
+    """Set ``values`` in the plan record beside ``arm``."""
+    edit_json(arm.parent / "plan.json", **values)
+
+
+def drop_plan_key(arm, key):
+    path = arm.parent / "plan.json"
+    plan = json.loads(path.read_text())
+    del plan[key]
+    write_json(path, plan)
 
 
 def drop_run_setting(arm, key):
@@ -257,7 +264,7 @@ FAST_FLAGS = [
 @pytest.fixture(scope="module")
 def plan_output(tmp_path_factory):
     """A verified 2-seed plan's output directory and its plan.json bytes, shared by
-    the examples of a test that restores the file after each one."""
+    the examples of the fuzz tests, which restore plan.json after each one."""
     out = tmp_path_factory.mktemp("plan") / "out"
     assert main(FAST_FLAGS + ["--seeds", "0,1", "--out", str(out)]) == 0
     assert verify_report(out) == 0
@@ -356,10 +363,12 @@ class TestParsing:
             ("--seeds", "0..a", "--seeds: not an integer list or range: '0..a'"),
             ("--seeds", "-1", "--seeds: seeds must be nonnegative, got '-1'"),
             ("--widths", "a,b", "--widths: not a comma-separated integer list: 'a,b'"),
-            ("--config", None, "run.json: cannot read config: No such file or directory"),
+            ("--config", None, "run.json: cannot read: No such file or directory"),
             ("--config", '{"beta": 0.01,\n "seeds": }', "run.json:2:11: invalid JSON"),
             ("--config", b"\xff\xfe", "not UTF-8 text at byte 0"),
             ("--config", "[" * 100000, "run.json: JSON nests too deeply"),
+            ("--config", '{"beta": 1' + "0" * 5000 + "}",
+             "run.json: invalid JSON: Exceeds the limit (4300 digits)"),
             ("--beta", "nan", "beta must be finite, got nan"),
             ("--lr", "nan", "learning_rate must be finite, got nan"),
             ("--lr", "inf", "learning_rate must be finite, got inf"),
@@ -373,11 +382,16 @@ class TestParsing:
             ("--arms", "full,,", "--arms: unknown arm '' in 'full,,'"),
             ("--config", '{"widths": [64, "", 64]}',
              "--widths: not a comma-separated integer list: '64,,64'"),
+            # a value argparse rejects is one error line, named by the file it came from
+            ("--beta", "x", "error: argument --beta: invalid float value: 'x'"),
+            ("--config", '{"beta": "x"}', "run.json: argument --beta: invalid float value: 'x'"),
         ],
         ids=["seeds-word", "seeds-range", "seeds-negative", "widths-word", "config-missing",
-             "config-bad-json", "config-not-utf8", "config-deep-json", "beta-nan", "lr-nan", "lr-inf", "wd-nan",
+             "config-bad-json", "config-not-utf8", "config-deep-json", "config-long-integer",
+             "beta-nan", "lr-nan", "lr-inf", "wd-nan",
              "noise-scale-nan", "separation-inf", "num-tasks-1", "widths-empty-item",
-             "seeds-empty-item", "arms-empty-item", "config-widths-empty-item"],
+             "seeds-empty-item", "arms-empty-item", "config-widths-empty-item", "beta-word",
+             "config-beta-word"],
     )
     def test_bad_boundary_input_exits_2_with_an_error_line(
         self, tmp_path, capsys, flag, text, named
@@ -391,7 +405,7 @@ class TestParsing:
             text = str(config)
         assert main([flag, text, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and named in err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     def test_optimizer_flag_is_unknown(self, tmp_path, capsys):
@@ -449,10 +463,12 @@ class TestRunPlan:
         assert manifest["seed"] == 0
         assert manifest["stream_config"]["source"] == "synthetic"
         assert "version" in manifest
-        # the plan's own settings; how many workers ran it and where are not among them
+        # the plan's own settings, under their flags' dests; how many workers ran it,
+        # where and with which version are not among them
         plan = json.loads((out / "plan.json").read_text())
-        assert sorted(plan) == ["arms", "run_config", "seeds", "stream_config", "version"]
-        assert (plan["arms"], plan["seeds"]) == (["full"], [0])
+        dests = [flag[2:].replace("-", "_") for flag, _, _ in STREAM_FLAGS + RUN_FLAGS]
+        assert sorted(plan) == sorted(["arms", "seeds", *dests])
+        assert (plan["arms"], plan["seeds"], plan["widths"]) == (["full"], [0], [8, 8])
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -465,6 +481,17 @@ class TestRunPlan:
                 assert (out_a / sub / name).read_bytes() == (
                     out_b / sub / name
                 ).read_bytes(), f"{sub}/{name}"
+
+    def test_plan_json_reruns_its_plan(self, tmp_path):
+        # plan.json is the --config file of its plan: a rerun from it at another
+        # --jobs writes the same bytes, and verifies
+        out, rerun = tmp_path / "out", tmp_path / "rerun"
+        assert main(FAST_FLAGS + ["--arms", ",".join(ARM_NAMES), "--seeds", "0,1",
+                                  "--jobs", "2", "--out", str(out)]) == 0
+        assert main(["--config", str(out / "plan.json"), "--out", str(rerun), "--jobs", "1"]) == 0
+        assert run_files(rerun) == run_files(out)
+        assert len(run_files(out)) == 2 + 8 * 5  # plan.json, report.csv and five files a run
+        assert verify_report(rerun) == 0
 
     def test_unwritable_out_fails_before_training(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -694,14 +721,15 @@ class TestVerify:
                              "per_layer_accuracy.csv", "telemetry.csv")
             ),
             (lambda arm: (arm / "notes").mkdir(), "full/notes: not a run of the plan in "),
-            (lambda arm: (arm / "0" / "summary.json").write_text("{"), "is not valid JSON"),
+            (lambda arm: (arm / "0" / "summary.json").write_text("{"),
+             "0/summary.json:1:2: invalid JSON: Expecting property name"),
             (
                 lambda arm: (arm / "0" / "summary.json").write_text('{"acc_final": 0.5}'),
                 "0/summary.json: runtime_seconds is not a finite, nonnegative number",
             ),
             (
                 lambda arm: (arm / "0" / "summary.json").write_text("[1, 2]"),
-                "summary.json: summary is not a JSON object",
+                "0/summary.json: not a JSON object",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "summary.json", acc_final="high"),
@@ -710,7 +738,7 @@ class TestVerify:
             ),
             (
                 lambda arm: (arm / "1" / "summary.json").write_bytes(b"\xff{}"),
-                "summary.json is not valid JSON",
+                "1/summary.json: not UTF-8 text at byte 0",
             ),
             (
                 lambda arm: (arm / "0" / "summary.json").write_text(
@@ -721,7 +749,7 @@ class TestVerify:
             ),
             (
                 lambda arm: (arm / "1" / "manifest.json").write_text("[]"),
-                "1/manifest.json: manifest is not a JSON object",
+                "1/manifest.json: not a JSON object",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "manifest.json", seed=0),
@@ -802,7 +830,12 @@ class TestVerify:
                 lambda arm: keep_report_rows(arm, lambda rows: []),
                 "report.csv:2: found the end of the file, but entrocl writes 'full,2,",
             ),
-            (lambda arm: rename_arm(arm, "bogus"), "report.csv:2: found 'bogus,2,"),
+            (
+                # the row alone: a directory named bogus is not a run of the plan
+                lambda arm: keep_report_rows(arm, lambda rows: [row.replace("full", "bogus", 1)
+                                                                for row in rows]),
+                "report.csv:2: found 'bogus,2,",
+            ),
             (
                 lambda arm: keep_report_rows(arm, lambda rows: [row[len("full"):] for row in rows]),
                 "report.csv:2: found ',2,",
@@ -862,11 +895,15 @@ class TestVerify:
             ),
             (
                 lambda arm: (arm / "1" / "summary.json").write_text("[" * 100000),
-                "1/summary.json is not valid JSON: maximum recursion depth exceeded",
+                "1/summary.json: JSON nests too deeply",
             ),
             (
                 lambda arm: (arm / "1" / "manifest.json").write_text("[" * 100000),
-                "1/manifest.json is not valid JSON: maximum recursion depth exceeded",
+                "1/manifest.json: JSON nests too deeply",
+            ),
+            (
+                lambda arm: (arm / "1" / "summary.json").write_text("[1" + "0" * 5000 + "]"),
+                "1/summary.json: invalid JSON: Exceeds the limit (4300 digits)",
             ),
             (
                 lambda arm: respell_beta(arm / "1" / "manifest.json"),
@@ -879,32 +916,30 @@ class TestVerify:
             ),
             (
                 # read without allocating a (T, T) grid
-                partial(edit_plan, section="stream_config", num_tasks=10**12),
+                partial(edit_plan, num_tasks=10**12),
                 "0/per_layer_accuracy.csv: 6 accuracy lines, but a run of 1000000000000 tasks "
                 "and 2 layers writes 1000000000001000000000000",
             ),
             (
-                partial(edit_plan, section="run_config", extra=1),
-                "out/plan.json: cannot build the plan: RunConfig.__init__() got an unexpected "
-                "keyword argument 'extra'",
+                partial(edit_plan, extra=1),
+                "out/plan.json: unknown config key 'extra'",
             ),
             (
-                partial(edit_plan, section="run_config", widths=8),
+                partial(edit_plan, widths=8),
                 "out/plan.json: cannot build the plan: need at least 2 layer widths",
             ),
-            # values the CLI never writes, which the plan record would render as it holds them
+            # values the CLI never writes: a flag's parser rejects one, or the plan
+            # renders it as entrocl writes it
             (
-                partial(edit_plan, section="run_config", batch_size=True),
-                "out/plan.json: cannot build the plan: batch_size is True, "
-                "not of its default's type",
+                partial(edit_plan, batch_size=True),
+                "out/plan.json: argument --batch-size: invalid int value: 'True'",
             ),
             (
-                partial(edit_plan, section="run_config", learning_rate=1),
-                "out/plan.json: cannot build the plan: learning_rate is 1, "
-                "not of its default's type",
+                partial(edit_plan, lr=1),
+                "out/plan.json:15: found '  \"lr\": 1,', but entrocl writes '  \"lr\": 1.0,'",
             ),
             (
-                partial(edit_plan, section="run_config", widths=[8.0, 8]),
+                partial(edit_plan, widths=[8.0, 8]),
                 "out/plan.json: cannot build the plan: --widths: not a comma-separated integer "
                 "list: '8.0,8'",
             ),
@@ -949,7 +984,7 @@ class TestVerify:
             ),
             (
                 partial(edit_plan, seeds=["0"]),
-                "out/plan.json:20: found '    \"0\"', but entrocl writes '    0'",
+                "out/plan.json:19: found '    \"0\"', but entrocl writes '    0'",
             ),
             (
                 partial(edit_plan, arms=["full", "full"]),
@@ -957,13 +992,37 @@ class TestVerify:
             ),
             (
                 lambda arm: respell_beta(arm.parent / "plan.json"),
-                "out/plan.json:7: found '    \"beta\": 0.0050,', but entrocl writes "
-                "'    \"beta\": 0.005,'",
+                "out/plan.json:6: found '  \"beta\": 0.0050,', but entrocl writes "
+                "'  \"beta\": 0.005,'",
             ),
             (
-                partial(edit_plan, extra=1),
-                "out/plan.json:5: found '  \"extra\": 1,', but entrocl writes "
-                "'  \"run_config\": {'",
+                # a plan setting that changes no artifact, so plan.json never records it
+                partial(edit_plan, jobs=2),
+                "out/plan.json:15: found '  \"jobs\": 2,', but entrocl writes "
+                "'  \"lr\": 0.001,'",
+            ),
+            (
+                partial(edit_plan, beta="x"),
+                "out/plan.json: argument --beta: invalid float value: 'x'",
+            ),
+            (
+                # a key left out takes its flag's default, which plan.json records
+                partial(drop_plan_key, key="lr"),
+                "out/plan.json:15: found '  \"noise_scale\": 1.0,', but entrocl writes "
+                "'  \"lr\": 0.001,'",
+            ),
+            # only the plan's files and runs may sit in its output directory
+            (
+                lambda arm: shutil.copytree(arm, arm.parent / "Full"),
+                "out/Full: not a run of the plan in ",
+            ),
+            (
+                lambda arm: shutil.copytree(arm, arm.parent / "0"),
+                "out/0: not a run of the plan in ",
+            ),
+            (
+                lambda arm: (arm.parent / "notes.txt").write_text("seed 1 ran on a laptop\n"),
+                "out/notes.txt: not a run of the plan in ",
             ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
@@ -981,14 +1040,16 @@ class TestVerify:
              "arabic-digit-in-per-layer-cell", "respelled-matrix-cell",
              "respelled-per-layer-cell", "summary-and-report-edited", "integer-summary-metric",
              "one-boundary-run",
-             "deep-json-summary", "deep-json-manifest", "respelled-manifest-number",
+             "deep-json-summary", "deep-json-manifest", "long-integer-summary",
+             "respelled-manifest-number",
              "manifest-version-in-every-run", "huge-num-tasks", "unknown-run-key-in-every-run",
              "widths-not-a-list-in-every-run", "boolean-batch-size-in-every-run",
              "integer-learning-rate-in-every-run", "float-width-in-every-run",
              "entropy-keys-and-report-edited", "respelled-telemetry-cell",
              "telemetry-cut-by-one-step", "nan-telemetry-cell", "summary-key-added",
              "runtime-not-a-float", "plan-seed-boolean", "plan-seed-string",
-             "plan-arm-repeated", "plan-respelled-beta", "plan-key-added"],
+             "plan-arm-repeated", "plan-respelled-beta", "plan-key-added", "plan-beta-word", "plan-key-missing",
+             "arm-copy-under-another-case", "arm-copy-named-as-a-seed", "stray-file"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"
@@ -1010,7 +1071,7 @@ class TestVerify:
             ),
             (
                 ["--widths", "8,8,8,8"],
-                partial(edit_plan, section="run_config", widths=[64, 64]),
+                partial(edit_plan, widths=[64, 64]),
                 "0/per_layer_accuracy.csv: 12 accuracy lines, but a run of 2 tasks and 2 layers "
                 "writes 6",
             ),
@@ -1032,12 +1093,12 @@ class TestVerify:
         # plain ER's manifests hold beta 0 under a plan record whose beta is 0.005
         out = tmp_path / "out"
         assert main(FAST_FLAGS + ["--arms", arms, "--seeds", "0,1", "--out", str(out)]) == 0
-        assert json.loads((out / "plan.json").read_text())["run_config"]["beta"] == 0.005
+        assert json.loads((out / "plan.json").read_text())["beta"] == 0.005
         assert main(["verify", "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("jobs", ["1", "2"], ids=["in-process", "pool"])
     def test_plan_with_a_failed_run_does_not_verify(self, tmp_path, monkeypatch, capsys, jobs):
-        # the report averages the one seed that completed; a real pool's forked
+        # no report averages the one seed that completed; a real pool's forked
         # workers inherit the patched run_sequence
         run_sequence = training.run_sequence
 
@@ -1049,7 +1110,7 @@ class TestVerify:
         monkeypatch.setattr(training, "run_sequence", fail_seed_1)
         out = tmp_path / "out"
         assert main(FAST_FLAGS + ["--seeds", "0,1", "--jobs", jobs, "--out", str(out)]) == 1
-        assert (out / "report.csv").read_text().splitlines()[1].startswith("full,1,")
+        assert not (out / "report.csv").exists()
         capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 1
         missing = out / "full" / "1" / "manifest.json"
@@ -1064,7 +1125,7 @@ class TestVerify:
         else:
             assert main(FAST_FLAGS + ["--out", str(out)]) == 0
             (out / "plan.json").unlink()
-            named = f"[Errno 2] No such file or directory: '{out / 'plan.json'}'"
+            named = f"{out / 'plan.json'}: cannot read: No such file or directory"
         capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {named}\n"
@@ -1085,3 +1146,21 @@ class TestVerify:
             (out / "plan.json").write_bytes(valid)
         lines = err.getvalue().splitlines()
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_damaged_config_file_fails_with_one_error_line(self, plan_output, data):
+        # the plan command reads a config file with the same loader as verify; --jobs 0
+        # fails a config that still parses, so no example runs a plan
+        out, valid = plan_output
+        config, rerun = out.parent / "run.json", out.parent / "rerun"
+        cut = st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
+        flip = st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)).map(
+            lambda at: valid[:at[0]] + bytes([valid[at[0]] ^ at[1]]) + valid[at[0] + 1:])
+        config.write_bytes(data.draw(st.one_of(cut, flip)))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["--config", str(config), "--jobs", "0", "--out", str(rerun)])
+        lines = err.getvalue().splitlines()
+        assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+        assert not rerun.exists()
