@@ -1,4 +1,4 @@
-"""Data plumbing: CSV round trips, IDX streams, and parameter checkpoints."""
+"""Data plumbing: CSV round trips, IDX streams, and a task boundary's net replayed."""
 
 import struct
 import tempfile
@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 
 from entrocl import (
-    LayeredNet,
+    RunConfig,
     StreamConfig,
-    load_checkpoint,
+    boundary_states,
     make_stream,
     make_synthetic_stream,
-    save_checkpoint,
+    run_sequence,
     save_stream_csv,
 )
+from entrocl.model import correct_counts
 
 # the work directory and everything in it are removed when the block ends
 with tempfile.TemporaryDirectory(prefix="entrocl_demo_") as tmp:
@@ -47,13 +48,15 @@ with tempfile.TemporaryDirectory(prefix="entrocl_demo_") as tmp:
     print(f"idx loaded: {task.train_x.shape} train, {task.test_x.shape} test, labels "
           f"{task.train_y.tolist()}, range [{x.min():.3f}, {x.max():.3f}]")
 
-    # checkpoint: JSON header line + little-endian float64 payload
-    net = LayeredNet.init(4, (8, 8), 3, seed=9)
-    save_checkpoint(net, workdir / "net.ckpt")
-    restored = load_checkpoint(workdir / "net.ckpt")
-    identical = all(
-        np.array_equal(a, b)
-        for (_, a), (_, b) in zip(net.parameters(), restored.parameters())
-    )
-    print("checkpoint round trip exact:", identical)
+    # boundary replay: a run is a pure function of (config, stream), so the net
+    # after any task is trained again rather than stored; boundary_states yields
+    # the run's live state after each task, so a net to keep is a copy of flat
+    run_cfg = RunConfig(seed=9, widths=(8, 8), buffer_capacity=20)
+    result = run_sequence(reloaded, run_cfg)
+    after_task_1 = next(boundary_states(reloaded, run_cfg)).net
+    first = reloaded[0]
+    (correct,) = correct_counts(after_task_1, [(first.test_x, first.test_y)])
+    replayed, recorded = (correct / len(first.test_y)).tolist(), result.accuracy[:, 0, 0].tolist()
+    print(f"each head's task 1 accuracy after task 1: replayed {replayed}, run {recorded}")
+    print("boundary replay exact:", replayed == recorded)
     print("artifacts under:", workdir)

@@ -11,7 +11,7 @@ from .metrics import (
     entropy_deviation,
     final_average_accuracy,
 )
-from .model import LayeredNet, load_checkpoint, save_checkpoint
+from .model import LayeredNet
 from .modulation import (
     EntropyStats,
     alpha_from_accuracies,
@@ -29,7 +29,7 @@ from .streams import (
     make_synthetic_stream,
     save_stream_csv,
 )
-from .training import RunConfig, adam_step, run_sequence, run_task
+from .training import RunConfig, adam_step, boundary_states, run_sequence, run_task
 
 __all__ = [
     "ConfigError",
@@ -47,6 +47,7 @@ __all__ = [
     "average_forgetting",
     "backward_transfer",
     "batches",
+    "boundary_states",
     "composite_loss",
     "cross_layer_entropy_spread",
     "entropy_deviation",
@@ -55,12 +56,10 @@ __all__ = [
     "final_average_accuracy",
     "gamma_from_entropies",
     "layer_zscores",
-    "load_checkpoint",
     "load_source",
     "make_stream",
     "make_synthetic_stream",
     "run_sequence",
     "run_task",
-    "save_checkpoint",
     "save_stream_csv",
 ]

@@ -281,8 +281,7 @@ def write_plan(fh, plan):
     for config, rows in ((plan.run_config, RUN_FLAGS), (plan.stream_config, STREAM_FLAGS)):
         recorded.update({flag[2:].replace("-", "_"): getattr(config, field)
                          for flag, field, _ in rows})
-    json.dump(recorded, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    training.write_json(fh, recorded)
 
 
 def run_plan(plan):
@@ -299,7 +298,11 @@ def run_plan(plan):
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    # the plan is recorded before any run, so verify knows every run it meant to make
+    # the plan is recorded before any run, so verify knows every run it meant to make,
+    # with absolute stream paths, so that it reruns from any working directory
+    files = {field: str(Path(path).resolve()) for field in ("idx_images", "idx_labels", "csv_path")
+             if (path := getattr(plan.stream_config, field))}
+    plan = replace(plan, stream_config=replace(plan.stream_config, **files))
     out = Path(plan.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -359,7 +362,8 @@ def _read_plan(out_dir):
 def _read_runs(plan):
     """Each of the plan's arms' recomputed summaries in seed order. Every (arm, seed) the
     plan lists must have a directory, and no other run one, holding each file of
-    ``training.RUN_ARTIFACTS`` as its writer renders it from the plan for that run."""
+    ``training.RUN_ARTIFACTS`` as its writer renders it from the plan for that run, and
+    nothing else."""
     runs = [(arm, seed, plan.out / arm / str(seed)) for arm in plan.arms for seed in plan.seeds]
     layers, tasks = len(plan.run_config.widths), plan.stream_config.num_tasks
     summaries = {arm: [] for arm in plan.arms}
@@ -383,11 +387,12 @@ def _read_runs(plan):
             if name != "per_layer_accuracy.csv":  # read_per_layer_csv has checked it
                 metrics.expect_written(run_dir / name, write, *values(cfg, result, extra))
         summaries[arm].append(summary)
-    # any other entry, say a run left by an earlier plan or a copy of one
+    # any other entry, say a run left by an earlier plan, a copy of one or a stray file
     arm_dirs = [plan.out / arm for arm in plan.arms]
-    listed = {plan.out / "plan.json", plan.out / "report.csv", *arm_dirs,
-              *(run_dir for _, _, run_dir in runs)}
-    for folder in (plan.out, *arm_dirs):
+    run_dirs = [run_dir for _, _, run_dir in runs]
+    listed = {plan.out / "plan.json", plan.out / "report.csv", *arm_dirs, *run_dirs,
+              *(run_dir / name for run_dir in run_dirs for name, _, _ in training.RUN_ARTIFACTS)}
+    for folder in (plan.out, *arm_dirs, *run_dirs):
         for path in sorted(folder.iterdir()):
             if path not in listed:
                 raise ValueError(f"{path}: not a run of the plan in {plan.out / 'plan.json'}")

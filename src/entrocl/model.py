@@ -9,7 +9,6 @@ All parameters live in one contiguous float64 vector, ``LayeredNet.flat``;
 the per-layer arrays are views into it, laid out by ``parameter_layout``.
 """
 
-import json
 import math
 import os
 import re
@@ -19,16 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import DimensionError, FormatError
-
-CHECKPOINT_DTYPE = "<f8"
+from .errors import DimensionError
 
 
 def parameter_layout(input_dim, widths, num_classes):
     """Canonical (name, shape) pairs: blocks then heads, weight then bias.
 
     This is the one place that knows the parameters' names, shapes and
-    order; the flat vector, its views, init and checkpoints all follow it.
+    order; the flat vector, its views and init all follow it.
     """
     fan_in = input_dim
     for i, width in enumerate(widths):
@@ -227,79 +224,3 @@ def correct_counts(net, splits, threads=1):
     if isinstance(helper_out[0], BaseException):
         raise helper_out[0]
     return counts + helper_out[0]
-
-
-def _checkpoint_header(input_dim, widths, num_classes):
-    """The JSON header a checkpoint of this shape carries."""
-    return {
-        "input_dim": input_dim,
-        "widths": list(widths),
-        "num_classes": num_classes,
-        "num_layers": len(widths),
-        "order": [name for name, _ in parameter_layout(input_dim, widths, num_classes)],
-        "dtype": CHECKPOINT_DTYPE,
-    }
-
-
-def save_checkpoint(net, path):
-    """One JSON header line, then ``flat`` as little-endian float64."""
-    header = _checkpoint_header(net.input_dim, net.widths, net.num_classes)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(net.flat.astype(CHECKPOINT_DTYPE).tobytes())
-
-
-def _is_count(value, least):
-    return type(value) is int and value >= least
-
-
-def load_checkpoint(path):
-    """Read a checkpoint whose header matches the layout of its dimensions.
-
-    Every malformed file raises FormatError with the byte offset of the fault;
-    header faults report offset 0.
-    """
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable checkpoint header: {exc}", offset=0)
-    if not isinstance(header, dict):
-        raise FormatError("checkpoint header is not a JSON object", offset=0)
-    input_dim, widths, num_classes = (
-        header.get(key) for key in ("input_dim", "widths", "num_classes")
-    )
-    if not (
-        _is_count(input_dim, 1)
-        and isinstance(widths, list)
-        and len(widths) >= 2
-        and all(_is_count(w, 1) for w in widths)
-        and _is_count(num_classes, 2)
-    ):
-        raise FormatError(
-            f"checkpoint header has no valid dimensions: input_dim={input_dim!r}, "
-            f"widths={widths!r}, num_classes={num_classes!r}",
-            offset=0,
-        )
-    expected = _checkpoint_header(input_dim, widths, num_classes)
-    wrong = [key for key in expected.keys() | header.keys() if header.get(key) != expected.get(key)]
-    if wrong:
-        raise FormatError(
-            f"checkpoint header disagrees with its layout on {sorted(wrong)}", offset=0
-        )
-
-    layout = parameter_layout(input_dim, widths, num_classes)
-    nbytes = sum(math.prod(shape) for _, shape in layout) * np.dtype(CHECKPOINT_DTYPE).itemsize
-    if len(payload) < nbytes:
-        raise FormatError(
-            f"checkpoint truncated: {len(payload)} of {nbytes} payload bytes",
-            offset=len(header_line) + len(payload),
-        )
-    if len(payload) > nbytes:
-        raise FormatError("checkpoint has trailing bytes", offset=len(header_line) + nbytes)
-    net = LayeredNet(input_dim, widths, num_classes)
-    net.flat[:] = np.frombuffer(payload, dtype=CHECKPOINT_DTYPE)
-    return net

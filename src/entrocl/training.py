@@ -269,12 +269,14 @@ class RunResult:
     summary: dict
 
 
-def run_sequence(tasks, cfg, threads=None):
-    """Run the whole stream and evaluate after every task; returns a RunResult.
+def boundary_states(tasks, cfg):
+    """Train ``tasks`` in order under ``cfg``, yielding the run's RunState after each task.
 
-    Each task boundary scores every seen task's test split in one
-    ``correct_counts`` call on ``threads`` threads, by default
-    ``scoring_threads()``'s choice for a process that runs alone.
+    The stream is checked before any task trains. The yielded state is the live
+    one, which the next task goes on to train, so a caller that keeps a
+    boundary's net copies ``state.net.flat``. A run is a pure function of
+    (config, stream), so iterating again with the same ``tasks`` and ``cfg``
+    yields the same bits: a boundary's net is replayed, never stored.
     """
     if len(tasks) < 2:
         raise ConfigError("a sequence needs at least 2 tasks")
@@ -289,13 +291,23 @@ def run_sequence(tasks, cfg, threads=None):
 
     num_classes = max(max(task.class_ids) for task in tasks) + 1
     state = init_state(cfg, input_dim, num_classes)
-    accuracy = np.full((state.net.num_layers, len(tasks), len(tasks)), np.nan)
+    for task in tasks:
+        run_task(state, task)
+        yield state
 
+
+def run_sequence(tasks, cfg, threads=None):
+    """Run the whole stream and evaluate after every task; returns a RunResult.
+
+    Each task boundary that ``boundary_states`` yields scores every seen task's
+    test split in one ``correct_counts`` call on ``threads`` threads, by default
+    ``scoring_threads()``'s choice for a process that runs alone.
+    """
+    accuracy = np.full((len(cfg.widths), len(tasks), len(tasks)), np.nan)
     threads = scoring_threads() if threads is None else threads
     test_rows = np.array([len(task.test_y) for task in tasks])[:, None]
     started = time.perf_counter()
-    for t, task in enumerate(tasks):
-        run_task(state, task)
+    for t, state in enumerate(boundary_states(tasks, cfg)):
         splits = [(seen.test_x, seen.test_y) for seen in tasks[: t + 1]]
         counts = correct_counts(state.net, splits, threads)
         accuracy[:, t, : t + 1] = (counts / test_rows[: t + 1]).T
@@ -385,17 +397,17 @@ def read_telemetry_csv(path, layers):
     return telemetry
 
 
+def write_json(fh, value):
+    """A JSON artifact (a run's manifest.json and summary.json, a plan's plan.json):
+    ``value`` with two-space indents and sorted keys, then a newline."""
+    json.dump(value, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def write_manifest(fh, cfg, extra=None):
     """A run's manifest.json: its config, its seed, the version and ``extra``'s keys."""
     manifest = {"run_config": asdict(cfg), "seed": cfg.seed, "version": __version__}
-    json.dump({**manifest, **(extra or {})}, fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def write_summary(fh, summary):
-    """A run's summary.json: ``build_summary``'s metrics, laid out as the manifest is."""
-    json.dump(summary, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    write_json(fh, {**manifest, **(extra or {})})
 
 
 # A run's files: each one's name, writer and the writer's values from (cfg, RunResult,
@@ -405,7 +417,7 @@ RUN_ARTIFACTS = (
     ("accuracy_matrix.csv", write_accuracy_csv, lambda cfg, result, extra: (result.accuracy[-1],)),
     ("per_layer_accuracy.csv", write_per_layer_csv, lambda cfg, result, extra: (result.accuracy,)),
     ("telemetry.csv", write_telemetry_csv, lambda cfg, result, extra: (result.telemetry,)),
-    ("summary.json", write_summary, lambda cfg, result, extra: (result.summary,)),
+    ("summary.json", write_json, lambda cfg, result, extra: (result.summary,)),
 )
 
 

@@ -33,7 +33,13 @@ makes all 8 runs diverge, at ``--jobs 2`` and at ``--jobs 1``. They must
 exit 1. After each plan, ``python -m entrocl.cli verify`` runs on its output
 in the same checkout; every plan that must exit 0 must also verify with exit
 0, so the real CLI's layouts (the pool, csv, idx, odd widths, a 5-slot
-reservoir, wide-eval) are checked to verify. For every plan, the exit codes and
+reservoir, wide-eval) are checked to verify. Every plan that must exit 0 then
+reruns in the same checkout as ``--config OUT/plan.json --out OUT2`` from another
+working directory than the plan's, and must exit 0 and write the same files as the
+plan did (``summary.json`` less its wall time): a recorded plan reruns from
+anywhere. A checkout whose ``plan.json`` records the stream paths as given fails
+this step on the csv, csv-serial, idx and idx-pool plans, whose relative stream
+paths do not resolve from there. For every plan, the exit codes and
 the ``error:`` lines on stderr of both the plan and its verify are compared,
 each checkout's output directory in verify's lines read as ``OUT``. Every file
 of every plan is compared
@@ -171,6 +177,23 @@ def diff_trees(left, right):
     return differing, len(files)
 
 
+def rerun_differs(plan, label, out, env, tmp):
+    """Whether rerunning ``out/plan.json`` from a directory other than the plan's
+    working directory fails or writes other files than the plan did; prints why."""
+    elsewhere = tmp / label
+    elsewhere.mkdir(exist_ok=True)
+    rerun = elsewhere / f"{plan}.rerun"
+    code, stderr, _ = run_cli(["--config", str(out / "plan.json"), "--out", str(rerun)],
+                              env, elsewhere)
+    if code != 0:
+        print(f"{plan}: the {label} CLI's rerun from plan.json exited {code}:\n{stderr}")
+        return True
+    differing, _ = diff_trees(out, rerun)
+    for name in differing:
+        print(f"{plan}: the {label} CLI's rerun from plan.json: {name} differs")
+    return bool(differing)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="root of the first checkout")
@@ -202,6 +225,8 @@ def main(argv=None):
                     failed = True
                 verify_errors = [line.replace(str(outs[label]), "OUT") for line in verify_errors]
                 outcomes[label] = (code, errors, verified, verify_errors)
+                if plan not in EXIT_CODES:
+                    failed = rerun_differs(plan, label, outs[label], env, Path(tmp)) or failed
             if outcomes["parent"] != outcomes["change"]:
                 print(f"{plan}: exit codes or error lines differ")
                 for label, (code, errors, verified, verify_errors) in outcomes.items():

@@ -14,10 +14,6 @@ PACKAGE = ROOT / "src" / "entrocl"
 
 # names kept public though nothing in src/ or bench/ calls them, and why
 EXEMPT = {
-    # the parameter checkpoint format, held for the per-boundary checkpoints
-    # and the probe that reads them back (ROADMAP item 3)
-    "save_checkpoint",
-    "load_checkpoint",
     # the independent numerical oracle that tests check tensor.backward against
     "finite_difference_gradient",
 }

@@ -38,8 +38,9 @@ from entrocl.streams import STREAM_SOURCES, StreamConfig, make_synthetic_stream,
 
 
 def write_json(path, data):
-    """Write ``data`` in the layout entrocl writes its JSON artifacts in."""
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    """Write ``data`` with the writer of entrocl's JSON artifacts."""
+    with open(path, "w", encoding="utf-8") as fh:
+        training.write_json(fh, data)
 
 
 def edit_json(path, section=None, **values):
@@ -492,6 +493,19 @@ class TestRunPlan:
         assert run_files(rerun) == run_files(out)
         assert len(run_files(out)) == 2 + 8 * 5  # plan.json, report.csv and five files a run
         assert verify_report(rerun) == 0
+
+    @pytest.mark.parametrize("stream_flags", [csv_plan_flags, idx_plan_flags], ids=["csv", "idx"])
+    def test_plan_json_reruns_from_another_directory(self, tmp_path, monkeypatch, stream_flags):
+        # plan.json records its stream files' absolute paths, so a rerun from it
+        # reads the same files whatever the working directory
+        monkeypatch.chdir(tmp_path)
+        flags = stream_flags(Path("stream"))
+        assert main(flags + ["--seeds", "0,1", "--out", "out"]) == 0
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["--config", "../out/plan.json", "--out", "../rerun"]) == 0
+        assert run_files(tmp_path / "rerun") == run_files(tmp_path / "out")
+        assert verify_report(tmp_path / "rerun") == 0
 
     def test_unwritable_out_fails_before_training(self, tmp_path):
         blocker = tmp_path / "blocker"
@@ -1024,6 +1038,15 @@ class TestVerify:
                 lambda arm: (arm.parent / "notes.txt").write_text("seed 1 ran on a laptop\n"),
                 "out/notes.txt: not a run of the plan in ",
             ),
+            # nor anything but its files in a run's directory
+            (
+                lambda arm: (arm / "0" / "notes.txt").write_text("seed 0 ran on a laptop\n"),
+                "out/full/0/notes.txt: not a run of the plan in ",
+            ),
+            (
+                lambda arm: (arm / "1" / "checkpoints").mkdir(),
+                "out/full/1/checkpoints: not a run of the plan in ",
+            ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
              "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
@@ -1049,7 +1072,8 @@ class TestVerify:
              "telemetry-cut-by-one-step", "nan-telemetry-cell", "summary-key-added",
              "runtime-not-a-float", "plan-seed-boolean", "plan-seed-string",
              "plan-arm-repeated", "plan-respelled-beta", "plan-key-added", "plan-beta-word", "plan-key-missing",
-             "arm-copy-under-another-case", "arm-copy-named-as-a-seed", "stray-file"],
+             "arm-copy-under-another-case", "arm-copy-named-as-a-seed", "stray-file",
+             "stray-file-in-a-run", "stray-directory-in-a-run"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"

@@ -10,16 +10,13 @@ import pytest
 
 from entrocl import (
     DimensionError,
-    FormatError,
     LayeredNet,
     StreamConfig,
     ValidationBuffer,
     buffers,
     composite_loss,
     evaluate_layer_accuracies,
-    load_checkpoint,
     make_synthetic_stream,
-    save_checkpoint,
 )
 from entrocl import tensor as T
 from entrocl.model import (
@@ -430,79 +427,3 @@ class TestFlatVector:
             assert not np.array_equal(arr, old), name
             offset += arr.size
 
-
-def write_checkpoint(path, header, payload):
-    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
-
-
-class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
-        net = LayeredNet.init(7, (5, 9), 4, seed=21)
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        loaded = load_checkpoint(path)
-        assert loaded.widths == net.widths
-        assert loaded.num_classes == net.num_classes
-        assert loaded.flat.tobytes() == net.flat.tobytes()
-        for (name, arr), (_, arr2) in zip(net.parameters(), loaded.parameters()):
-            assert np.array_equal(arr, arr2), name
-
-    def test_payload_is_flat_little_endian(self, tmp_path):
-        net = LayeredNet.init(7, (5, 9), 4, seed=21)
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        header_line, payload = path.read_bytes().split(b"\n", 1)
-        assert payload == net.flat.astype("<f8").tobytes()
-        assert json.loads(header_line)["order"] == [name for name, _ in net.parameters()]
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        net = LayeredNet.init(7, (5, 9), 4, seed=21)
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-16])
-
-        with pytest.raises(FormatError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        net = LayeredNet.init(7, (5, 9), 4, seed=21)
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw + bytes(8))
-        with pytest.raises(FormatError, match="trailing") as exc:
-            load_checkpoint(path)
-        assert exc.value.offset == len(raw)
-
-    @pytest.mark.parametrize(
-        "mutate",
-        [
-            pytest.param(lambda h: h.pop("num_classes"), id="missing-dimension"),
-            pytest.param(lambda h: h.pop("order"), id="missing-order"),
-            pytest.param(lambda h: h["order"].__setitem__(0, "block9.w"), id="unknown-name"),
-            pytest.param(lambda h: h["order"].reverse(), id="reversed-order"),
-            pytest.param(lambda h: h.update(dtype=">f8"), id="big-endian"),
-            pytest.param(lambda h: h.update(widths=[5.5, 9]), id="fractional-width"),
-            pytest.param(lambda h: h.update(num_layers=3), id="wrong-layer-count"),
-        ],
-    )
-    def test_header_off_layout_rejected(self, tmp_path, mutate):
-        net = LayeredNet.init(7, (5, 9), 4, seed=21)
-        path = tmp_path / "net.ckpt"
-        save_checkpoint(net, path)
-        header_line, payload = path.read_bytes().split(b"\n", 1)
-        header = json.loads(header_line)
-        mutate(header)
-        write_checkpoint(path, header, payload)
-        with pytest.raises(FormatError, match="byte offset 0") as exc:
-            load_checkpoint(path)
-        assert exc.value.offset == 0
-
-    @pytest.mark.parametrize("header", [[1, 2], "net", 3, None])
-    def test_non_object_header_rejected(self, tmp_path, header):
-        path = tmp_path / "net.ckpt"
-        write_checkpoint(path, header, b"")
-        with pytest.raises(FormatError, match="not a JSON object") as exc:
-            load_checkpoint(path)
-        assert exc.value.offset == 0

@@ -11,7 +11,7 @@ import pytest
 
 from entrocl import ConfigError, FormatError, evaluate_layer_accuracies, training
 from entrocl.metrics import final_average_accuracy, write_accuracy_csv
-from entrocl.model import BLAS_THREAD_VARIABLES
+from entrocl.model import BLAS_THREAD_VARIABLES, correct_counts
 from entrocl.modulation import alpha_from_accuracies
 from entrocl.streams import StreamConfig, TaskSpec, make_synthetic_stream
 from entrocl.training import (
@@ -19,6 +19,7 @@ from entrocl.training import (
     AdamState,
     RunConfig,
     adam_step,
+    boundary_states,
     init_state,
     read_per_layer_csv,
     read_telemetry_csv,
@@ -360,7 +361,37 @@ class TestRunSequence:
         monkeypatch.setattr(training, "run_task", lambda state, task: trained.append(task))
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_sequence(tasks, tiny_config(0))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            next(boundary_states(tasks, tiny_config(0)))
         assert trained == []
+
+    @pytest.mark.parametrize("threads, test_per_class", [(1, 10), (2, 512)],
+                             ids=["one-thread", "two-threads-1024-row-splits"])
+    @pytest.mark.parametrize("arm", ["full", "no_adaptive_training"])
+    def test_boundary_states_replay_the_run(self, arm, threads, test_per_class):
+        # a boundary's net is replayed, not stored: two replays yield the same
+        # parameters, and scoring them as run_sequence does gives its
+        # accuracies and telemetry bit for bit
+        from entrocl.cli import apply_arm
+
+        tasks = tiny_stream(9, test_per_class=test_per_class)
+        cfg = apply_arm(tiny_config(9), arm)
+        flats = []
+        for state in boundary_states(tasks, cfg):
+            flats.append(state.net.flat.copy())
+        again = [replayed.net.flat.copy() for replayed in boundary_states(tasks, cfg)]
+        assert [flat.tobytes() for flat in again] == [flat.tobytes() for flat in flats]
+
+        result = run_sequence(tasks, cfg, threads)
+        accuracy = np.full_like(result.accuracy, np.nan)
+        test_rows = np.array([len(task.test_y) for task in tasks])[:, None]
+        for t, flat in enumerate(flats):
+            state.net.flat[:] = flat
+            splits = [(seen.test_x, seen.test_y) for seen in tasks[: t + 1]]
+            counts = correct_counts(state.net, splits, threads)
+            accuracy[:, t, : t + 1] = (counts / test_rows[: t + 1]).T
+        assert accuracy.tobytes() == result.accuracy.tobytes()
+        assert state.telemetry.tobytes() == result.telemetry.tobytes()
 
     def test_bitwise_determinism(self):
         def run_once():
