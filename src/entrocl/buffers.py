@@ -34,26 +34,19 @@ class ReplayBuffer:
         start, capacity, resident = len(self.items), self.capacity, self.items
         take = min(capacity - start, len(items))
         resident += items[:take]
-        self.seen_count += take
-        late = len(items) - take
-        if not late:
-            return np.arange(start, start + take)
-        counts = self.seen_count + np.arange(late)
+        # each late offer draws its slot from [0, the count of offers before it]
+        counts = np.arange(self.seen_count + take, self.seen_count + len(items))
         drawn = self.rng.integers(0, counts + 1)
-        self.seen_count += late
-        where = np.concatenate((np.arange(start, start + take), drawn)) if take else drawn
-        holder = {}  # slot -> the late offer of this call that took it last
+        self.seen_count += len(items)
+        holder = dict(zip(range(start, start + take), range(take)))  # slot -> offer of this call
         for k, j in enumerate(drawn.tolist(), take):
             if j < capacity:
-                # the offer of this call that held the slot loses it: a late
-                # one, or else the one that filled it (slots from ``start`` on)
-                prev = holder.get(j, j - start)
-                if prev >= 0:
-                    where[prev] = capacity
                 holder[j] = k
                 resident[j] = items[k]
-        np.minimum(where, capacity, out=where)
-        return where
+        where = [capacity] * len(items)
+        for j, k in holder.items():
+            where[k] = j
+        return np.array(where, dtype=np.int64)
 
     def sample(self, size, rng):
         """Distinct resident slots drawn uniformly; all of them if size exceeds the fill."""

@@ -37,41 +37,24 @@ def write_accuracy_csv(fh, grid):
         fh.write(f"{t}," + ",".join(repr(a) if s < t else "" for s, a in enumerate(row)) + "\n")
 
 
-def read_lines(path):
-    """Every line of a text file entrocl wrote, without its newline, header first.
-    A line that does not end in a newline, as the last line of a truncated file,
-    raises FormatError naming ``path:line``."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        *lines, last = data.decode("utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
-    if last:
-        raise FormatError(f"{path}:{len(lines) + 1}: line does not end in a newline")
-    return lines
-
-
-def parse_accuracy(text, where):
-    """One accuracy cell as a float in [0, 1]; FormatError naming ``where`` otherwise."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise FormatError(f"{where}: {text!r} is not a number") from None
-    if not 0.0 <= value <= 1.0:
-        raise FormatError(f"{where}: accuracy {text} is not in [0, 1]")
-    return value
-
-
 def expect_written(path, write, *values):
     """Check that the file at ``path`` holds exactly what ``write(fh, *values)``
     writes. The first line that differs raises FormatError naming ``path:line``
     with the line found and the line expected, so the writer is the format's
-    only definition."""
+    only definition. A last line without its newline, as in a truncated file,
+    fails the same way, and a file that is not UTF-8 fails with its byte offset."""
     buffer = io.StringIO()
     write(buffer, *values)
     expected = buffer.getvalue().split("\n")[:-1]
-    for number, lines in enumerate(itertools.zip_longest(read_lines(path), expected), start=1):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        *found, last = data.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text", offset=exc.start) from None
+    if last:
+        raise FormatError(f"{path}:{len(found) + 1}: line does not end in a newline")
+    for number, lines in enumerate(itertools.zip_longest(found, expected), start=1):
         if lines[0] != lines[1]:
             got, want = ("the end of the file" if line is None else repr(line) for line in lines)
             raise FormatError(f"{path}:{number}: found {got}, but entrocl writes {want}")

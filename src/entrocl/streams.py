@@ -117,9 +117,10 @@ def load_source(cfg):
     cfg.validate()
     if cfg.source == "idx":
         source = _read_idx_pair(cfg.idx_images, cfg.idx_labels)
-        # every class with an example has one in the train split, so the label
-        # file holds the train split's class set
-        _check_classes(source[1], cfg, f"{source[2]} (train split)")
+        # every seed splits a class into the same train and test row counts
+        sizes = np.bincount(source[1])
+        for split, rows in zip(("train", "test"), _train_and_test_rows(sizes)):
+            _check_classes(np.flatnonzero(rows), cfg, f"{source[2]} ({split} split)")
         return source
     if cfg.source == "csv":
         train, test, paths = source = _read_csv_pools(cfg.csv_path)
@@ -271,15 +272,21 @@ def _split_idx(source, cfg):
     float64), so the plan keeps one uint8 copy of the images."""
     images, labels, labels_path = source
     rng = np.random.default_rng(cfg.seed)
+    train_rows, _ = _train_and_test_rows(np.bincount(labels))
     rows = ([], [])
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(len(idx))]
-        n_train = int(round(0.8 * len(idx)))
-        rows[0].extend(idx[:n_train].tolist())
-        rows[1].extend(idx[n_train:].tolist())
+        rows[0].extend(idx[: train_rows[c]].tolist())
+        rows[1].extend(idx[train_rows[c] :].tolist())
     names = (f"{labels_path} (train split)", f"{labels_path} (test split)")
     return _assemble_tasks(*((images[r] / 255.0, labels[r]) for r in rows), cfg, names)
+
+
+def _train_and_test_rows(sizes):
+    """The 80/20 split of classes of ``sizes`` examples: each one's train and test row counts."""
+    train = np.round(0.8 * sizes).astype(np.int64)
+    return train, sizes - train
 
 
 def save_stream_csv(tasks, directory):
@@ -306,21 +313,23 @@ def save_stream_csv(tasks, directory):
                     fh.write(f"{label}," + ",".join(map(repr, row.tolist())) + "\n")
 
 
-def _read_examples_csv(path):
-    """Parse a ``label,f0,f1,...`` file into C-contiguous float64 inputs and
-    int64 labels. Each checked row is appended to a flat typed array, so the
-    parse holds about one copy of the data, not a Python float per feature.
-    A line holding ``_`` or non-ASCII text (bytes that are not UTF-8 included),
-    which ``int`` and ``float`` may read as a number, fails with the line named."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+def read_csv_numbers(path, integers):
+    """The header fields of a CSV file of numbers, an int64 array of each line's
+    first ``integers`` (at least 1) fields and a float64 array of its other
+    fields, one row a line. Only a newline ends a line, not a carriage return,
+    and blank lines are skipped; every other line must have the header's field
+    count and finite values. Each checked line is appended to a flat typed
+    array, so the parse holds about one copy of the data, not a Python object
+    per field. A line holding ``_`` or non-ASCII text (bytes that are not UTF-8
+    included), which ``int`` and ``float`` may read as a number, fails with the
+    line named."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
         header = fh.readline().strip()
         fields = header.split(",")
-        if not fields or fields[0] != "label":
-            raise FormatError(f"{path}: header must start with 'label', got {header!r}")
-        dim = len(fields) - 1
-        if dim == 0:
-            raise FormatError(f"{path}:1: header has no feature columns")
-        xs, ys = array("d"), array("q")
+        width = len(fields)
+        if width < integers:
+            raise FormatError(f"{path}:1: header {header!r} has fewer than {integers} fields")
+        ints, floats = array("q"), array("d")
         for lineno, line in enumerate(fh, start=2):
             if "_" in line or not line.isascii():
                 raise FormatError(f"{path}:{lineno}: a field holds '_' or a non-ASCII character")
@@ -328,21 +337,31 @@ def _read_examples_csv(path):
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != dim + 1:
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
-                )
+            if len(parts) != width:
+                raise FormatError(f"{path}:{lineno}: expected {width} fields, got {len(parts)}")
             try:
-                label, row = int(parts[0]), [float(v) for v in parts[1:]]
-                ys.append(label)
+                ints.extend(map(int, parts[:integers]))
+                row = list(map(float, parts[integers:]))
             except (ValueError, OverflowError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
             if not all(map(math.isfinite, row)):
-                raise FormatError(f"{path}:{lineno}: non-finite feature")
-            xs.extend(row)
-    if not ys:
+                raise FormatError(f"{path}:{lineno}: non-finite value")
+            floats.extend(row)
+    rows = len(ints) // integers
+    return (fields, np.frombuffer(ints, dtype=np.int64).reshape(rows, integers),
+            np.frombuffer(floats, dtype=np.float64).reshape(rows, width - integers))
+
+
+def _read_examples_csv(path):
+    """A ``label,f0,f1,...`` file as C-contiguous float64 inputs and int64 labels."""
+    header, labels, inputs = read_csv_numbers(path, 1)
+    if header[0] != "label":
+        raise FormatError(f"{path}: header must start with 'label', got {','.join(header)!r}")
+    if not inputs.shape[1]:
+        raise FormatError(f"{path}:1: header has no feature columns")
+    if not len(labels):
         raise FormatError(f"{path}: no data rows")
-    return np.frombuffer(xs, dtype=np.float64).reshape(-1, dim), np.frombuffer(ys, dtype=np.int64)
+    return inputs, labels[:, 0]
 
 
 def _read_csv_pools(directory):

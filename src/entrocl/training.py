@@ -28,13 +28,11 @@ from .metrics import (
     entropy_deviation,
     expect_written,
     final_average_accuracy,
-    parse_accuracy,
-    read_lines,
     write_accuracy_csv,
 )
 from .model import LayeredNet, correct_counts, scoring_threads
 from .modulation import ENTROPY_SIGNS, alpha_from_accuracies, composite_loss
-from .streams import batches
+from .streams import batches, read_csv_numbers
 
 SPREAD_WINDOW = 50
 
@@ -355,43 +353,37 @@ def write_per_layer_csv(fh, accuracy):
 
 def read_per_layer_csv(path, layers, tasks):
     """The (L, T, T) accuracies of a run's per_layer_accuracy.csv, NaN above
-    each diagonal. The file must hold its L*T*(T+1)/2 lines, counted before
-    anything is allocated; each line's last field is read as the accuracy of
-    the cell ``write_per_layer_csv`` writes there, and the file must be
-    exactly what it writes for those accuracies (``expect_written``)."""
-    rows = read_lines(path)[1:]
+    each diagonal. The file must hold its L*T*(T+1)/2 lines of four fields,
+    counted before the grid is allocated, be exactly what ``write_per_layer_csv``
+    writes for the accuracies in their last fields (``expect_written``), and
+    hold only accuracies in [0, 1]."""
+    header, _, values = read_csv_numbers(path, 3)
+    if len(header) != 4:
+        raise FormatError(f"{path}:1: header {','.join(header)!r} does not have 4 fields")
     count = layers * tasks * (tasks + 1) // 2
-    if len(rows) != count:
-        raise FormatError(f"{path}: {len(rows)} accuracy lines, but a run of {tasks} tasks "
+    if len(values) != count:
+        raise FormatError(f"{path}: {len(values)} accuracy lines, but a run of {tasks} tasks "
                           f"and {layers} layers writes {count}")
-    values = [parse_accuracy(line.rpartition(",")[2], f"{path}:{number}")
-              for number, line in enumerate(rows, start=2)]
     accuracy = np.full((tasks, tasks, layers), np.nan)
-    accuracy[np.tril_indices(tasks)] = np.reshape(values, (-1, layers))
+    accuracy[np.tril_indices(tasks)] = values.reshape(-1, layers)
     accuracy = accuracy.transpose(2, 0, 1)
     expect_written(path, write_per_layer_csv, accuracy)
+    # the file is what the writer writes, so value i is on line i + 2
+    if bad := np.flatnonzero((values < 0) | (values > 1)).tolist():
+        raise FormatError(f"{path}:{bad[0] + 2}: accuracy {values[bad[0], 0].item()!r} "
+                          "is not in [0, 1]")
     return accuracy
 
 
 def read_telemetry_csv(path, layers):
     """The record array a run's telemetry.csv was written from, ``layers`` lines a
-    step: each line's task and last five values, which must be finite. The step
-    and layer columns and each cell's spelling are left to ``expect_written``."""
-    rows = read_lines(path)[1:]
-    if not rows or len(rows) % layers:
-        raise FormatError(f"{path}: {len(rows)} telemetry lines, not whole steps of {layers}")
-    telemetry = np.zeros(len(rows) // layers, telemetry_dtype(layers))
-    tasks, values = telemetry["task"], np.empty((len(rows), len(TELEMETRY_FIELDS)))
-    for i, line in enumerate(rows):
-        try:
-            fields = line.split(",")
-            tasks[i // layers] = int(fields[1])
-            values[i] = [float(cell) for cell in fields[-len(TELEMETRY_FIELDS):]]
-        except (ValueError, IndexError, OverflowError):
-            values[i] = np.nan
-    if bad := np.flatnonzero(~np.isfinite(values).all(axis=1)).tolist():
-        raise FormatError(f"{path}:{bad[0] + 2}: {rows[bad[0]]!r} is not a telemetry line "
-                          "of a task and five finite values")
+    step: each line's task and the values after its layer. The step and layer
+    columns, the header and each cell's spelling are left to ``expect_written``."""
+    _, ints, values = read_csv_numbers(path, 3)
+    if not len(values) or len(values) % layers:
+        raise FormatError(f"{path}: {len(values)} telemetry lines, not whole steps of {layers}")
+    telemetry = np.zeros(len(values) // layers, telemetry_dtype(layers))
+    telemetry["task"] = ints[::layers, 1]
     for name, column in zip(TELEMETRY_FIELDS, values.T):
         telemetry[name] = column.reshape(-1, layers)
     return telemetry

@@ -1,3 +1,4 @@
+import io
 import re
 import struct
 import tracemalloc
@@ -5,9 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import write_idx_pair
-from entrocl import ConfigError, FormatError
+from entrocl import ConfigError, FormatError, training
 from entrocl.streams import (
     StreamConfig,
     _read_examples_csv,
@@ -17,6 +20,7 @@ from entrocl.streams import (
     make_stream,
     make_synthetic_stream,
     parse_idx_labels,
+    read_csv_numbers,
     save_stream_csv,
 )
 
@@ -406,7 +410,9 @@ class TestCsvRoundTrip:
         [(1, "nan"), (2, "inf"), (4, "-Infinity"), (3, "0x1p3"), (0, "1.5"), (0, "one"),
          (0, "9" * 20),
          # int and float read each of these as a number: 1, 15.25, 1 and 1.5
-         (0, "0_1"), (1, "1_5.25"), (0, "\u0661"), (2, "\u0661.\u0665")],
+         (0, "0_1"), (1, "1_5.25"), (0, "\u0661"), (2, "\u0661.\u0665"),
+         # a carriage return ends no line: this is one line of 9 fields, not two of 5
+         (4, "1.5\r0,1.0,1.0,1.0,1.0")],
     )
     def test_bad_field_names_path_and_line(self, tmp_path, column, value):
         save_stream_csv(make_synthetic_stream(small_cfg()), tmp_path / "stream")
@@ -457,6 +463,84 @@ class TestCsvRoundTrip:
         assert (labels.dtype, labels.shape) == (np.int64, (5000,))
         assert inputs.flags.c_contiguous and labels.flags.c_contiguous
         assert peak <= 2 * (inputs.nbytes + labels.nbytes)
+
+
+def written_csv_files():
+    """(name, bytes, reader, the values written) of a stream file and of a 2-layer,
+    3-task run's per-layer and telemetry files. Each reader returns a tuple of
+    arrays and the table of numbers they hold, one row per data line."""
+    rng = np.random.default_rng(12)
+    inputs, labels = rng.standard_normal((4, 2)), np.arange(4)
+    inputs[2] = 1e308  # a flip that raises a digit of 1e+308 overflows to inf
+    accuracy = np.where(np.tri(3, dtype=bool), rng.integers(0, 5, (2, 3, 3)) / 4, np.nan)
+    telemetry = np.zeros(3, training.telemetry_dtype(2))
+    telemetry["task"] = [1, 1, 2]
+    for name in training.TELEMETRY_FIELDS:
+        telemetry[name] = rng.standard_normal((3, 2))
+
+    def read_stream(path):
+        inputs, labels = _read_examples_csv(path)
+        return (inputs, labels), inputs
+
+    def read_per_layer(path):
+        accuracy = training.read_per_layer_csv(path, 2, 3)
+        return (accuracy,), accuracy.transpose(1, 2, 0)[np.tril_indices(3)].reshape(-1, 1)
+
+    def read_telemetry(path):
+        telemetry = training.read_telemetry_csv(path, 2)
+        fields = [telemetry[name] for name in training.TELEMETRY_FIELDS]
+        return (telemetry,), np.stack(fields, axis=-1).reshape(-1, len(fields))
+
+    stream = "label,f0,f1\n" + "".join(f"{label}," + ",".join(map(repr, row)) + "\n"
+                                         for label, row in zip(labels.tolist(), inputs.tolist()))
+    per_layer, steps = io.StringIO(), io.StringIO()
+    training.write_per_layer_csv(per_layer, accuracy)
+    training.write_telemetry_csv(steps, telemetry)
+    return [("train.csv", stream.encode(), read_stream, (inputs, labels)),
+            ("per_layer_accuracy.csv", per_layer.getvalue().encode(), read_per_layer, (accuracy,)),
+            ("telemetry.csv", steps.getvalue().encode(), read_telemetry, (telemetry,))]
+
+
+CSV_FILES = written_csv_files()
+
+
+def data_lines(path):
+    """How many lines after the header are not blank, where only a newline ends a line."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        return sum(1 for line in list(fh)[1:] if line.strip())
+
+
+class TestCsvReaderFuzz:
+    @pytest.mark.parametrize("name, written, read, values", CSV_FILES,
+                             ids=[name for name, *_ in CSV_FILES])
+    def test_written_bytes_read_back_every_bit(self, tmp_path, name, written, read, values):
+        path = tmp_path / name
+        path.write_bytes(written)
+        for got, want in zip(read(path)[0], values, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_bytes_read_or_fail_with_a_format_error(self, tmp_path_factory, data):
+        # a truncated, bit-flipped file either fails naming itself, or reads as one
+        # row of finite numbers per non-blank line, through the one reader and
+        # through the file's own reader alike
+        name, written, read, _ = data.draw(st.sampled_from(CSV_FILES))
+        damaged = bytearray(written[: len(written) - data.draw(st.integers(0, len(written)))])
+        flips = st.tuples(st.integers(0, max(len(damaged) - 1, 0)), st.integers(0, 7))
+        for position, bit in data.draw(st.lists(flips, max_size=4 if damaged else 0)):
+            damaged[position] ^= 1 << bit
+        path = tmp_path_factory.mktemp("damaged") / name
+        path.write_bytes(damaged)
+        for parse in (lambda: read_csv_numbers(path, 1 if name == "train.csv" else 3)[1:],
+                      lambda: read(path)[1:]):
+            try:
+                tables = parse()
+            except FormatError as exc:
+                assert str(exc).startswith(f"{path}")
+                continue
+            for table in tables:
+                assert len(table) == data_lines(path) and np.isfinite(table).all()
 
 
 class TestLoadSource:
