@@ -92,7 +92,7 @@ class ValidationBuffer:
                 chosen.append(rng.choice(candidates, size=take, replace=False))
         idx = np.concatenate(chosen)
         idx.sort()
-        self.per_task[int(task_id)] = (inputs[idx].copy(), labels[idx].copy())
+        self.per_task[int(task_id)] = (inputs[idx], labels[idx])  # a gather copies
 
 
 def evaluate_layer_accuracies(net, vbuf):

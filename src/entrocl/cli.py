@@ -22,7 +22,7 @@ import numpy as np
 from . import metrics, training
 from .errors import ConfigError, FormatError
 from .model import scoring_threads
-from .modulation import ENTROPY_SIGNS
+from .modulation import ENTROPY_SIGNS, entropy_summary, gamma_from_entropies
 from .streams import STREAM_SOURCES, StreamConfig, load_source, make_stream
 from .training import RunConfig
 
@@ -375,6 +375,7 @@ def _read_runs(plan):
         cfg, _, extra = _run_configs(arm, seed, plan.run_config, plan.stream_config)
         accuracy = training.read_per_layer_csv(run_dir / "per_layer_accuracy.csv", layers, tasks)
         telemetry = training.read_telemetry_csv(run_dir / "telemetry.csv", layers)
+        _derive_z_and_gamma(run_dir / "telemetry.csv", telemetry, cfg)
         # the one value of summary.json verify cannot recompute, rendered as a float
         path = run_dir / "summary.json"
         runtime = _load_json_object(path).get("runtime_seconds")
@@ -397,6 +398,22 @@ def _read_runs(plan):
             if path not in listed:
                 raise ValueError(f"{path}: not a run of the plan in {plan.out / 'plan.json'}")
     return summaries
+
+
+def _derive_z_and_gamma(path, telemetry, cfg):
+    """Set each step's ``z`` and ``gamma`` as the step computed them from its entropies
+    and ``cfg``, so verify renders those columns of ``path`` and never reads them."""
+    z, gamma = [], []
+    for step, entropies in enumerate(telemetry["entropy"].tolist()):
+        try:
+            stats = entropy_summary(entropies)
+        except OverflowError:  # finite entropies far apart, past the float64 range
+            line = 2 + step * len(entropies)
+            raise FormatError(f"{path}:{line}: entropies overflow their z-scores") from None
+        z.append(stats.z)
+        gamma.append(gamma_from_entropies(stats, cfg.beta) if cfg.enable_entropy_scaling
+                     else (cfg.beta,) * len(entropies))
+    telemetry["z"], telemetry["gamma"] = z, gamma
 
 
 def verify_report(out_dir):

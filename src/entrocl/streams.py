@@ -241,22 +241,16 @@ def _read_idx(path, magic, kind):
     return np.frombuffer(data, dtype=np.uint8, offset=header).reshape(dims)
 
 
-def _read_idx_pixels(path):
-    """An IDX image file's uint8 pixels, one (rows*cols,) row per image."""
-    pixels = _read_idx(path, IDX_IMAGE_MAGIC, "image")
-    count, rows, cols = pixels.shape
-    if rows * cols == 0:
-        raise FormatError(f"{path}: IDX images of {rows}x{cols} pixels hold no features", offset=8)
-    return pixels.reshape(count, rows * cols)
-
-
-def parse_idx_labels(path):
-    return _read_idx(path, IDX_LABEL_MAGIC, "label").astype(np.int64)
-
-
 def _read_idx_pair(images_path, labels_path):
-    images = _read_idx_pixels(images_path)
-    labels = parse_idx_labels(labels_path)
+    """An IDX image file's uint8 pixels, one (rows*cols,) row per image, its
+    label file's int64 labels, one per image, and the label file's path."""
+    images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
+    count, rows, cols = images.shape
+    if rows * cols == 0:
+        raise FormatError(f"{images_path}: IDX images of {rows}x{cols} pixels hold no features",
+                          offset=8)
+    images = images.reshape(count, rows * cols)
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label").astype(np.int64)
     if len(images) != len(labels):
         raise FormatError(
             f"{labels_path}: label count {len(labels)} does not match image count "

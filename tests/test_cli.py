@@ -1,11 +1,13 @@
 import concurrent.futures
 import io
 import json
+import math
 import os
 import pickle
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from functools import partial
@@ -33,7 +35,7 @@ from entrocl.cli import (
     verify_report,
 )
 from entrocl.model import BLAS_THREAD_VARIABLES
-from entrocl.modulation import ENTROPY_SIGNS
+from entrocl.modulation import ENTROPY_SIGNS, entropy_summary, gamma_from_entropies
 from entrocl.streams import STREAM_SOURCES, StreamConfig, make_synthetic_stream, save_stream_csv
 
 
@@ -107,19 +109,26 @@ def edit_summary_and_report(arm):
     rewrite_report(arm)
 
 
-def edit_telemetry_cell(path, line, cell):
-    """Set the entropy cell of ``path``'s ``line`` (counted from 1) to ``cell``."""
+def edit_telemetry_cell(path, line, cell, column="entropy"):
+    """Set the ``column`` cell of ``path``'s ``line`` (counted from 1) to ``cell``."""
     lines = path.read_text().split("\n")
     fields = lines[line - 1].split(",")
-    fields[3] = cell
+    fields[lines[0].split(",").index(column)] = cell
     lines[line - 1] = ",".join(fields)
     path.write_text("\n".join(lines))
 
 
 def edit_entropy_keys_and_report(arm):
-    """Set one entropy cell of run 1's telemetry and its entropy_spread_final,
-    and rewrite report.csv from the edited summaries."""
-    edit_telemetry_cell(arm / "1" / "telemetry.csv", 24, "1.5")
+    """Set one entropy cell of run 1's telemetry, the z and gamma cells of its step
+    as that step would have computed them, and its entropy_spread_final, and rewrite
+    report.csv from the edited summaries."""
+    path = arm / "1" / "telemetry.csv"
+    edit_telemetry_cell(path, 24, "1.5")
+    step = path.read_text().split()[23:25]  # lines 24 and 25, step 12's two layers
+    stats = entropy_summary([float(line.split(",")[3]) for line in step])
+    for line, z, gamma in zip((24, 25), stats.z, gamma_from_entropies(stats, 0.005)):
+        edit_telemetry_cell(path, line, repr(z), "z")
+        edit_telemetry_cell(path, line, repr(gamma), "gamma")
     edit_json(arm / "1" / "summary.json", entropy_spread_final=0.5)
     rewrite_report(arm)
 
@@ -1119,6 +1128,34 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("column", ["z", "gamma"])
+    @pytest.mark.parametrize("arm", ["full", "no_entropy_scaling"])
+    def test_verify_derives_z_and_gamma_from_the_entropies(self, tmp_path, capsys, arm, column):
+        # both columns are functions of the step's entropies and the run's config, so
+        # a one-ulp edit of either fails
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + ["--arms", arm, "--out", str(out)]) == 0
+        path = out / arm / "0" / "telemetry.csv"
+        header, line = path.read_text().split("\n")[:2]
+        cell = line.split(",")[header.split(",").index(column)]
+        edit_telemetry_cell(path, 2, repr(one_step_up(float(cell))), column)
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: found '1,1,0,")
+
+    @pytest.mark.parametrize("cells", [("1e+308", "1e+308"), ("1e+308", "-1e+308")],
+                             ids=["sum-overflows", "square-overflows"])
+    def test_overflowing_entropies_fail_with_an_error_line(self, tmp_path, capsys, cells):
+        # finite entropies whose z-scores overflow float64 name the file, no traceback
+        out = tmp_path / "out"
+        assert main(FAST_FLAGS + ["--out", str(out)]) == 0
+        path = out / "full" / "0" / "telemetry.csv"
+        for line, cell in zip((2, 3), cells):
+            edit_telemetry_cell(path, line, cell)
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: entropies overflow their z-scores\n"
+
     @pytest.mark.parametrize("arms", ["plain_er,full", "plain_er"])
     def test_verify_renders_plain_er_from_the_plans_beta(self, tmp_path, arms):
         # plain ER's manifests hold beta 0 under a plan record whose beta is 0.005
@@ -1195,3 +1232,99 @@ class TestVerify:
         lines = err.getvalue().splitlines()
         assert code == 2 and len(lines) == 1 and lines[0].startswith("error: ")
         assert not rerun.exists()
+
+
+# The sweep plan: 4 runs of 3 tasks of 4 steps on a 2-layer net, so that run full/1
+# writes 24 telemetry lines and 12 per-layer accuracies.
+SWEEP_FLAGS = ["--num-tasks", "3", "--classes-per-task", "2", "--train-per-class", "20",
+               "--test-per-class", "10", "--widths", "8,8", "--arms", "full,no_adaptive_training",
+               "--seeds", "0,1"]
+SWEEP_FILES = ["plan.json", "report.csv",
+               *(f"full/1/{name}" for name, _, _ in training.RUN_ARTIFACTS)]
+# Each (file, column) whose one-step edits still verify, and how many of them do: the
+# layer-0 head's accuracies, which no other value recomputes; alpha and the layer
+# losses, which only a rerun could check; and the wall time.
+SWEEP_SURVIVORS = {
+    ("full/1/per_layer_accuracy.csv", "accuracy"): 6,
+    ("full/1/telemetry.csv", "alpha"): 24,
+    ("full/1/telemetry.csv", "loss"): 24,
+    ("full/1/summary.json", "runtime_seconds"): 1,
+}
+
+
+def one_step_up(number):
+    """An integer plus 1, a float moved up by one ulp."""
+    return number + 1 if isinstance(number, int) else math.nextafter(number, math.inf)
+
+
+def json_number_edits(value, key=None):
+    """(key, edited value) for each number of the JSON ``value``, moved one step up:
+    ``key`` names the member that holds the number."""
+    if isinstance(value, dict):
+        for member, item in value.items():
+            for name, edited in json_number_edits(item, member):
+                yield name, {**value, member: edited}
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            for name, edited in json_number_edits(item, key):
+                yield name, [*value[:i], edited, *value[i + 1:]]
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield key, one_step_up(value)
+
+
+def sweep_edits(text, json_file):
+    """(column, edited text) for each line of ``text`` deleted in turn (column
+    None) and each number in it moved one step up. A JSON file is rewritten with
+    its writer; a CSV number's column is its header field."""
+    lines = text.split("\n")[:-1]
+    for i in range(len(lines)):
+        yield None, "".join(f"{line}\n" for line in lines[:i] + lines[i + 1:])
+    if json_file:
+        for key, edited in json_number_edits(json.loads(text)):
+            buffer = io.StringIO()
+            training.write_json(buffer, edited)
+            yield key, buffer.getvalue()
+        return
+    header = lines[0].split(",")
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        for k, field in enumerate(fields):
+            try:
+                number = int(field)
+            except ValueError:
+                try:
+                    number = float(field)
+                except ValueError:
+                    continue
+            edited = ",".join([*fields[:k], repr(one_step_up(number)), *fields[k + 1:]])
+            yield header[k], "".join(f"{line}\n" for line in [*lines[:i], edited, *lines[i + 1:]])
+
+
+class TestVerifySweep:
+    def test_every_edit_outside_the_allow_list_fails_with_one_error_line(self, tmp_path):
+        # verify's contract, generated: after each single edit of the plan record, the
+        # report or one run's files, verify exits 1 with one error line, unless the edit
+        # moves a value that SWEEP_SURVIVORS lists as one verify cannot check
+        out = tmp_path / "out"
+        assert main(SWEEP_FLAGS + ["--out", str(out)]) == 0
+        survivors, failed, edits = Counter(), [], 0
+        for name in SWEEP_FILES:
+            path = out / name
+            text = path.read_text()
+            for column, edited in sweep_edits(text, name.endswith(".json")):
+                edits += 1
+                path.write_text(edited)
+                err = io.StringIO()
+                try:
+                    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+                        code = main(["verify", "--out", str(out)])
+                finally:
+                    path.write_text(text)
+                lines = err.getvalue().splitlines()
+                if code == 0 and column is not None:
+                    survivors[name, column] += 1
+                elif not (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")):
+                    failed.append((name, column, code, lines))
+        assert edits > 400
+        assert failed == []
+        assert survivors == SWEEP_SURVIVORS

@@ -14,12 +14,11 @@ from entrocl import ConfigError, FormatError, training
 from entrocl.streams import (
     StreamConfig,
     _read_examples_csv,
-    _read_idx_pixels,
+    _read_idx_pair,
     batches,
     load_source,
     make_stream,
     make_synthetic_stream,
-    parse_idx_labels,
     read_csv_numbers,
     save_stream_csv,
 )
@@ -160,15 +159,29 @@ class TestBatches:
             list(batches(task, 0, np.random.default_rng(0)))
 
 
-# each IDX file kind: its parser, its magic and the dimensions of a small valid file
+# each IDX file kind: its place in the (images, labels) pair, its magic and the
+# dimensions of a small valid file
 IDX_KINDS = {
-    "image": (_read_idx_pixels, 0x00000803, (2, 2, 2)),
-    "label": (parse_idx_labels, 0x00000801, (3,)),
+    "image": (0, 0x00000803, (3, 2, 2)),
+    "label": (1, 0x00000801, (3,)),
 }
 
 
 def idx_bytes(magic, dims, payload_size):
     return struct.pack(f">{1 + len(dims)}I", magic, *dims) + bytes(int(payload_size))
+
+
+def read_pair_with(folder, kind, data):
+    """``_read_idx_pair`` of a valid 3-image pair whose ``kind`` file holds ``data``;
+    a FormatError must name that file."""
+    paths = write_idx_pair(folder, np.zeros((3, 2, 2)), [0, 1, 2])
+    path = paths[IDX_KINDS[kind][0]]
+    path.write_bytes(data)
+    try:
+        return _read_idx_pair(*paths)
+    except FormatError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        raise
 
 
 def per_class_reference(per_class, classes_per_task):
@@ -205,48 +218,41 @@ class TestIdx:
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, size=(2, 28, 28))
         image_path, label_path = write_idx_pair(tmp_path, images, [3, 7])
-        x = _read_idx_pixels(image_path)
-        y = parse_idx_labels(label_path)
+        x, y, path = _read_idx_pair(image_path, label_path)
         assert (x.dtype, x.shape) == (np.uint8, (2, 784))
         assert np.array_equal(x, images.reshape(2, 784))
-        assert y.tolist() == [3, 7]
+        assert (y.dtype, y.tolist(), path) == (np.int64, [3, 7], label_path)
 
     @pytest.mark.parametrize("kind", IDX_KINDS)
     def test_wrong_magic(self, tmp_path, kind):
-        parse, _, dims = IDX_KINDS[kind]
-        path = tmp_path / "bad.idx"
-        path.write_bytes(idx_bytes(0xDEADBEEF, dims, np.prod(dims)))
+        _, _, dims = IDX_KINDS[kind]
         with pytest.raises(FormatError, match=f"bad {kind} magic 0xdeadbeef") as failure:
-            parse(path)
+            read_pair_with(tmp_path, kind, idx_bytes(0xDEADBEEF, dims, np.prod(dims)))
         assert failure.value.offset == 0
 
     @pytest.mark.parametrize("kind", IDX_KINDS)
     def test_truncated_header(self, tmp_path, kind):
-        parse, magic, dims = IDX_KINDS[kind]
-        path = tmp_path / "short.idx"
-        path.write_bytes(idx_bytes(magic, dims, 0)[:6])
+        _, magic, dims = IDX_KINDS[kind]
         with pytest.raises(FormatError, match=f"truncated IDX {kind} header") as failure:
-            parse(path)
+            read_pair_with(tmp_path, kind, idx_bytes(magic, dims, 0)[:6])
         assert failure.value.offset == 6
 
     @pytest.mark.parametrize("extra", [-3, 1], ids=["short", "long"])
     @pytest.mark.parametrize("kind", IDX_KINDS)
     def test_wrong_payload_length(self, tmp_path, kind, extra):
-        parse, magic, dims = IDX_KINDS[kind]
-        path = tmp_path / "short.idx"
+        _, magic, dims = IDX_KINDS[kind]
         data = idx_bytes(magic, dims, np.prod(dims) + extra)
-        path.write_bytes(data)
         expected = len(data) - extra
         with pytest.raises(FormatError, match=f"expected {expected} bytes") as failure:
-            parse(path)
+            read_pair_with(tmp_path, kind, data)
         assert failure.value.offset == min(len(data), expected)
 
     @pytest.mark.parametrize("rows, cols", [(0, 3), (3, 0)])
     def test_images_without_pixels(self, tmp_path, rows, cols):
-        path = tmp_path / "empty.idx"
-        path.write_bytes(idx_bytes(0x00000803, (2, rows, cols), 0))
+        # checked before the label file, which holds 3 labels for these 2 images
+        data = idx_bytes(0x00000803, (2, rows, cols), 0)
         with pytest.raises(FormatError, match="hold no features") as failure:
-            _read_idx_pixels(path)
+            read_pair_with(tmp_path, "image", data)
         assert failure.value.offset == 8
 
     def test_plan_holds_one_uint8_copy_of_the_images(self, tmp_path):
@@ -541,6 +547,38 @@ class TestCsvReaderFuzz:
                 continue
             for table in tables:
                 assert len(table) == data_lines(path) and np.isfinite(table).all()
+
+
+class TestIdxReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_pair_loads_or_fails_naming_a_file(self, tmp_path_factory, data):
+        # a truncated, bit-flipped image or label file either fails naming one of
+        # the two files, or loads a source that builds the stream; the pair as
+        # written loads to the arrays written
+        rng = np.random.default_rng(5)
+        images = rng.integers(0, 256, size=(40, 2, 3)).astype(np.uint8)
+        labels = np.tile([0, 1, 2, 3], 10)
+        paths = write_idx_pair(tmp_path_factory.mktemp("idx"), images, labels)
+        path = data.draw(st.sampled_from(paths))
+        written = path.read_bytes()
+        damaged = bytearray(written[: len(written) - data.draw(st.integers(0, len(written)))])
+        flips = st.tuples(st.integers(0, max(len(damaged) - 1, 0)), st.integers(0, 7))
+        for position, bit in data.draw(st.lists(flips, max_size=3 if damaged else 0)):
+            damaged[position] ^= 1 << bit
+        path.write_bytes(damaged)
+        cfg = StreamConfig(source="idx", num_tasks=2, classes_per_task=2,
+                           idx_images=str(paths[0]), idx_labels=str(paths[1]))
+        try:
+            source = load_source(cfg)
+        except (FormatError, ConfigError) as exc:
+            assert damaged != written
+            assert str(exc).startswith(tuple(map(str, paths)))
+            return
+        assert len(make_stream(cfg, source)) == 2
+        if damaged == written:
+            assert source[0].tobytes() == images.tobytes() and source[0].shape == (40, 6)
+            assert source[1].dtype == np.int64 and source[1].tolist() == labels.tolist()
 
 
 class TestLoadSource:

@@ -95,8 +95,8 @@ class TestAdam:
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
         for t in range(1, 6):
             g = rng.standard_normal(size)
-            adam_step(flat, g, moments, lr=lr, wd=wd, beta1=b1, beta2=b2, eps=eps)
-            # the update written with whole-array temporaries
+            adam_step(flat, g, moments, lr=lr, wd=wd)
+            # the update written with whole-array temporaries and the fixed constants
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
