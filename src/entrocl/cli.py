@@ -197,14 +197,14 @@ def parse_args(argv):
     args = parser.parse_args(argv, namespace)
 
     values = dict(vars(args), widths=parse_widths(args.widths))
-    run_config, stream_config = (
-        cls(**{field: values[flag[2:].replace("-", "_")] for flag, field, _ in rows})
-        for cls, rows in ((RunConfig, RUN_FLAGS), (StreamConfig, STREAM_FLAGS))
-    )
-    run_config.validate()
+
+    def build(cls, rows):  # a config checks itself as it is built
+        return cls(**{field: values[flag[2:].replace("-", "_")] for flag, field, _ in rows})
+
+    run_config = build(RunConfig, RUN_FLAGS)
     if args.num_tasks < 2:
         raise ConfigError(f"--num-tasks: a sequence needs at least 2 tasks, got {args.num_tasks}")
-    stream_config.validate()
+    stream_config = build(StreamConfig, STREAM_FLAGS)
 
     seeds = parse_seeds(args.seeds)
     arms = parse_arms(args.arms)
@@ -382,7 +382,7 @@ def _read_runs(plan):
         if type(runtime) not in (int, float) or not 0 <= runtime <= sys.float_info.max:
             raise ValueError(f"{path}: runtime_seconds is not a finite, nonnegative number")
         with np.errstate(all="ignore"):  # finite telemetry can still overflow a statistic
-            summary = training.build_summary(accuracy[-1], telemetry, float(runtime))
+            summary = training.build_summary(accuracy, telemetry, float(runtime))
         result = training.RunResult(accuracy, telemetry, summary)
         for name, write, values in training.RUN_ARTIFACTS:
             if name != "per_layer_accuracy.csv":  # read_per_layer_csv has checked it

@@ -12,7 +12,6 @@ the per-layer arrays are views into it, laid out by ``parameter_layout``.
 import math
 import os
 import re
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,20 +206,9 @@ def correct_counts(net, splits, threads=1):
         rows += by_rows[taken][2] - by_rows[taken][1]
         taken += 1
 
-    helper_out = []
+    from concurrent.futures import ThreadPoolExecutor  # loaded by the first split only
 
-    def help_score():
-        try:
-            helper_out.append(score(by_rows[:taken]))
-        except BaseException as exc:  # raised in the caller, after the join
-            helper_out.append(exc)
-
-    helper = threading.Thread(target=help_score, name="entrocl-scoring")
-    helper.start()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="entrocl-scoring") as helper:
+        helped = helper.submit(score, by_rows[:taken])
         counts = score(by_rows[taken:])
-    finally:
-        helper.join()
-    if isinstance(helper_out[0], BaseException):
-        raise helper_out[0]
-    return counts + helper_out[0]
+    return counts + helped.result()

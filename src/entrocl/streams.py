@@ -58,7 +58,7 @@ class TaskSpec:
         return len(self.train_y)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamConfig:
     source: str = "synthetic"
     num_tasks: int = 5
@@ -77,7 +77,7 @@ class StreamConfig:
     def num_classes(self):
         return self.num_tasks * self.classes_per_task
 
-    def validate(self):
+    def __post_init__(self):
         require_finite(self)
         if self.source not in STREAM_SOURCES:
             raise ConfigError(f"unknown stream source {self.source!r}")
@@ -109,23 +109,22 @@ def load_source(cfg):
     """Read a file-backed stream's files: what every seed's stream is built from.
 
     For CSV this is the train and test pools, each an (inputs, int64 labels)
-    pair sorted by label, and their paths; every run of a plan slices its tasks
-    from these pools, so they are read-only. For IDX it is the uint8 images,
-    the labels and the label file's path. The synthetic source draws its data
-    from the seed, so it has none.
+    pair sorted by label; every run of a plan slices its tasks from these pools,
+    so they are read-only. For IDX it is the uint8 images and the labels. The
+    synthetic source draws its data from the seed, so it has none. This is the
+    one check that the files hold exactly the stream's classes, in both splits.
     """
-    cfg.validate()
     if cfg.source == "idx":
         source = _read_idx_pair(cfg.idx_images, cfg.idx_labels)
         # every seed splits a class into the same train and test row counts
         sizes = np.bincount(source[1])
         for split, rows in zip(("train", "test"), _train_and_test_rows(sizes)):
-            _check_classes(np.flatnonzero(rows), cfg, f"{source[2]} ({split} split)")
+            _check_classes(np.flatnonzero(rows), cfg, f"{cfg.idx_labels} ({split} split)")
         return source
     if cfg.source == "csv":
-        train, test, paths = source = _read_csv_pools(cfg.csv_path)
-        for (_, labels), path in zip((train, test), paths):
-            _check_classes(labels, cfg, path)
+        source = _read_csv_pools(cfg.csv_path)
+        for (_, labels), name in zip(source, ("train.csv", "test.csv")):
+            _check_classes(labels, cfg, Path(cfg.csv_path) / name)
         return source
     return None
 
@@ -134,15 +133,13 @@ def make_stream(cfg, source=None):
     """The tasks of ``cfg``'s stream, built from ``source`` (what ``load_source``
     returned for a config that differs at most in its seed) or, when none is
     given, from the files read here."""
-    cfg.validate()
     if cfg.source == "synthetic":
         return make_synthetic_stream(cfg)
     if source is None:
         source = load_source(cfg)
     if cfg.source == "idx":
         return _split_idx(source, cfg)
-    train, test, paths = source
-    return _assemble_tasks(train, test, cfg, paths)
+    return _assemble_tasks(*source, cfg)
 
 
 def make_synthetic_stream(cfg):
@@ -152,7 +149,6 @@ def make_synthetic_stream(cfg):
     so `separation` is the typical inter-class distance in noise units and the
     benchmark difficulty does not wash out with dimension.
     """
-    cfg.validate()
     if cfg.source != "synthetic":
         raise ConfigError(f"synthetic stream requested from source {cfg.source!r}")
     rng = np.random.default_rng(cfg.seed)
@@ -172,17 +168,17 @@ def make_synthetic_stream(cfg):
     return _assemble_tasks(*pools, cfg)
 
 
-def _assemble_tasks(train, test, cfg, names=("train split", "test split")):
+def _assemble_tasks(train, test, cfg):
     """Cut a train and a test pool, each an (inputs, int64 labels) pair with
     global labels in ascending order, into tasks of consecutive classes.
 
-    Each pool must hold every class 0..C-1 and no other label. Every task's
-    arrays are contiguous slices of the pools, views that copy no row.
+    Each pool holds every class 0..C-1 and no other label: the synthetic
+    source draws them so, and ``load_source`` checks a file-backed one. Every
+    task's arrays are contiguous slices of the pools, views that copy no row.
     """
     edges = np.arange(0, cfg.num_classes + 1, cfg.classes_per_task)
     splits = []
-    for (inputs, labels), name in zip((train, test), names):
-        _check_classes(labels, cfg, name)
+    for inputs, labels in (train, test):
         bounds = np.searchsorted(labels, edges)
         splits.append([(inputs[lo:hi], labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
     return [
@@ -243,7 +239,7 @@ def _read_idx(path, magic, kind):
 
 def _read_idx_pair(images_path, labels_path):
     """An IDX image file's uint8 pixels, one (rows*cols,) row per image, its
-    label file's int64 labels, one per image, and the label file's path."""
+    label file's int64 labels, one per image."""
     images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     count, rows, cols = images.shape
     if rows * cols == 0:
@@ -257,14 +253,14 @@ def _read_idx_pair(images_path, labels_path):
             f"{len(images)} in {images_path}",
             offset=0,
         )
-    return images, labels, labels_path
+    return images, labels
 
 
 def _split_idx(source, cfg):
     """A seeded 80/20 split of each class, in class order, gives the train and
     test pools. Only the gathered rows are scaled (``uint8 / 255.0`` is
     float64), so the plan keeps one uint8 copy of the images."""
-    images, labels, labels_path = source
+    images, labels = source
     rng = np.random.default_rng(cfg.seed)
     train_rows, _ = _train_and_test_rows(np.bincount(labels))
     rows = ([], [])
@@ -273,8 +269,7 @@ def _split_idx(source, cfg):
         idx = idx[rng.permutation(len(idx))]
         rows[0].extend(idx[: train_rows[c]].tolist())
         rows[1].extend(idx[train_rows[c] :].tolist())
-    names = (f"{labels_path} (train split)", f"{labels_path} (test split)")
-    return _assemble_tasks(*((images[r] / 255.0, labels[r]) for r in rows), cfg, names)
+    return _assemble_tasks(*((images[r] / 255.0, labels[r]) for r in rows), cfg)
 
 
 def _train_and_test_rows(sizes):
@@ -366,7 +361,7 @@ def _read_csv_pools(directory):
             f"{paths[1]}:1: header has {test[0].shape[1]} features, "
             f"train.csv has {train[0].shape[1]}"
         )
-    return _shared_label_order(*train), _shared_label_order(*test), paths
+    return _shared_label_order(*train), _shared_label_order(*test)
 
 
 def _shared_label_order(inputs, labels):

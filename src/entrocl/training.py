@@ -63,7 +63,7 @@ class RunConfig:
     seed: int = 0
     widths: tuple = (64, 64, 64, 64)
 
-    def validate(self):
+    def __post_init__(self):
         require_finite(self)
         if self.beta < 0:
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
@@ -144,7 +144,7 @@ def adam_step(flat, grad, moments, lr, wd):
 
 @dataclass
 class RunState:
-    cfg: RunConfig  # validated by init_state; governs every task of the run
+    cfg: RunConfig  # checked when it was built; governs every task of the run
     net: LayeredNet
     moments: AdamState
     buffer: ReplayBuffer
@@ -158,7 +158,6 @@ class RunState:
 
 
 def init_state(cfg, input_dim, num_classes):
-    cfg.validate()
     net = LayeredNet.init(input_dim, cfg.widths, num_classes, seed=cfg.seed)
     train_seq, buffer_seq = np.random.SeedSequence(cfg.seed).spawn(2)
     return RunState(
@@ -313,16 +312,19 @@ def run_sequence(tasks, cfg, threads=None):
         counts = correct_counts(state.net, splits, threads)
         accuracy[:, t, : t + 1] = (counts / test_rows[: t + 1]).T
 
-    summary = build_summary(accuracy[-1], state.telemetry, time.perf_counter() - started)
+    summary = build_summary(accuracy, state.telemetry, time.perf_counter() - started)
     return RunResult(accuracy, state.telemetry, summary)
 
 
-def build_summary(grid, telemetry, runtime_seconds):
-    """The run's metrics from its deepest-head (T, T) accuracy grid and its telemetry."""
+def build_summary(accuracy, telemetry, runtime_seconds):
+    """The run's metrics from its (L, T, T) accuracies and its telemetry. Every
+    metric but ``acc_final_per_head`` reads the deepest head's grid."""
+    grid = accuracy[-1]
     tasks = telemetry["task"]
     per_task = [telemetry["entropy"][tasks == t] for t in np.unique(tasks)]
     return {
         "acc_final": final_average_accuracy(grid),
+        "acc_final_per_head": [final_average_accuracy(head) for head in accuracy],
         "bwt": backward_transfer(grid),
         "average_forgetting": average_forgetting(grid),
         "entropy_spread_final": cross_layer_entropy_spread(per_task[-1], SPREAD_WINDOW),

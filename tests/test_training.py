@@ -150,11 +150,10 @@ class TestRunTask:
             run_task(state, tasks[0])
 
     def test_invalid_config_is_rejected_before_any_work(self):
-        cfg = tiny_config(0, learning_rate=-1.0)
         with pytest.raises(ConfigError, match="learning rate"):
-            init_state(cfg, 8, 6)
+            init_state(tiny_config(0, learning_rate=-1.0), 8, 6)
         with pytest.raises(ConfigError, match="learning rate"):
-            run_sequence(tiny_stream(0), cfg)
+            run_sequence(tiny_stream(0), tiny_config(0, learning_rate=-1.0))
 
     def test_negative_seed_is_a_config_error(self):
         with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
@@ -165,7 +164,19 @@ class TestRunTask:
         state = init_state(cfg, 8, 6)
         assert state.cfg is cfg
         with pytest.raises(AttributeError):
-            state.cfg.learning_rate = -1.0  # frozen: validated once, never edited
+            state.cfg.learning_rate = -1.0  # frozen: checked when built, never edited
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: replace(RunConfig(), batch_size=0), "batch size must be positive, got 0"),
+            (lambda: RunConfig(beta=float("nan")), "beta must be finite, got nan"),
+        ],
+        ids=["replace", "constructor"],
+    )
+    def test_config_checks_itself_when_built(self, build, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_non_finite_step_fails_loudly(self):
         tasks = tiny_stream(0)
@@ -310,7 +321,7 @@ class TestRunSequence:
         before = threading.active_count()
         result = run_sequence(tasks, cfg)
         assert threading.active_count() == before
-        assert started == ["entrocl-scoring"] * helpers
+        assert started == ["entrocl-scoring_0"] * helpers
         alone = run_sequence(tasks, cfg, threads=1)
         assert result.accuracy.tobytes() == alone.accuracy.tobytes()
         assert result.telemetry.tobytes() == alone.telemetry.tobytes()
@@ -576,6 +587,7 @@ class TestRunSequence:
         summary = result.summary
         assert set(summary) == {
             "acc_final",
+            "acc_final_per_head",
             "bwt",
             "average_forgetting",
             "entropy_spread_final",
@@ -583,6 +595,10 @@ class TestRunSequence:
             "runtime_seconds",
         }
         assert len(summary["delta_t_per_task"]) == 3
+        assert summary["acc_final_per_head"] == [
+            final_average_accuracy(grid) for grid in result.accuracy
+        ]
+        assert summary["acc_final_per_head"][-1] == summary["acc_final"]
         assert summary["acc_final"] == pytest.approx(
             final_average_accuracy(result.accuracy[-1])
         )
