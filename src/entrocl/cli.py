@@ -59,7 +59,7 @@ RUN_FLAGS = (
     ("--buffer-batch-size", "buffer_batch_size", "replay examples mixed into every step"),
     ("--buffer-capacity", "buffer_capacity", "replay buffer capacity M"),
     ("--val-quota", "val_quota", "validation examples stored per task"),
-    ("--entropy-sign", "entropy_sign", "add or subtract the entropy term in the loss"),
+    ("--entropy-sign", "entropy_sign", "weigh each layer's entropy by gamma or gamma - beta"),
     ("--widths", "widths", "comma-separated block widths"),
 )
 FIELD_CHOICES = {"source": STREAM_SOURCES, "entropy_sign": ENTROPY_SIGNS}
@@ -375,7 +375,7 @@ def _read_runs(plan):
         cfg, _, extra = _run_configs(arm, seed, plan.run_config, plan.stream_config)
         accuracy = training.read_per_layer_csv(run_dir / "per_layer_accuracy.csv", layers, tasks)
         telemetry = training.read_telemetry_csv(run_dir / "telemetry.csv", layers)
-        _derive_z_and_gamma(run_dir / "telemetry.csv", telemetry, cfg)
+        _derive_telemetry(run_dir / "telemetry.csv", telemetry, cfg, plan.stream_config)
         # the one value of summary.json verify cannot recompute, rendered as a float
         path = run_dir / "summary.json"
         runtime = _load_json_object(path).get("runtime_seconds")
@@ -400,9 +400,18 @@ def _read_runs(plan):
     return summaries
 
 
-def _derive_z_and_gamma(path, telemetry, cfg):
-    """Set each step's ``z`` and ``gamma`` as the step computed them from its entropies
-    and ``cfg``, so verify renders those columns of ``path`` and never reads them."""
+def _derive_telemetry(path, telemetry, cfg, stream_config):
+    """Set the columns of ``path`` that follow from the plan, so verify renders them
+    and never reads them: a synthetic run's task column, from its tasks' batch counts;
+    each step's ``z`` and ``gamma``, as the step computed them from its entropies; and
+    ``alpha``, which ``run_task`` sets once a task, all ones in the first task."""
+    if stream_config.source == "synthetic":
+        tasks = stream_config.num_tasks
+        steps = -(-stream_config.train_per_class * stream_config.classes_per_task // cfg.batch_size)
+        if len(telemetry) != tasks * steps:
+            raise FormatError(f"{path}: {len(telemetry)} steps, but a run of {tasks} tasks "
+                              f"of {steps} steps takes {tasks * steps}")
+        telemetry["task"] = np.arange(1, tasks + 1).repeat(steps)
     z, gamma = [], []
     for step, entropies in enumerate(telemetry["entropy"].tolist()):
         try:
@@ -414,6 +423,12 @@ def _derive_z_and_gamma(path, telemetry, cfg):
         gamma.append(gamma_from_entropies(stats, cfg.beta) if cfg.enable_entropy_scaling
                      else (cfg.beta,) * len(entropies))
     telemetry["z"], telemetry["gamma"] = z, gamma
+    # each step's task's first step: the last change of the task column, sorted or not
+    starts = np.r_[True, np.diff(telemetry["task"]) != 0]
+    first = np.maximum.accumulate(np.where(starts, np.arange(len(starts)), 0))
+    alpha = telemetry["alpha"][first]
+    alpha[(first == 0) | (not cfg.enable_adaptive_training)] = 1.0
+    telemetry["alpha"] = alpha
 
 
 def verify_report(out_dir):

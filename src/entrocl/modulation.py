@@ -14,10 +14,10 @@ use the population standard deviation over the L layer values and collapse to
 zero when the values tie, which makes the modulation neutral (gamma = beta,
 alpha = 1).
 
-The composite objective is sum_l alpha[l] * ce[l] + sign * gamma[l] * H[l].
-gamma and alpha enter as plain float coefficients: gradients flow through the
-entropy values inside the regularizer, never through the cross-layer
-statistics that produced the coefficients.
+The composite objective is sum_l alpha[l] * ce[l] + c[l] * H[l], with c = gamma
+(``penalize``) or gamma - beta (``signed``: entropy goes down where z > 0 and up
+where z < 0). gamma and alpha enter as plain float coefficients: gradients flow
+through the entropy values, never through the statistics behind the coefficients.
 """
 
 import math
@@ -30,7 +30,7 @@ from . import tensor as T
 # Below this spread the layer values are treated as tied and all z-scores are 0.
 EPS_SIGMA = 1e-8
 
-ENTROPY_SIGNS = ("penalize", "reward")
+ENTROPY_SIGNS = ("penalize", "signed")
 
 
 @dataclass(frozen=True)
@@ -45,10 +45,10 @@ class EntropyStats:
 class Objective:
     """One batch's composite objective: its value, what ``tensor.backward``
     needs to differentiate it, and what the step logs. ``alpha`` weighs each
-    layer's cross entropy ``layer_losses`` and ``entropy_coef``
-    (``sign * gamma``) its mean entropy ``entropy.per_layer``; ``heads`` is
-    what ``tensor.head_losses`` gave, whose per-batch arrays ``backward``
-    reuses."""
+    layer's cross entropy ``layer_losses`` and ``entropy_coef`` (``gamma``,
+    or ``gamma - beta`` when signed) its mean entropy ``entropy.per_layer``;
+    ``heads`` is what ``tensor.head_losses`` gave, whose per-batch arrays
+    ``backward`` reuses."""
 
     total: float
     record: object  # model.ForwardRecord
@@ -118,8 +118,8 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
     ``alpha`` must hold one coefficient per layer. ``gamma`` overrides the
     entropy-derived scaling when given (used by ablations; pass ``beta`` per
     layer for uniform scaling, zeros to drop the regularizer). With
-    ``entropy_sign="penalize"`` the entropy term is added to the minimized
-    loss; ``"reward"`` flips its sign.
+    ``entropy_sign="penalize"`` each layer's entropy is weighed by its gamma;
+    ``"signed"`` weighs it by ``gamma - beta``, zero when the layers tie.
 
     Returns the Objective.
     """
@@ -143,8 +143,7 @@ def composite_loss(record, labels, alpha, beta, entropy_sign="penalize", gamma=N
             raise ValueError(
                 f"got {len(gamma)} gamma values for {num_layers} layers"
             )
-    sign = 1.0 if entropy_sign == "penalize" else -1.0
-    entropy_coef = tuple(sign * g for g in gamma)
+    entropy_coef = gamma if entropy_sign == "penalize" else tuple(g - beta for g in gamma)
 
     # summed left to right, one term at a time, so the total has fixed bits
     total = layer_losses[0] * alpha[0] + stats.per_layer[0] * entropy_coef[0]

@@ -1,10 +1,11 @@
 """Softmax heads on a tanh backbone: their values and the one gradient entrocl takes.
 
 Everything is 64-bit. The only function entrocl differentiates is the
-composite objective ``sum_l alpha[l]*CE_l + sign*gamma[l]*H_l`` over the
-per-layer softmax heads of a ``LayeredNet``; ``head_losses`` gives its terms
-for all heads at once, ``backward`` is its hand-written reverse sweep, and
-``finite_difference_gradient`` the independent oracle that checks it.
+composite objective ``sum_l alpha[l]*CE_l + c[l]*H_l`` (``c`` as in
+``modulation``) over the per-layer softmax heads of a ``LayeredNet``;
+``head_losses`` gives its terms for all heads at once, ``backward`` is its
+hand-written reverse sweep, and ``finite_difference_gradient`` the
+independent oracle that checks it.
 Probabilities are floored at PROB_EPS inside the log-consuming reductions
 (cross entropy, entropy); softmax output itself is never clamped, so rows
 keep summing to one exactly.
@@ -91,13 +92,12 @@ def backward(objective):
 
     ``objective`` is what ``modulation.composite_loss`` returns: its forward
     record, labels, ``heads`` (what ``head_losses`` gave) and the per-layer
-    coefficients ``alpha`` (of CE) and ``entropy_coef`` (``sign * gamma``, of
-    H). The heads' adjoints are computed on their whole ``(L, B, K)`` stack,
-    then the sweep runs from the deepest block back to the input. Each
-    adjoint sum has exactly two terms: a block's output feeds its head and the
-    next block, and a head's probabilities feed its CE and its entropy.
-    Addition of two terms is commutative, so the result does not depend on
-    their order.
+    coefficients ``alpha`` (of CE) and ``entropy_coef`` (``c``, of H). The
+    heads' adjoints are computed on their whole ``(L, B, K)`` stack, then the
+    sweep runs from the deepest block back to the input. Each adjoint sum has
+    exactly two terms: a block's output feeds its head and the next block, and
+    a head's probabilities feed its CE and its entropy. Addition of two terms
+    is commutative, so the result does not depend on their order.
 
     The gradient is written into the net's own ``net.grad`` through its bound
     ``net.grad_layers`` views, and that vector is returned: the next

@@ -10,7 +10,7 @@ hold 39 runs: the four arms on seeds 0 and 1 at ``--jobs 2``; ``--arms
 plain_er,no_entropy_scaling`` on seeds 0 and 1 at ``--jobs 2``, whose first
 run is plain ER's, so verify must render its manifest's beta of 0 from a
 ``plan.json`` whose beta is 0.005; one run each
-with ``--entropy-sign reward``, ``--widths 8,16,4``, the
+with ``--entropy-sign signed``, ``--widths 8,16,4``, the
 benchmark's wide-eval shape, ``--buffer-capacity 5`` (each 10-example offer
 fills or overwrites the reservoir in one call, drawing repeated slots) and
 ``--buffer-batch-size 0`` (every replay sample is empty); ``--test-per-class
@@ -72,7 +72,7 @@ DIVERGE = ("--lr", "1e300", "--arms", "full,plain_er", "--seeds", "0,1")  # ever
 PLANS = {
     "arms": ("--arms", ALL_ARMS, "--seeds", "0,1", "--jobs", "2"),
     "plain-first": ("--arms", "plain_er,no_entropy_scaling", "--seeds", "0,1", "--jobs", "2"),
-    "reward": ("--entropy-sign", "reward"),
+    "signed": ("--entropy-sign", "signed"),
     "widths": ("--widths", "8,16,4"),
     "wide-eval": WIDE_EVAL,
     "capacity-5": ("--buffer-capacity", "5"),

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_idx_pair
-from entrocl import ConfigError, RunConfig, __version__, cli, metrics, streams, training
+from entrocl import ConfigError, RunConfig, cli, metrics, streams, training
 from entrocl.cli import (
     ARM_NAMES,
     ARMS,
@@ -45,16 +45,14 @@ def write_json(path, data):
         training.write_json(fh, data)
 
 
-def edit_json(path, section=None, **values):
-    """Set ``values`` in a JSON object file, or in its object ``section``."""
-    data = json.loads(path.read_text())
-    (data[section] if section else data).update(values)
-    write_json(path, data)
+def edit_json(path, **values):
+    """Set ``values`` in a JSON object file."""
+    write_json(path, {**json.loads(path.read_text()), **values})
 
 
-def edit_every_manifest(arm, section=None, **values):
+def edit_every_manifest(arm, **values):
     for seed in ("0", "1"):
-        edit_json(arm / seed / "manifest.json", section, **values)
+        edit_json(arm / seed / "manifest.json", **values)
 
 
 def edit_plan(arm, **values):
@@ -62,30 +60,8 @@ def edit_plan(arm, **values):
     edit_json(arm.parent / "plan.json", **values)
 
 
-def drop_plan_key(arm, key):
-    path = arm.parent / "plan.json"
-    plan = json.loads(path.read_text())
-    del plan[key]
-    write_json(path, plan)
-
-
-def drop_run_setting(arm, key):
-    path = arm / "1" / "manifest.json"
-    manifest = json.loads(path.read_text())
-    del manifest["run_config"][key]
-    write_json(path, manifest)
-
-
 def remove_artifact(name, arm):
     (arm / "1" / name).unlink()
-
-
-def edit_matrix_cell(arm):
-    """Set task 1's cell of run 1's matrix row after task 2 to a valid accuracy."""
-    path = arm / "1" / "accuracy_matrix.csv"
-    lines = [line.split(",") for line in path.read_text().splitlines()]
-    lines[2][1] = "0.123456789"
-    path.write_text("".join(",".join(line) + "\n" for line in lines))
 
 
 def respell_last_cell(path, line, spell):
@@ -155,11 +131,6 @@ def cut_to_two_boundaries(arm):
                   bwt=metrics.backward_transfer(accuracy[-1]),
                   average_forgetting=metrics.average_forgetting(accuracy[-1]))
     rewrite_report(arm)
-
-
-def respell_beta(path):
-    """Write a manifest's or plan record's beta of 0.005 as 0.0050, the same number."""
-    path.write_text(path.read_text().replace('"beta": 0.005,', '"beta": 0.0050,', 1))
 
 
 def cut_to_one_boundary(arm):
@@ -274,7 +245,7 @@ FAST_FLAGS = [
 @pytest.fixture(scope="module")
 def plan_output(tmp_path_factory):
     """A verified 2-seed plan's output directory and its plan.json bytes, shared by
-    the examples of the fuzz tests, which restore plan.json after each one."""
+    the examples of the fuzz tests, which restore each file they damage."""
     out = tmp_path_factory.mktemp("plan") / "out"
     assert main(FAST_FLAGS + ["--seeds", "0,1", "--out", str(out)]) == 0
     assert verify_report(out) == 0
@@ -725,18 +696,6 @@ class TestVerify:
         assert main(FAST_FLAGS + ["--seeds", "0,1", "--out", str(out)]) == 0
         assert main(["verify", "--out", str(out)]) == 0
 
-    def test_verify_detects_tampering(self, tmp_path):
-        out = tmp_path / "out"
-        assert main(FAST_FLAGS + ["--seeds", "0,1", "--out", str(out)]) == 0
-        report = out / "report.csv"
-        content = report.read_text().replace("full", "full").splitlines()
-        # corrupt one aggregate cell
-        header, row = content[0], content[1]
-        cells = row.split(",")
-        cells[2] = "0.123456789"
-        report.write_text(header + "\n" + ",".join(cells) + "\n")
-        assert main(["verify", "--out", str(out)]) == 1
-
     def test_verify_missing_report(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path / "nothing")]) == 1
 
@@ -784,53 +743,11 @@ class TestVerify:
                 "1/manifest.json: not a JSON object",
             ),
             (
-                lambda arm: edit_json(arm / "1" / "manifest.json", seed=0),
-                "1/manifest.json:20: found '  \"seed\": 0,', but entrocl writes "
-                "'  \"seed\": 1,'",
-            ),
-            (
-                lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config", seed=0),
-                "1/manifest.json:29: found '    \"seed\": 0,', but entrocl writes "
-                "'    \"seed\": 1,'",
-            ),
-            (
                 # as if a plan of both arms ran it
                 lambda arm: (rename_arm(arm, "plain_er"),
                              edit_plan(arm, arms=["full", "plain_er"])),
                 "plain_er/0/manifest.json:2: found '  \"arm\": \"full\",', but entrocl writes "
                 "'  \"arm\": \"plain_er\",'",
-            ),
-            (
-                lambda arm: edit_json(arm / "0" / "manifest.json", "run_config",
-                                      enable_adaptive_training=False),
-                "0/manifest.json:8: found '    \"enable_adaptive_training\": false,', but "
-                "entrocl writes '    \"enable_adaptive_training\": true,'",
-            ),
-            (
-                lambda arm: edit_json(arm / "0" / "manifest.json", "run_config", beta=0.5),
-                "0/manifest.json:5: found '    \"beta\": 0.5,', but entrocl writes "
-                "'    \"beta\": 0.005,'",
-            ),
-            (
-                lambda arm: edit_json(arm / "1" / "manifest.json", "stream_config",
-                                      noise_scale=2.0),
-                "1/manifest.json:27: found '    \"noise_scale\": 2.0,', but entrocl writes "
-                "'    \"noise_scale\": 1.0,'",
-            ),
-            (
-                partial(drop_run_setting, key="learning_rate"),
-                "1/manifest.json:11: found '    \"seed\": 1,', but entrocl writes "
-                "'    \"learning_rate\": 0.001,'",
-            ),
-            (
-                lambda arm: edit_json(arm / "1" / "manifest.json", version="9.9.9"),
-                "1/manifest.json:35: found '  \"version\": \"9.9.9\"', but entrocl writes "
-                f"'  \"version\": \"{__version__}\"'",
-            ),
-            (
-                lambda arm: edit_json(arm / "1" / "manifest.json", extra=1),
-                "1/manifest.json:3: found '  \"extra\": 1,', but entrocl writes "
-                "'  \"run_config\": {'",
             ),
             (
                 lambda arm: [shutil.rmtree(arm / seed) for seed in ("0", "1")],
@@ -854,21 +771,6 @@ class TestVerify:
                 "full/2: not a run of the plan in ",
             ),
             (
-                lambda arm: keep_report_rows(arm, lambda rows: rows + rows[-1:]),
-                "report.csv:3: found 'full,2,0.2125,0.1625,0.0,0.0,0.0,0.0,0.04187673651696918,"
-                "0.02421368318668247', but entrocl writes the end of the file",
-            ),
-            (
-                lambda arm: keep_report_rows(arm, lambda rows: []),
-                "report.csv:2: found the end of the file, but entrocl writes 'full,2,",
-            ),
-            (
-                # the row alone: a directory named bogus is not a run of the plan
-                lambda arm: keep_report_rows(arm, lambda rows: [row.replace("full", "bogus", 1)
-                                                                for row in rows]),
-                "report.csv:2: found 'bogus,2,",
-            ),
-            (
                 lambda arm: keep_report_rows(arm, lambda rows: [row[len("full"):] for row in rows]),
                 "report.csv:2: found ',2,",
             ),
@@ -876,11 +778,6 @@ class TestVerify:
                 # as if left by an earlier plan with more arms
                 lambda arm: shutil.copytree(arm, arm.parent / "no_entropy_scaling"),
                 "out/no_entropy_scaling: not a run of the plan in ",
-            ),
-            (
-                edit_matrix_cell,
-                "1/accuracy_matrix.csv:3: found '2,0.123456789,0.35', but entrocl writes "
-                "'2,0.4,0.35'",
             ),
             (
                 lambda arm: (arm / "1" / "per_layer_accuracy.csv").write_bytes(
@@ -900,24 +797,9 @@ class TestVerify:
                 "1/per_layer_accuracy.csv:2: a field holds '_' or a non-ASCII character",
             ),
             (
-                lambda arm: respell_last_cell(arm / "0" / "accuracy_matrix.csv", 3,
-                                              lambda cell: cell + "0"),
-                "0/accuracy_matrix.csv:3: found '2,0.05,0.050', but entrocl writes '2,0.05,0.05'",
-            ),
-            (
-                lambda arm: respell_last_cell(arm / "1" / "per_layer_accuracy.csv", 2,
-                                              lambda cell: cell + "0"),
-                "1/per_layer_accuracy.csv:2: found '1,1,0,0.250', but entrocl writes "
-                "'1,1,0,0.25'",
-            ),
-            (
                 edit_summary_and_report,
                 "1/summary.json:2: found '  \"acc_final\": 0.99,', but entrocl writes "
                 "'  \"acc_final\": 0.375,'",
-            ),
-            (
-                lambda arm: edit_json(arm / "1" / "summary.json", bwt=0),
-                "1/summary.json:8: found '  \"bwt\": 0,', but entrocl writes '  \"bwt\": 0.0,'",
             ),
             (
                 cut_to_one_boundary,
@@ -935,11 +817,6 @@ class TestVerify:
             (
                 lambda arm: (arm / "1" / "summary.json").write_text("[1" + "0" * 5000 + "]"),
                 "1/summary.json: invalid JSON: Exceeds the limit (4300 digits)",
-            ),
-            (
-                lambda arm: respell_beta(arm / "1" / "manifest.json"),
-                "1/manifest.json:5: found '    \"beta\": 0.0050,', but entrocl writes "
-                "'    \"beta\": 0.005,'",
             ),
             (
                 partial(edit_every_manifest, version="9.9.9"),
@@ -980,26 +857,12 @@ class TestVerify:
                 "'    0.00014618092897443352'",
             ),
             (
-                # float() reads the cell as the number it replaces
-                lambda arm: respell_last_cell(arm / "1" / "telemetry.csv", 2,
-                                              lambda cell: cell + "0"),
-                "1/telemetry.csv:2: found '1,1,0,1.2130860913333952,-1.0,0.002334607438612213,"
-                "1.0,1.57375428396433410', but entrocl writes '1,1,0,1.2130860913333952,-1.0,"
-                "0.002334607438612213,1.0,1.5737542839643341'",
-            ),
-            (
                 cut_telemetry_by_one_step,
-                "1/summary.json:11: found '    0.0006239669058971061', but entrocl writes "
-                "'    0.0005211028955426466'",
+                "1/telemetry.csv: 11 steps, but a run of 2 tasks of 6 steps takes 12",
             ),
             (
                 lambda arm: edit_telemetry_cell(arm / "1" / "telemetry.csv", 5, "nan"),
                 "1/telemetry.csv:5: non-finite value",
-            ),
-            (
-                lambda arm: edit_json(arm / "1" / "summary.json", extra=1),
-                "1/summary.json:14: found '  \"extra\": 1,', but entrocl writes "
-                "'  \"runtime_seconds\": ",
             ),
             (
                 lambda arm: edit_json(arm / "1" / "summary.json", runtime_seconds=3),
@@ -1021,11 +884,6 @@ class TestVerify:
                 "out/plan.json: cannot build the plan: arms must be distinct, got 'full,full'",
             ),
             (
-                lambda arm: respell_beta(arm.parent / "plan.json"),
-                "out/plan.json:6: found '  \"beta\": 0.0050,', but entrocl writes "
-                "'  \"beta\": 0.005,'",
-            ),
-            (
                 # a plan setting that changes no artifact, so plan.json never records it
                 partial(edit_plan, jobs=2),
                 "out/plan.json:15: found '  \"jobs\": 2,', but entrocl writes "
@@ -1034,12 +892,6 @@ class TestVerify:
             (
                 partial(edit_plan, beta="x"),
                 "out/plan.json: argument --beta: invalid float value: 'x'",
-            ),
-            (
-                # a key left out takes its flag's default, which plan.json records
-                partial(drop_plan_key, key="lr"),
-                "out/plan.json:15: found '  \"noise_scale\": 1.0,', but entrocl writes "
-                "'  \"lr\": 0.001,'",
             ),
             # only the plan's files and runs may sit in its output directory
             (
@@ -1065,31 +917,22 @@ class TestVerify:
             ),
         ],
         ids=["missing-summary", "missing-manifest", "missing-accuracy-matrix",
-             "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory", "truncated-summary", "missing-metric",
-             "non-object-summary", "non-numeric-metric", "non-utf8-summary",
-             "metric-beyond-float64", "non-object-manifest", "manifest-seed",
-             "manifest-stream-seed", "manifest-arm", "manifest-switches", "manifest-run-config",
-             "manifest-stream-config", "manifest-missing-setting", "manifest-version",
-             "manifest-extra-key", "no-seed-directories",
-             "report-is-directory", "non-utf8-report", "zero-padded-seed-directory",
-             "signed-seed-directory", "unlisted-seed-directory", "duplicate-arm-row",
-             "no-arm-rows", "unknown-arm-row",
-             "empty-arm-row", "arm-directory-without-row", "edited-matrix-cell",
-             "truncated-per-layer-line", "underscore-in-matrix-cell",
-             "arabic-digit-in-per-layer-cell", "respelled-matrix-cell",
-             "respelled-per-layer-cell", "summary-and-report-edited", "integer-summary-metric",
-             "one-boundary-run",
-             "deep-json-summary", "deep-json-manifest", "long-integer-summary",
-             "respelled-manifest-number",
-             "manifest-version-in-every-run", "huge-num-tasks", "unknown-run-key-in-every-run",
-             "widths-not-a-list-in-every-run", "boolean-batch-size-in-every-run",
-             "integer-learning-rate-in-every-run", "float-width-in-every-run",
-             "entropy-keys-and-report-edited", "respelled-telemetry-cell",
-             "telemetry-cut-by-one-step", "nan-telemetry-cell", "summary-key-added",
-             "runtime-not-a-float", "plan-seed-boolean", "plan-seed-string",
-             "plan-arm-repeated", "plan-respelled-beta", "plan-key-added", "plan-beta-word", "plan-key-missing",
-             "arm-copy-under-another-case", "arm-copy-named-as-a-seed", "stray-file",
-             "stray-file-in-a-run", "stray-directory-in-a-run"],
+             "missing-per-layer-accuracy", "missing-telemetry", "non-integer-directory",
+             "truncated-summary", "missing-metric", "non-object-summary", "non-numeric-metric",
+             "non-utf8-summary", "metric-beyond-float64", "non-object-manifest", "manifest-arm",
+             "no-seed-directories", "report-is-directory", "non-utf8-report",
+             "zero-padded-seed-directory", "signed-seed-directory", "unlisted-seed-directory",
+             "empty-arm-row", "arm-directory-without-row", "truncated-per-layer-line",
+             "underscore-in-matrix-cell", "arabic-digit-in-per-layer-cell",
+             "summary-and-report-edited", "one-boundary-run", "deep-json-summary",
+             "deep-json-manifest", "long-integer-summary", "manifest-version-in-every-run",
+             "huge-num-tasks", "unknown-run-key-in-every-run", "widths-not-a-list-in-every-run",
+             "boolean-batch-size-in-every-run", "integer-learning-rate-in-every-run",
+             "float-width-in-every-run", "entropy-keys-and-report-edited",
+             "telemetry-cut-by-one-step", "nan-telemetry-cell", "runtime-not-a-float",
+             "plan-seed-boolean", "plan-seed-string", "plan-arm-repeated", "plan-key-added",
+             "plan-beta-word", "arm-copy-under-another-case", "arm-copy-named-as-a-seed",
+             "stray-file", "stray-file-in-a-run", "stray-directory-in-a-run"],
     )
     def test_verify_reports_damaged_runs_as_errors(self, tmp_path, capsys, damage, named):
         out = tmp_path / "out"
@@ -1128,11 +971,11 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err
 
-    @pytest.mark.parametrize("column", ["z", "gamma"])
-    @pytest.mark.parametrize("arm", ["full", "no_entropy_scaling"])
+    @pytest.mark.parametrize("column", ["z", "gamma", "alpha"])
+    @pytest.mark.parametrize("arm", ["full", "no_entropy_scaling", "no_adaptive_training"])
     def test_verify_derives_z_and_gamma_from_the_entropies(self, tmp_path, capsys, arm, column):
-        # both columns are functions of the step's entropies and the run's config, so
-        # a one-ulp edit of either fails
+        # z and gamma are functions of the step's entropies and the run's config, and
+        # alpha is all ones in the first task, so a one-ulp edit of any of them fails
         out = tmp_path / "out"
         assert main(FAST_FLAGS + ["--arms", arm, "--out", str(out)]) == 0
         path = out / arm / "0" / "telemetry.csv"
@@ -1142,6 +985,21 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:2: found '1,1,0,")
+
+    def test_verify_counts_each_synthetic_tasks_steps(self, tmp_path, capsys):
+        # tasks of 100 steps, more than the summary's SPREAD_WINDOW, so no summary
+        # value moves when the first step goes
+        out = tmp_path / "out"
+        assert main(["--num-tasks", "2", "--widths", "8,8", "--out", str(out)]) == 0
+        path = out / "full" / "0" / "telemetry.csv"
+        telemetry = training.read_telemetry_csv(path, 2)
+        assert len(telemetry) == 200 and training.SPREAD_WINDOW < 100
+        with open(path, "w", encoding="utf-8") as fh:
+            training.write_telemetry_csv(fh, telemetry[1:])
+        capsys.readouterr()
+        assert main(["verify", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: 199 steps, but a run of 2 tasks of 100 steps takes 200\n")
 
     @pytest.mark.parametrize("cells", [("1e+308", "1e+308"), ("1e+308", "-1e+308")],
                              ids=["sum-overflows", "square-overflows"])
@@ -1198,22 +1056,34 @@ class TestVerify:
         assert main(["verify", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {named}\n"
 
+    @pytest.mark.parametrize("name", ["plan.json", "report.csv", *(
+        f"full/1/{name}" for name, _, _ in training.RUN_ARTIFACTS)])
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_damaged_plan_record_fails_with_one_error_line(self, plan_output, data):
-        out, valid = plan_output
-        cut = st.integers(0, len(valid) - 1).map(lambda n: valid[:n])
-        flip = st.tuples(st.integers(0, len(valid) - 1), st.integers(1, 255)).map(
-            lambda at: valid[:at[0]] + bytes([valid[at[0]] ^ at[1]]) + valid[at[0] + 1:])
-        (out / "plan.json").write_bytes(data.draw(st.one_of(cut, flip)))
+    def test_damaged_file_fails_with_one_error_line(self, plan_output, name, data):
+        # a cut, or a flip of one byte unless it moves a value of a column that
+        # SWEEP_SURVIVORS lists as one verify cannot check
+        out, _ = plan_output
+        path = out / name
+        valid = path.read_bytes()
+        at = data.draw(st.integers(0, len(valid) - 1))
+        flip = data.draw(st.one_of(st.just(0), st.integers(1, 255)))  # 0 cuts the file at ``at``
+        path.write_bytes(valid[:at] + (bytes([valid[at] ^ flip]) + valid[at + 1:] if flip else b""))
         err = io.StringIO()
         try:
             with redirect_stderr(err), redirect_stdout(io.StringIO()):
                 code = main(["verify", "--out", str(out)])
         finally:
-            (out / "plan.json").write_bytes(valid)
+            path.write_bytes(valid)
         lines = err.getvalue().splitlines()
-        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
+        if code == 0 and not lines and flip:
+            text = valid.decode()
+            start = text.rfind("\n", 0, at) + 1
+            column = (text[start:].partition('"')[2].partition('"')[0] if name.endswith(".json")
+                      else text.split("\n")[0].split(",")[text[start:at].count(",")])
+            assert (name, column) in SWEEP_SURVIVORS
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("error: ")
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -1243,14 +1113,17 @@ SWEEP_FILES = ["plan.json", "report.csv",
                *(f"full/1/{name}" for name, _, _ in training.RUN_ARTIFACTS)]
 # Each (file, column) whose one-step edits still verify, and how many of them do: the
 # layer-0 head's accuracies, which only its final row's mean in summary.json
-# recomputes, where a one-ulp move rounds away; alpha and the layer losses, which
-# only a rerun could check; and the wall time.
+# recomputes, where a one-ulp move rounds away; the layer losses, which only a rerun
+# could check; and the wall time.
 SWEEP_SURVIVORS = {
     ("full/1/per_layer_accuracy.csv", "accuracy"): 6,
-    ("full/1/telemetry.csv", "alpha"): 24,
     ("full/1/telemetry.csv", "loss"): 24,
     ("full/1/summary.json", "runtime_seconds"): 1,
 }
+# The files whose failing edits may name another file of the plan: plan.json, which
+# every run is rendered from, and per_layer_accuracy.csv, whose deepest-head cells
+# verify checks through accuracy_matrix.csv.
+SWEEP_NAMED_ELSEWHERE = ("plan.json", "full/1/per_layer_accuracy.csv")
 
 
 def one_step_up(number):
@@ -1258,60 +1131,100 @@ def one_step_up(number):
     return number + 1 if isinstance(number, int) else math.nextafter(number, math.inf)
 
 
-def json_number_edits(value, key=None):
-    """(key, edited value) for each number of the JSON ``value``, moved one step up:
-    ``key`` names the member that holds the number."""
+def as_number(field):
+    """The int or float that the text ``field`` spells, or None."""
+    for kind in (int, float):
+        try:
+            return kind(field)
+        except ValueError:
+            pass
+    return None
+
+
+def respelled(field):
+    """The number ``field`` spelled another way: an integer with a plus sign, a float
+    with one more digit in its mantissa (0.25 as 0.250, 1e-05 as 1.0e-05)."""
+    if isinstance(as_number(field), int):
+        return f"+{field}"
+    mantissa, e, exponent = field.partition("e")
+    return f"{mantissa}{'0' if '.' in mantissa else '.0'}{e}{exponent}"
+
+
+def json_edits(value, key=None):
+    """(key, edited value) for each edit of the JSON ``value``: a member added to each
+    object, each boolean flipped, each string changed, and each number moved one step
+    up, an int also as a float and an integral float as an int. ``key`` names the
+    member that holds the edited value."""
     if isinstance(value, dict):
+        yield key, {**value, "added": 1}
         for member, item in value.items():
-            for name, edited in json_number_edits(item, member):
+            for name, edited in json_edits(item, member):
                 yield name, {**value, member: edited}
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            for name, edited in json_number_edits(item, key):
+            for name, edited in json_edits(item, key):
                 yield name, [*value[:i], edited, *value[i + 1:]]
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+    elif isinstance(value, bool):
+        yield key, not value
+    elif isinstance(value, str):
+        yield key, f"{value}x"
+    elif isinstance(value, int):
+        yield from ((key, value + 1), (key, float(value)))
+    elif isinstance(value, float):
         yield key, one_step_up(value)
+        if value.is_integer():
+            yield key, int(value)
 
 
 def sweep_edits(text, json_file):
-    """(column, edited text) for each line of ``text`` deleted in turn (column
-    None) and each number in it moved one step up. A JSON file is rewritten with
-    its writer; a CSV number's column is its header field."""
+    """(column, edited text) for each edit of ``text``: each line deleted, each line
+    duplicated and each number respelled as the same value. A JSON file's values are
+    also edited as ``json_edits`` lists and rewritten with its writer; in a CSV file,
+    each number is moved one step up and each other field, the header's included, is
+    changed. A CSV field's column is its header field, a JSON value's its key, and a
+    line's or a respelled JSON number's None."""
     lines = text.split("\n")[:-1]
-    for i in range(len(lines)):
-        yield None, "".join(f"{line}\n" for line in lines[:i] + lines[i + 1:])
+
+    def with_line(i, *new):  # the text with line i replaced by the lines ``new``
+        return "".join(f"{line}\n" for line in [*lines[:i], *new, *lines[i + 1:]])
+
+    header = lines[0].split(",")
+    for i, line in enumerate(lines):
+        yield None, with_line(i)
+        yield None, with_line(i, line, line)
+        if json_file:  # a value ends its line, before any comma
+            token = line.rstrip(",").rpartition(" ")[2]
+            if isinstance(as_number(token), float):
+                yield None, with_line(i, line.replace(token, respelled(token)))
+            continue
+        fields = line.split(",")
+        for k, field in enumerate(fields):
+            number = as_number(field)
+            edits = [f"{field}x"] if number is None else [repr(one_step_up(number)),
+                                                          respelled(field)]
+            for edit in edits:
+                yield header[k], with_line(i, ",".join([*fields[:k], edit, *fields[k + 1:]]))
     if json_file:
-        for key, edited in json_number_edits(json.loads(text)):
+        for key, edited in json_edits(json.loads(text)):
             buffer = io.StringIO()
             training.write_json(buffer, edited)
             yield key, buffer.getvalue()
-        return
-    header = lines[0].split(",")
-    for i, line in enumerate(lines):
-        fields = line.split(",")
-        for k, field in enumerate(fields):
-            try:
-                number = int(field)
-            except ValueError:
-                try:
-                    number = float(field)
-                except ValueError:
-                    continue
-            edited = ",".join([*fields[:k], repr(one_step_up(number)), *fields[k + 1:]])
-            yield header[k], "".join(f"{line}\n" for line in [*lines[:i], edited, *lines[i + 1:]])
 
 
 class TestVerifySweep:
     def test_every_edit_outside_the_allow_list_fails_with_one_error_line(self, tmp_path):
         # verify's contract, generated: after each single edit of the plan record, the
-        # report or one run's files, verify exits 1 with one error line, unless the edit
-        # moves a value that SWEEP_SURVIVORS lists as one verify cannot check
+        # report or one run's files, verify exits 1 with one error line naming the
+        # edited file (or, for SWEEP_NAMED_ELSEWHERE, a path under the output
+        # directory), unless the edit moves a value that SWEEP_SURVIVORS lists as one
+        # verify cannot check
         out = tmp_path / "out"
         assert main(SWEEP_FLAGS + ["--out", str(out)]) == 0
         survivors, failed, edits = Counter(), [], 0
         for name in SWEEP_FILES:
             path = out / name
             text = path.read_text()
+            named = f"error: {out}{os.sep}" if name in SWEEP_NAMED_ELSEWHERE else f"error: {path}:"
             for column, edited in sweep_edits(text, name.endswith(".json")):
                 edits += 1
                 path.write_text(edited)
@@ -1324,8 +1237,8 @@ class TestVerifySweep:
                 lines = err.getvalue().splitlines()
                 if code == 0 and column is not None:
                     survivors[name, column] += 1
-                elif not (code == 1 and len(lines) == 1 and lines[0].startswith("error: ")):
+                elif not (code == 1 and len(lines) == 1 and lines[0].startswith(named)):
                     failed.append((name, column, code, lines))
-        assert edits > 400
+        assert edits > 900
         assert failed == []
         assert survivors == SWEEP_SURVIVORS

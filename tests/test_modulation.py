@@ -228,17 +228,29 @@ class TestCompositeLoss:
         assert objective.gamma == (0.005,) * 4
         assert objective.entropy.z == (0.0,) * 4
 
-    def test_reward_sign_flips_entropy_term(self, rng):
-        net = LayeredNet.init(5, (6, 6), 4, seed=3)
+    def test_signed_coefficient_has_the_sign_of_z(self, rng):
+        # signed weighs each layer's entropy by gamma - beta: pushed down where z > 0,
+        # up where z < 0, and untouched when the layers tie
+        net = LayeredNet.init(5, (6, 6, 6), 4, seed=3)
         x = rng.standard_normal((8, 5))
         y = rng.integers(0, 4, size=8)
         record = net.forward(x)
-        pen = composite_loss(record, y, (1.0, 1.0), 0.005)
-        rew = composite_loss(record, y, (1.0, 1.0), 0.005, entropy_sign="reward")
-        ce = sum(pen.layer_losses)
-        reg = sum(g * h for g, h in zip(pen.gamma, pen.entropy.per_layer))
-        assert pen.total == pytest.approx(ce + reg, abs=1e-12)
-        assert rew.total == pytest.approx(ce - reg, abs=1e-12)
+        pen = composite_loss(record, y, (1.0,) * 3, 0.005)
+        sig = composite_loss(record, y, (1.0,) * 3, 0.005, entropy_sign="signed")
+        assert pen.entropy_coef == pen.gamma
+        z, h = sig.entropy.z, sig.entropy.per_layer
+        coef = [0.005 * math.exp(math.tanh(v)) - 0.005 for v in z]
+        assert sig.entropy_coef == tuple(coef)
+        assert all(c != 0 and (c > 0) == (v > 0) for c, v in zip(sig.entropy_coef, z))
+        ce = sum(sig.layer_losses)
+        assert sig.total == pytest.approx(ce + sum(c * v for c, v in zip(coef, h)), abs=1e-12)
+        from test_model import zero_net
+
+        tied = zero_net(input_dim=4, widths=(6, 6, 6, 6), num_classes=10).forward(np.ones((5, 4)))
+        objective = composite_loss(tied, [0, 1, 2, 3, 4], (1.0,) * 4, 0.005, entropy_sign="signed")
+        assert objective.entropy.z == (0.0,) * 4
+        assert objective.entropy_coef == (0.0,) * 4
+        assert objective.total == pytest.approx(4 * math.log(10), abs=1e-9)
 
     def test_wrong_alpha_length(self, rng):
         net = LayeredNet.init(5, (6, 6), 4, seed=3)

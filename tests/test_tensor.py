@@ -215,7 +215,7 @@ class TestBackward:
         for name in fd:
             assert relative_error(analytic[name], fd[name]).max() < 1e-4
 
-    @pytest.mark.parametrize("coefficients", ["penalize", "reward", "zero-gamma"])
+    @pytest.mark.parametrize("coefficients", ["penalize", "signed", "zero-gamma"])
     def test_in_place_sweep_matches_the_plain_expressions_bitwise(self, coefficients):
         rng = np.random.default_rng(13)
         for trial in range(20):
@@ -228,7 +228,7 @@ class TestBackward:
             y = rng.integers(0, num_classes, size=batch)
             alpha = tuple(np.exp(rng.uniform(-1, 1, size=len(widths))).tolist())
             gamma = (0.0,) * len(widths) if coefficients == "zero-gamma" else None
-            sign = "reward" if coefficients == "reward" else "penalize"
+            sign = "signed" if coefficients == "signed" else "penalize"
             objective = composite_loss(net.forward(x), y, alpha, beta=0.05, entropy_sign=sign,
                                        gamma=gamma)
             if trial % 4 == 0:
@@ -241,7 +241,7 @@ class TestBackward:
         rng = np.random.default_rng(21)
         net = LayeredNet.init(6, (9, 5, 7), 4, seed=3)
         net.heads[0][1][0] = -60.0  # class 0 of the first head below PROB_EPS
-        settings = [("penalize", None), ("reward", None), ("penalize", (0.0,) * 3)]
+        settings = [("penalize", None), ("signed", None), ("penalize", (0.0,) * 3)]
         for sign, gamma in settings * 2:
             x = 3.0 * rng.standard_normal((int(rng.integers(1, 20)), 6))
             y = rng.integers(0, 4, size=len(x))
